@@ -18,6 +18,7 @@ from moemeter.trace import (
     serialize_activation_sheet,
     simulate_routing,
     validate_sheet,
+    _mc_distinct_counts,
     _parse_dist_spec,
     _topk_exclusion_probs,
 )
@@ -292,11 +293,13 @@ def test_enumeration_exclusion_probs_sum_rule():
         assert np.all((0 <= q) & (q <= 1))
 
 
-def test_expected_monte_carlo_reports_stderr():
+def test_expected_quadrature_agrees_with_monte_carlo():
     dist = RoutingDistribution.zipf(1.0)
-    out = expected_distinct_experts(64, 4, 8, dist, n_mc_passes=20_000, seed=1)
-    assert out.method == "monte_carlo"
-    assert out.stderr > 0
+    out = expected_distinct_experts(64, 4, 8, dist)
+    assert out.method == "quadrature"
+    counts = _mc_distinct_counts(dist.probabilities(64), 4, 8, 20_000, seed=1)
+    se = counts.std(ddof=1) / math.sqrt(len(counts))
+    assert abs(counts.mean() - out.value) <= 3 * se
 
 
 def test_expected_cross_check_against_simulator():
