@@ -45,10 +45,6 @@ from .models import (
 
 PHASES = ("prefill", "decode")
 
-# Empirical/zipf expectation switches from exact set-distribution enumeration
-# to Monte-Carlo above this expert count (state space is sum of C(E, j)).
-ENUMERATION_MAX_EXPERTS = 20
-
 
 @dataclass
 class ForwardPassRecord:
@@ -425,52 +421,17 @@ def simulate_routing(
 
 @dataclass(frozen=True)
 class ExpectedDistinct:
-    """Expected distinct routed experts activated per MoE layer by a batch,
-    and the exact method that produced it."""
+    """Expected distinct routed experts per MoE layer, and its exact method."""
 
     value: float
     method: str
 
 
-# Trapezoid grid in s = ln t for the exponential-race integral: from
-# ln(1/p_max) - _RACE_HEAD to ln(1/p_min) + _RACE_TAIL in steps of
-# _RACE_STEP. Beyond that range the integrand is below e^-40 of its peak;
-# inside it the integrand is analytic in s, so the error falls
-# geometrically with the step (about 4e-13 at 0.25, below 1e-15 at 0.125).
+# Trapezoid step in s = ln t; the integrand is analytic, so the error falls
+# geometrically with the step (about 4e-13 at 0.25, rounding at 0.125).
 _RACE_STEP = 0.125
-_RACE_HEAD = 40.0
-_RACE_TAIL = 4.0
-# Grid nodes per block, times experts and counts, bounds the race tables.
+# Bound on experts x counts x grid nodes per block of the count tables.
 _RACE_BLOCK_CELLS = 1 << 20
-
-
-def _race_integrand(w: np.ndarray, k: int, t: np.ndarray) -> np.ndarray:
-    """Integrand of r_i at times t, for positive weights w: the density of
-    expert i firing at t, times t, times P(at most k-1 other experts fired
-    before t).
-
-    The count of other experts that fired is Poisson-binomial in
-    a_j = 1 - e^(-w_j t). Prefix and suffix tables of that count, truncated
-    at k, give it for every expert at once without division.
-    """
-    m = len(w)
-    x = np.outer(w, t)
-    fired = -np.expm1(-x)
-    idle = np.exp(-x)
-    # prefix[j, c] = P(exactly c of experts 0..j-1 fired), c < k;
-    # suffix[j, c] likewise for experts j..m-1.
-    prefix = np.zeros((m + 1, k, len(t)))
-    suffix = np.zeros((m + 1, k, len(t)))
-    prefix[0, 0] = suffix[m, 0] = 1.0
-    for j in range(m):
-        prefix[j + 1] = prefix[j] * idle[j]
-        prefix[j + 1, 1:] += prefix[j, :-1] * fired[j]
-        i = m - 1 - j
-        suffix[i] = suffix[i + 1] * idle[i]
-        suffix[i, 1:] += suffix[i + 1, :-1] * fired[i]
-    at_most = np.cumsum(suffix, axis=1)
-    others = np.einsum("ict,ict->it", prefix[:-1], at_most[1:, ::-1])
-    return x * idle * others
 
 
 def _topk_inclusion_probs(p: np.ndarray, k: int) -> np.ndarray:
@@ -478,48 +439,32 @@ def _topk_inclusion_probs(p: np.ndarray, k: int) -> np.ndarray:
     without replacement), by the exponential race behind Gumbel-top-k.
 
     Expert i fires at an Exp(p_i) time and the k earliest win, so
-    r_i = integral over s = ln t of p_i t e^(-p_i t) P(at most k-1 others
-    fired before t), taken by the trapezoid rule. Every term is positive,
-    so tiny inclusion probabilities keep full relative precision.
+    r_i = integral over ln t of p_i t e^(-p_i t) P(at most k-1 others fired
+    by t). That count is Poisson-binomial in 1 - e^(-p_j t); prefix and
+    suffix tables of it, truncated at k, give it for every i at once without
+    division. All terms are positive, so tiny r_i keep full precision.
     """
-    pos = np.flatnonzero(p > 0)
-    w = p[pos]
-    s = np.arange(
-        math.log(1.0 / w.max()) - _RACE_HEAD, math.log(1.0 / w.min()) + _RACE_TAIL, _RACE_STEP
-    )
-    t = np.exp(s)
-    blocks = -(-len(t) * (len(w) + 1) * k // _RACE_BLOCK_CELLS)
-    total = sum(_race_integrand(w, k, tb).sum(axis=1) for tb in np.array_split(t, blocks))
-    r = np.zeros(len(p))
-    r[pos] = np.minimum(_RACE_STEP * total, 1.0)
-    return r
-
-
-def _topk_exclusion_probs(p: np.ndarray, k: int) -> np.ndarray:
-    """q_i = P(expert i is not among one token's k sequential weighted draws
-    without replacement), by exact dynamic programming over chosen sets."""
-    n = len(p)
-    level: dict[int, float] = {0: 1.0}
-    for _ in range(k):
-        nxt: dict[int, float] = {}
-        for mask, prob in level.items():
-            used = 0.0
-            m = mask
-            while m:
-                used += p[(m & -m).bit_length() - 1]
-                m &= m - 1
-            rem = 1.0 - used
-            for i in range(n):
-                if not (mask >> i) & 1 and p[i] > 0:
-                    key = mask | (1 << i)
-                    nxt[key] = nxt.get(key, 0.0) + prob * p[i] / rem
-        level = nxt
-    q = np.zeros(n)
-    for mask, prob in level.items():
-        for i in range(n):
-            if not (mask >> i) & 1:
-                q[i] += prob
-    return q
+    m = len(p)
+    # Outside this range every integrand is below e^-40 of its peak.
+    s = np.arange(math.log(1.0 / p.max()) - 40.0, math.log(1.0 / p[p > 0].min()) + 4.0, _RACE_STEP)
+    total = np.zeros(m)
+    for t in np.array_split(np.exp(s), -(-len(s) * (m + 1) * k // _RACE_BLOCK_CELLS)):
+        x = np.outer(p, t)
+        fired, idle = -np.expm1(-x), np.exp(-x)
+        # prefix[j, c] (suffix[j, c]): P(exactly c of experts 0..j-1 (j..m-1) fired), c < k
+        prefix = np.zeros((m + 1, k, len(t)))
+        suffix = np.zeros((m + 1, k, len(t)))
+        prefix[0, 0] = suffix[m, 0] = 1.0
+        for j in range(m):
+            prefix[j + 1] = prefix[j] * idle[j]
+            prefix[j + 1, 1:] += prefix[j, :-1] * fired[j]
+            i = m - 1 - j
+            suffix[i] = suffix[i + 1] * idle[i]
+            suffix[i, 1:] += suffix[i + 1, :-1] * fired[i]
+        # P(at most k-1 others) = sum_c prefix[i, c] * P(at most k-1-c of i+1.. fired)
+        others = np.einsum("ict,ict->it", prefix[:-1], np.cumsum(suffix, axis=1)[1:, ::-1])
+        total += (x * idle * others).sum(axis=1)
+    return np.minimum(_RACE_STEP * total, 1.0)
 
 
 def _mc_distinct_counts(
@@ -532,12 +477,10 @@ def _mc_distinct_counts(
     admit an extra expert, which perturbs the estimate orders of magnitude
     below the standard error at any practical pass count.
     """
-    _check_support(p, top_k)
+    log_p32 = _check_support(p, top_k).astype(np.float32)
     n_expert = len(p)
     if top_k == n_expert:
         return np.full(n_passes, n_expert, dtype=np.int64)
-    with np.errstate(divide="ignore"):
-        log_p32 = np.where(p > 0, np.log(p), -np.inf).astype(np.float32)
     rng = np.random.default_rng(seed)
     counts = np.empty(n_passes, dtype=np.int64)
     chunk = max(1, min(n_passes, int(4e7) // max(1, batch * n_expert)))
@@ -564,10 +507,11 @@ def expected_distinct_experts(
     """Expected number of distinct routed experts a batch activates in one
     MoE layer.
 
-    Uniform routing has the closed form E * (1 - (1 - k/E)^batch). Other
-    distributions use sum_i (1 - q_i^batch) where q_i is the probability
-    expert i misses one token's top-k set: exact enumeration for
-    n_expert <= 20, the exponential-race quadrature otherwise.
+    Uniform routing: the closed form E * (1 - (1 - k/E)^batch) (``closed_form``).
+    Otherwise sum_i (1 - (1 - r_i)^batch), r_i being the probability that expert
+    i is in one token's top-k set, from the exact exponential-race quadrature
+    to about 1e-14 relative (``quadrature``). Fewer than top_k positive
+    weights are rejected.
     """
     if not 1 <= top_k <= n_expert:
         raise ValidationError("need 1 <= top_k <= n_expert", field="top_k")
@@ -577,10 +521,6 @@ def expected_distinct_experts(
         value = n_expert * (1.0 - (1.0 - top_k / n_expert) ** batch)
         return ExpectedDistinct(value=value, method="closed_form")
     p = dist.probabilities(n_expert)
-    if n_expert <= ENUMERATION_MAX_EXPERTS:
-        q = _topk_exclusion_probs(p, top_k)
-        value = float(np.sum(1.0 - q**batch))
-        return ExpectedDistinct(value=value, method="enumeration")
     _check_support(p, top_k)
     r = _topk_inclusion_probs(p, top_k)
     with np.errstate(divide="ignore"):

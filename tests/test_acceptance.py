@@ -289,7 +289,7 @@ def _uniform_union_mc(n_expert: int, top_k: int, batch: int, n_passes: int, seed
 
 def test_05_routing_expectation_oracle():
     """Analytic expected distinct experts agrees with Monte-Carlo sampling
-    (1e5 passes, 3 standard errors) across the uniform grid and enumerable
+    (1e5 passes, 3 standard errors) across the uniform grid and 20-expert
     empirical cases."""
     start = time.process_time()
     n_passes = 100_000
@@ -315,15 +315,15 @@ def test_05_routing_expectation_oracle():
                 assert abs(counts.mean() - analytic.value) <= 3 * se + resolution
                 checked += 1
 
-    # enumerable empirical cases at 20 experts: exact set-distribution
-    # enumeration against the vectorized Monte-Carlo estimator
+    # empirical cases at 20 experts: the exact exponential-race quadrature
+    # against the vectorized Monte-Carlo estimator
     weights = np.arange(1, 21, dtype=float) ** -0.8
     weights /= weights.sum()
     dist = RoutingDistribution.empirical(weights.tolist())
     for top_k in (1, 2, 8):
         for batch in (1, 8, 64):
             analytic = expected_distinct_experts(20, top_k, batch, dist)
-            assert analytic.method == "enumeration"
+            assert analytic.method == "quadrature"
             counts = _mc_distinct_counts(weights, top_k, batch, n_passes, seed=base_seed + 1000 + checked)
             se = counts.std(ddof=1) / math.sqrt(n_passes)
             assert abs(counts.mean() - analytic.value) <= 3 * se + resolution

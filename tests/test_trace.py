@@ -20,7 +20,7 @@ from moemeter.trace import (
     validate_sheet,
     _mc_distinct_counts,
     _parse_dist_spec,
-    _topk_exclusion_probs,
+    _topk_inclusion_probs,
 )
 
 from conftest import make_desc
@@ -281,14 +281,14 @@ def test_enumeration_matches_closed_form_on_uniform_weights():
     dist = RoutingDistribution.empirical([1 / 8] * 8)
     enum = expected_distinct_experts(8, 3, 5, dist)
     closed = 8 * (1 - (1 - 3 / 8) ** 5)
-    assert enum.method == "enumeration"
+    assert enum.method == "quadrature"
     assert enum.value == pytest.approx(closed, rel=1e-12)
 
 
 def test_enumeration_exclusion_probs_sum_rule():
     p = np.array([0.4, 0.3, 0.2, 0.1])
     for k in (1, 2, 3):
-        q = _topk_exclusion_probs(p, k)
+        q = 1 - _topk_inclusion_probs(p, k)
         assert np.sum(1 - q) == pytest.approx(k, rel=1e-12)
         assert np.all((0 <= q) & (q <= 1))
 
