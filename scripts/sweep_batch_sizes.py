@@ -19,7 +19,7 @@ sys.path.insert(0, str(REPO / "src"))
 
 from moemeter.catalog import load_catalog  # noqa: E402
 from moemeter.models import Precision, load_model_descriptor  # noqa: E402
-from moemeter.planner import SloSpec, batch_sweep  # noqa: E402
+from moemeter.planner import SloSpec, batch_sweep, sweep_to_csv  # noqa: E402
 from moemeter.trace import RoutingDistribution  # noqa: E402
 
 MODELS = ("deepseek-v2-lite", "qwen1_5-moe-a2_7b")
@@ -51,20 +51,14 @@ def main() -> None:
             catalog=catalog,
         )
         path = out_dir / f"{name}.csv"
-        rows = ["batch,expected_distinct_per_layer,expected_activated_fraction,theoretical_gbps,practical_gbps,feasible_devices"]
         print(f"\n{name} @ {args.slo} s/token:")
         for p in points:
-            rows.append(
-                f"{p.batch},{p.expected_distinct_per_layer!r},{p.expected_activated_fraction!r},"
-                f"{p.theoretical_bandwidth_gbps!r},{p.practical_bandwidth_gbps!r},"
-                f"{'|'.join(p.feasible_devices)}"
-            )
             print(
                 f"  batch {p.batch:>3}: fraction {p.expected_activated_fraction:.3f}, "
                 f"needs {p.practical_bandwidth_gbps:8.1f} GB/s, "
                 f"feasible: {', '.join(p.feasible_devices) or '(none)'}"
             )
-        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        path.write_text(sweep_to_csv(points), encoding="utf-8")
         print(f"  -> {path}")
 
 

@@ -115,6 +115,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
     if args.trace:
         sheet = trace.load_activation_sheet(args.trace, desc)
     dist = trace._parse_dist_spec(args.dist) if args.dist else None
+    sweep = args.sweep_batches.split(",") if args.sweep_batches else []
+    batches = [trace._parse_number(b, int, "sweep_batches") for b in sweep]
 
     modes = args.mode
     if args.fig2:
@@ -161,8 +163,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         _write_json(out_dir / "bandwidth_power_map.json", plot)
         print(out_dir / "bandwidth_power_map.json")
 
-    if args.sweep_batches:
-        batches = [int(b) for b in args.sweep_batches.split(",")]
+    if batches:
         sweep_dist = dist if dist is not None else trace.RoutingDistribution.uniform()
         points = planner.batch_sweep(
             desc,
@@ -176,15 +177,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
             margin=args.margin,
             include_embed=not args.exclude_embed,
         )
-        lines = [f"# {_digest_comment(digests)}"]
-        lines.append("batch,expected_distinct_per_layer,expected_activated_fraction,theoretical_gbps,practical_gbps,feasible_devices")
-        for p in points:
-            lines.append(
-                f"{p.batch},{p.expected_distinct_per_layer!r},{p.expected_activated_fraction!r},"
-                f"{p.theoretical_bandwidth_gbps!r},{p.practical_bandwidth_gbps!r},"
-                f"{'|'.join(p.feasible_devices)}"
-            )
-        _write_text(out_dir / "batch_sweep.csv", "\n".join(lines) + "\n")
+        _write_text(out_dir / "batch_sweep.csv", planner.sweep_to_csv(points, _digest_comment(digests)))
         print(out_dir / "batch_sweep.csv")
     return EXIT_OK
 

@@ -309,6 +309,18 @@ def batch_sweep(
     return points
 
 
+def sweep_to_csv(points: Sequence[SweepPoint], header_comment: str | None = None) -> str:
+    """Flat CSV: one row per sweep point; feasible devices joined by '|'."""
+    rows = [f"# {header_comment}"] if header_comment else []
+    rows.append("batch,expected_distinct_per_layer,expected_activated_fraction,theoretical_gbps,practical_gbps,feasible_devices")
+    rows += [
+        f"{p.batch},{p.expected_distinct_per_layer!r},{p.expected_activated_fraction!r},"
+        f"{p.theoretical_bandwidth_gbps!r},{p.practical_bandwidth_gbps!r},{'|'.join(p.feasible_devices)}"
+        for p in points
+    ]
+    return "\n".join(rows) + "\n"
+
+
 # --------------------------------------------------------------------------
 # Bandwidth-vs-power map (plot data)
 # --------------------------------------------------------------------------

@@ -286,8 +286,8 @@ class RoutingDistribution:
     def __post_init__(self):
         if self.kind not in ("uniform", "zipf", "empirical"):
             raise ValidationError(f"unknown distribution kind {self.kind!r}", field="kind")
-        if self.kind == "zipf" and self.zipf_s < 0:
-            raise ValidationError("zipf exponent must be >= 0", field="zipf_s")
+        if self.kind == "zipf" and not 0 <= self.zipf_s < math.inf:
+            raise ValidationError("zipf exponent must be finite and >= 0", field="zipf_s")
         if self.kind == "empirical":
             if self.weights is None:
                 raise ValidationError("empirical distribution requires weights", field="weights")
@@ -325,15 +325,21 @@ class RoutingDistribution:
         return w / w.sum()
 
 
+def _parse_number(text: str, cast: type, field: str):
+    try:
+        return cast(text)
+    except ValueError:
+        raise ValidationError(f"malformed number {text!r} in {field}", field=field) from None
+
+
 def _parse_dist_spec(spec: str) -> RoutingDistribution:
     """Parse a CLI-style distribution spec: 'uniform', 'zipf:S', 'empirical:p1,p2,...'."""
     if spec == "uniform":
         return RoutingDistribution.uniform()
     if spec.startswith("zipf:"):
-        return RoutingDistribution.zipf(float(spec[len("zipf:"):]))
+        return RoutingDistribution.zipf(_parse_number(spec[len("zipf:"):], float, "dist"))
     if spec.startswith("empirical:"):
-        weights = [float(x) for x in spec[len("empirical:"):].split(",")]
-        return RoutingDistribution.empirical(weights)
+        return RoutingDistribution.empirical([_parse_number(x, float, "dist") for x in spec[len("empirical:"):].split(",")])
     raise ValidationError(f"cannot parse distribution spec {spec!r}", field="dist")
 
 
@@ -436,24 +442,26 @@ _RACE_BLOCK_CELLS = 1 << 20
 
 def _topk_inclusion_probs(p: np.ndarray, k: int) -> np.ndarray:
     """r_i = P(expert i is among one token's k sequential weighted draws
-    without replacement), by the exponential race behind Gumbel-top-k.
+    without replacement); fewer than k positive weights are rejected.
 
-    Expert i fires at an Exp(p_i) time and the k earliest win, so
-    r_i = integral over ln t of p_i t e^(-p_i t) P(at most k-1 others fired
-    by t). That count is Poisson-binomial in 1 - e^(-p_j t); prefix and
+    Exponential race: expert i fires at an Exp(p_i) time and the k earliest
+    win, so r_i = integral over ln t of p_i t e^(-p_i t) P(at most k-1 others
+    fired by t). That count is Poisson-binomial in 1 - e^(-p_j t); prefix and
     suffix tables of it, truncated at k, give it for every i at once without
     division. All terms are positive, so tiny r_i keep full precision.
     """
+    log_p = _check_support(p, k)
     m = len(p)
     # Outside this range every integrand is below e^-40 of its peak.
-    s = np.arange(math.log(1.0 / p.max()) - 40.0, math.log(1.0 / p[p > 0].min()) + 4.0, _RACE_STEP)
+    s = np.arange(-log_p.max() - 40.0, -log_p[p > 0].min() + 4.0, _RACE_STEP)
     total = np.zeros(m)
-    for t in np.array_split(np.exp(s), -(-len(s) * (m + 1) * k // _RACE_BLOCK_CELLS)):
-        x = np.outer(p, t)
+    for s_block in np.array_split(s, -(-len(s) * (m + 1) * k // _RACE_BLOCK_CELLS)):
+        # x = p t from log space, capped where e^-x is already 0 so it stays finite
+        log_x = log_p[:, None] + s_block
+        x = np.exp(np.minimum(log_x, 700.0))
         fired, idle = -np.expm1(-x), np.exp(-x)
         # prefix[j, c] (suffix[j, c]): P(exactly c of experts 0..j-1 (j..m-1) fired), c < k
-        prefix = np.zeros((m + 1, k, len(t)))
-        suffix = np.zeros((m + 1, k, len(t)))
+        prefix, suffix = np.zeros((2, m + 1, k, len(s_block)))
         prefix[0, 0] = suffix[m, 0] = 1.0
         for j in range(m):
             prefix[j + 1] = prefix[j] * idle[j]
@@ -463,7 +471,7 @@ def _topk_inclusion_probs(p: np.ndarray, k: int) -> np.ndarray:
             suffix[i, 1:] += suffix[i + 1, :-1] * fired[i]
         # P(at most k-1 others) = sum_c prefix[i, c] * P(at most k-1-c of i+1.. fired)
         others = np.einsum("ict,ict->it", prefix[:-1], np.cumsum(suffix, axis=1)[1:, ::-1])
-        total += (x * idle * others).sum(axis=1)
+        total += (np.exp(log_x - x) * others).sum(axis=1)
     return np.minimum(_RACE_STEP * total, 1.0)
 
 
@@ -520,9 +528,7 @@ def expected_distinct_experts(
     if dist.kind == "uniform":
         value = n_expert * (1.0 - (1.0 - top_k / n_expert) ** batch)
         return ExpectedDistinct(value=value, method="closed_form")
-    p = dist.probabilities(n_expert)
-    _check_support(p, top_k)
-    r = _topk_inclusion_probs(p, top_k)
+    r = _topk_inclusion_probs(dist.probabilities(n_expert), top_k)
     with np.errstate(divide="ignore"):
         value = float(np.sum(-np.expm1(batch * np.log1p(-r))))
     return ExpectedDistinct(value=value, method="quadrature")

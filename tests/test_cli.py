@@ -268,3 +268,25 @@ def test_recommend_match(tmp_path):
     assert result.returncode == 0
     doc = json.loads((tmp_path / "recommendation.json").read_text())
     assert doc["matched"]["recommended_system"] == "K-Transformers"
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        # fewer than top_k=2 positive weights: no valid routing exists
+        ("plan", ["--mode", "expected", "--batch", 2, "--dist", "empirical:1,0,0,0,0,0,0,0"]),
+        ("plan", ["--mode", "expected", "--batch", 2, "--dist", "zipf:abc"]),
+        ("plan", ["--mode", "expected", "--batch", 2, "--dist", "zipf:inf"]),
+        ("plan", ["--sweep-batches", "1,x", "--dist", "uniform"]),
+        ("simulate", ["--batch", 2, "--dist", "zipf:abc", "--passes", 1, "--seed", 1]),
+    ],
+)
+def test_malformed_routing_arguments_exit_2(tmp_path, command, extra):
+    common = ["--output-dir", tmp_path] if command == "plan" else ["--out", tmp_path / "x.trace"]
+    catalog = ["--catalog", CATALOG] if command == "plan" else []
+    result = run_cli(command, "--model", MODELS / "mixtral-8x7b.json", *catalog, *extra, *common)
+    assert result.returncode == 2, result.stderr
+    (line,) = result.stderr.splitlines()
+    err = json.loads(line)
+    assert err["error"]["type"] == "validation"
+    assert not list(tmp_path.iterdir())

@@ -14,6 +14,7 @@ from moemeter.planner import (
     plan_requirement,
     practical_bandwidth,
     practical_ops,
+    sweep_to_csv,
     theoretical_bandwidth_gbps,
 )
 from moemeter.trace import RoutingDistribution, simulate_routing
@@ -267,6 +268,23 @@ def test_sweep_fraction_closed_form_routed_only():
     expected = 1 - (1 - 8 / 64) ** 8
     assert points[0].expected_activated_fraction == pytest.approx(expected, rel=1e-12)
     assert points[0].expected_activated_fraction == pytest.approx(0.6564, abs=5e-5)
+
+
+def test_sweep_csv_rows_round_trip(r1_desc, shipped_catalog):
+    points = batch_sweep(r1_desc, RoutingDistribution.zipf(1.1), [1, 4], SLO, INT8, catalog=shipped_catalog)
+    lines = sweep_to_csv(points, header_comment="inputs x").splitlines()
+    assert lines[:2] == [
+        "# inputs x",
+        "batch,expected_distinct_per_layer,expected_activated_fraction,theoretical_gbps,practical_gbps,feasible_devices",
+    ]
+    for line, p in zip(lines[2:], points, strict=True):
+        batch, distinct, fraction, theoretical, practical, devices = line.split(",")
+        assert int(batch) == p.batch
+        assert float(distinct) == p.expected_distinct_per_layer
+        assert float(fraction) == p.expected_activated_fraction
+        assert (float(theoretical), float(practical)) == (p.theoretical_bandwidth_gbps, p.practical_bandwidth_gbps)
+        assert devices == "|".join(p.feasible_devices)
+    assert sweep_to_csv(points).splitlines() == lines[1:]
 
 
 def test_sweep_requires_sorted_batches(toy_desc):

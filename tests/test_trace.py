@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -244,6 +246,10 @@ def test_dist_spec_parsing():
     assert _parse_dist_spec("empirical:0.25,0.25,0.25,0.25").weights == (0.25,) * 4
     with pytest.raises(ValidationError):
         _parse_dist_spec("gaussian")
+    for bad in ("zipf:abc", "zipf:", "zipf:1,2", "empirical:0.5,x"):
+        with pytest.raises(ValidationError) as exc:
+            _parse_dist_spec(bad)
+        assert exc.value.field == "dist"
 
 
 def test_empirical_weights_must_sum_to_one():
@@ -274,6 +280,72 @@ def test_expected_full_support_limit():
         8, 2, 10_000, RoutingDistribution.empirical([0.2, 0.2, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1])
     )
     assert emp.value == pytest.approx(8.0, abs=1e-6)
+
+
+def _brute_force_inclusion(p, k):
+    """r_i as the total probability of the ordered top-k draws containing i,
+    summing every sequence of k distinct experts; the mass left at each
+    draw is summed afresh, so tiny weights are never lost to cancellation."""
+    terms = [[] for _ in p]
+    for seq in itertools.permutations(range(len(p)), k):
+        prob = 1.0
+        for n, i in enumerate(seq):
+            prob *= p[i] / math.fsum(p[j] for j in range(len(p)) if j not in seq[:n])
+        for i in seq:
+            terms[i].append(prob)
+    return [math.fsum(t) for t in terms]
+
+
+_ORACLE_WEIGHTS = [
+    (1 / np.arange(1, 9) ** 1.1).tolist(),  # mixtral-8x7b geometry at zipf:1.1
+    [0.4, 0.3, 0.2, 0.1, 1e-100, 0.0, 0.0],
+    [0.5, 0.25, 0.25, 0.0, 0.0],
+    [0.05, 0.3, 0.0, 0.15, 0.2, 0.1, 0.12, 0.08],
+    [1 / 6] * 6,
+]
+
+
+@pytest.mark.parametrize("weights", _ORACLE_WEIGHTS)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_quadrature_matches_brute_force_oracle(weights, k):
+    dist = RoutingDistribution.empirical(np.asarray(weights) / sum(weights))
+    p = dist.probabilities(len(weights))
+    want = _brute_force_inclusion(p.tolist(), k)
+    got = _topk_inclusion_probs(p, k)
+    for g, w in zip(got, want):
+        assert g == pytest.approx(w, rel=1e-12, abs=0.0)
+    for batch in range(1, 65):
+        truth = math.fsum(1.0 if r == 1 else -math.expm1(batch * math.log1p(-r)) for r in want)
+        out = expected_distinct_experts(len(weights), k, batch, dist)
+        assert out.method == "quadrature"
+        assert out.value == pytest.approx(truth, rel=1e-12)
+
+
+@pytest.mark.parametrize("n_expert, k", [(256, 8), (64, 6)])
+def test_quadrature_sum_rule_at_model_scale(n_expert, k):
+    r = _topk_inclusion_probs(RoutingDistribution.zipf(1.1).probabilities(n_expert), k)
+    assert abs(r.sum() - k) <= 1e-12 * k
+
+
+def test_quadrature_spans_subnormal_weights_without_overflow():
+    # a grid reaching 1/p_min ~ 1e320 would overflow if p*t were formed directly
+    p = np.array([0.5, 0.5 - 1e-320, 1e-320, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = _topk_inclusion_probs(p, 2)
+        out = expected_distinct_experts(4, 2, 3, RoutingDistribution.empirical(p))
+    assert r[:2] == pytest.approx([1.0, 1.0], rel=1e-14)
+    assert 0 < r[2] < 1e-318 and r[3] == 0
+    assert out.value == pytest.approx(2.0, rel=1e-14)
+
+
+def test_expected_rejects_fewer_positive_weights_than_top_k():
+    one_hot = RoutingDistribution.empirical([1, 0, 0, 0, 0, 0, 0, 0])
+    with pytest.raises(ValidationError, match="positive weight"):
+        expected_distinct_experts(8, 2, 2, one_hot)
+    for s in (math.inf, math.nan):
+        with pytest.raises(ValidationError, match="zipf"):
+            RoutingDistribution.zipf(s)
 
 
 def test_enumeration_matches_closed_form_on_uniform_weights():
