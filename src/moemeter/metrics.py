@@ -58,7 +58,7 @@ def activated_bytes_for_pass(
     prec: Precision,
     include_embed: bool = True,
 ) -> float:
-    return activated_params_from_sets(desc, rec.activated, include_embed=include_embed) * prec.bytes_per_param
+    return activated_params_from_sets(desc, rec.bitmaps, include_embed=include_embed) * prec.bytes_per_param
 
 
 def _pass_kv_bytes(

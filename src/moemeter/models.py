@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields as _dc_fields
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .errors import ValidationError
 
@@ -215,27 +215,33 @@ def active_params_analytic(desc: ModelDescriptor, include_embed: bool = True) ->
     return total
 
 
+def expert_indices(bitmap: int) -> Iterator[int]:
+    """Ascending indices of the set bits of an activation bitmap."""
+    while bitmap:
+        low = bitmap & -bitmap
+        yield low.bit_length() - 1
+        bitmap ^= low
+
+
 def activated_params_from_sets(
     desc: ModelDescriptor,
-    activated: Mapping[int, frozenset[int] | set[int]],
+    bitmaps: Mapping[int, int],
     include_embed: bool = True,
 ) -> int:
-    """Parameters read in one forward pass given the realized per-layer
-    activated routed-expert index sets (shared experts, routers, attention
-    and dense layers are always counted)."""
+    """Parameters read in one forward pass given each MoE layer's activation
+    bitmap (routed expert i at bit i). Everything but the routed experts
+    (shared experts, routers, attention, dense layers) is always read; each
+    activated routed expert adds its own size."""
+    try:
+        layer_bitmaps = [bitmaps[layer] for layer in desc.moe_layers]
+    except KeyError as exc:
+        raise ValidationError(f"missing activated set for MoE layer {exc.args[0]}", field="activated") from None
     sizes = desc.routed_expert_sizes()
-    total = desc.params_embed if include_embed else 0
-    for layer, moe in enumerate(desc.moe_layer_mask):
-        total += desc.params_attn_layer
-        if moe:
-            idxs = activated.get(layer)
-            if idxs is None:
-                raise ValidationError(f"missing activated set for MoE layer {layer}", field="activated")
-            total += desc.params_router + desc.n_shared * desc.params_shared_expert
-            total += sum(sizes[i] for i in idxs)
-        else:
-            total += desc.params_dense_ffn
-    return total
+    if desc.heterogeneous_experts:
+        routed = sum(sizes[i] for bitmap in layer_bitmaps for i in expert_indices(bitmap))
+    else:
+        routed = sum(bitmap.bit_count() for bitmap in layer_bitmaps) * sizes[0]
+    return total_params(desc, include_embed=include_embed) - len(layer_bitmaps) * sum(sizes) + routed
 
 
 def activated_params_from_counts(

@@ -30,16 +30,18 @@ stream and nested batches activate nested expert sets.
 from __future__ import annotations
 
 import math
+import operator
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ValidationError
 from .models import (
     ModelDescriptor,
     activated_params_from_sets,
+    expert_indices,
     total_params,
 )
 
@@ -48,8 +50,13 @@ PHASES = ("prefill", "decode")
 
 @dataclass
 class ForwardPassRecord:
-    """One forward pass: batch geometry, wall time, and the per-MoE-layer
-    set of activated routed-expert indices."""
+    """One forward pass: batch geometry, wall time, and one activation
+    bitmap per MoE layer (routed expert i at bit i).
+
+    ``bitmaps`` also takes an iterable of expert indices per layer, packed
+    once here. ``activated`` unpacks the bitmaps into index sets on access,
+    for readers; validation and accounting work on the bitmaps.
+    """
 
     pass_id: int
     phase: str
@@ -57,7 +64,7 @@ class ForwardPassRecord:
     tokens_processed: int
     latency_s: float
     kv_bytes_read: int
-    activated: dict[int, frozenset[int]]
+    bitmaps: dict[int, int]
 
     def __post_init__(self):
         if self.phase not in PHASES:
@@ -81,7 +88,20 @@ class ForwardPassRecord:
                 f"pass {self.pass_id}: prefill pass must have tokens_processed >= batch_size",
                 field="tokens_processed",
             )
-        self.activated = {int(l): frozenset(int(i) for i in s) for l, s in self.activated.items()}
+        try:
+            self.bitmaps = {
+                int(layer): b if type(b) is int and b >= 0 else sum(1 << i for i in {operator.index(i) for i in b})
+                for layer, b in self.bitmaps.items()
+            }
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"pass {self.pass_id}: activations must be bitmaps or non-negative integer expert indices",
+                field="activated",
+            ) from None
+
+    @property
+    def activated(self) -> Mapping[int, frozenset[int]]:
+        return MappingProxyType({layer: frozenset(expert_indices(b)) for layer, b in self.bitmaps.items()})
 
 
 @dataclass
@@ -103,67 +123,45 @@ def validate_sheet(sheet: ActivationSheet, desc: ModelDescriptor) -> None:
             field="model_name",
         )
     moe_layers = set(desc.moe_layers)
-    lower = min(desc.top_k, desc.n_expert)
+    n_expert = desc.n_expert
+    lower = min(desc.top_k, n_expert)
     for rec in sheet.passes:
-        layers = set(rec.activated)
-        if layers != moe_layers:
+        if rec.bitmaps.keys() != moe_layers:
             raise ValidationError(
-                f"pass {rec.pass_id}: activated layers {sorted(layers)} do not match "
+                f"pass {rec.pass_id}: activated layers {sorted(rec.bitmaps)} do not match "
                 f"the model's MoE layers {sorted(moe_layers)}",
                 field="activated",
             )
-        for layer, idxs in rec.activated.items():
-            for i in idxs:
-                if not 0 <= i < desc.n_expert:
-                    raise ValidationError(
-                        f"pass {rec.pass_id}: expert index {i} out of range for "
-                        f"{desc.n_expert}-expert layer {layer}",
-                        field="activated",
-                    )
-            if len(idxs) < lower:
+        # prefill passes have no bound beyond n_expert, which the range check enforces
+        upper = min(n_expert, rec.batch_size * desc.top_k) if rec.phase == "decode" else n_expert
+        for layer, bitmap in rec.bitmaps.items():
+            if bitmap.bit_length() > n_expert:
                 raise ValidationError(
-                    f"pass {rec.pass_id}: layer {layer} activates {len(idxs)} experts, "
+                    f"pass {rec.pass_id}: expert index {bitmap.bit_length() - 1} out of range for "
+                    f"{n_expert}-expert layer {layer}",
+                    field="activated",
+                )
+            count = bitmap.bit_count()
+            if count < lower:
+                raise ValidationError(
+                    f"pass {rec.pass_id}: layer {layer} activates {count} experts, "
                     f"fewer than one token requires ({lower})",
                     field="activated",
                 )
-            if rec.phase == "decode":
-                upper = min(desc.n_expert, rec.batch_size * desc.top_k)
-                if len(idxs) > upper:
-                    raise ValidationError(
-                        f"pass {rec.pass_id}: layer {layer} activates {len(idxs)} experts, "
-                        f"more than batch_size*top_k allows ({upper})",
-                        field="activated",
-                    )
+            if count > upper:
+                raise ValidationError(
+                    f"pass {rec.pass_id}: layer {layer} activates {count} experts, "
+                    f"more than batch_size*top_k allows ({upper})",
+                    field="activated",
+                )
 
 
 # --------------------------------------------------------------------------
 # Trace file parsing / serialization
 # --------------------------------------------------------------------------
 
-_HEX_CHARS = set("0123456789abcdefABCDEF")
-
-
-def _bitmap_to_set(hexstr: str, pass_id: int) -> frozenset[int]:
-    # bare hex digits only: int(s, 16) would tolerate signs and 0x prefixes
-    if not hexstr or set(hexstr) - _HEX_CHARS:
-        raise ValidationError(f"pass {pass_id}: malformed bitmap {hexstr!r}", field="activated")
-    value = int(hexstr, 16)
-    out = set()
-    i = 0
-    while value:
-        if value & 1:
-            out.add(i)
-        value >>= 1
-        i += 1
-    return frozenset(out)
-
-
-def _set_to_bitmap(idxs: frozenset[int], n_expert: int) -> str:
-    value = 0
-    for i in idxs:
-        value |= 1 << i
-    width = max(1, math.ceil(n_expert / 4))
-    return format(value, "x").zfill(width)
+# bare hex digits only: int(s, 16) alone would also take signs, 0x, _ and spaces
+_BARE_HEX = re.compile(r"[0-9a-fA-F]+")
 
 
 def parse_activation_sheet(
@@ -211,7 +209,7 @@ def parse_activation_sheet(
             kv_bytes = int(parts[5])
         except ValueError as exc:
             raise ValidationError(f"line {lineno}: malformed field ({exc})", field="record") from None
-        activated: dict[int, frozenset[int]] = {}
+        bitmaps: dict[int, int] = {}
         if parts[6]:
             for entry in parts[6].split(";"):
                 if ":" not in entry:
@@ -225,11 +223,13 @@ def parse_activation_sheet(
                     raise ValidationError(
                         f"pass {pass_id}: malformed layer index {layer_str!r}", field="activated"
                     ) from None
-                if layer in activated:
+                if layer in bitmaps:
                     raise ValidationError(
                         f"pass {pass_id}: duplicate layer {layer} in bitmap list", field="activated"
                     )
-                activated[layer] = _bitmap_to_set(hexstr, pass_id)
+                if not _BARE_HEX.fullmatch(hexstr):
+                    raise ValidationError(f"pass {pass_id}: malformed bitmap {hexstr!r}", field="activated")
+                bitmaps[layer] = int(hexstr, 16)
         passes.append(
             ForwardPassRecord(
                 pass_id=pass_id,
@@ -238,7 +238,7 @@ def parse_activation_sheet(
                 tokens_processed=tokens,
                 latency_s=latency_s,
                 kv_bytes_read=kv_bytes,
-                activated=activated,
+                bitmaps=bitmaps,
             )
         )
     if model_name is None:
@@ -256,12 +256,10 @@ def load_activation_sheet(path: str | Path, desc: ModelDescriptor | None = None)
 
 def serialize_activation_sheet(sheet: ActivationSheet, desc: ModelDescriptor) -> str:
     """Canonical text form of a sheet (the exact format parse accepts)."""
+    hex_format = f"0{max(1, math.ceil(desc.n_expert / 4))}x"
     out = [f"model={sheet.model_name}"]
     for rec in sheet.passes:
-        bitmaps = ";".join(
-            f"{layer}:{_set_to_bitmap(rec.activated[layer], desc.n_expert)}"
-            for layer in sorted(rec.activated)
-        )
+        bitmaps = ";".join(f"{layer}:{rec.bitmaps[layer]:{hex_format}}" for layer in sorted(rec.bitmaps))
         out.append(
             f"{rec.pass_id},{rec.phase},{rec.batch_size},{rec.tokens_processed},"
             f"{rec.latency_s!r},{rec.kv_bytes_read},{bitmaps}"
@@ -310,6 +308,8 @@ class RoutingDistribution:
         return cls(kind="empirical", weights=tuple(float(w) for w in weights))
 
     def probabilities(self, n_expert: int) -> np.ndarray:
+        import numpy as np
+
         if self.kind == "uniform":
             return np.full(n_expert, 1.0 / n_expert)
         if self.kind == "zipf":
@@ -348,6 +348,8 @@ def _parse_dist_spec(spec: str) -> RoutingDistribution:
 # --------------------------------------------------------------------------
 
 def _check_support(p: np.ndarray, top_k: int) -> np.ndarray:
+    import numpy as np
+
     if int((p > 0).sum()) < top_k:
         raise ValidationError(
             f"distribution has fewer than top_k={top_k} experts with positive weight",
@@ -375,6 +377,8 @@ def simulate_routing(
     is the union over its tokens. latency_s is a placeholder unless a
     latency model supplies real values downstream.
     """
+    import numpy as np
+
     if batch < 1:
         raise ValidationError("batch must be >= 1", field="batch")
     if n_passes < 1:
@@ -390,7 +394,8 @@ def simulate_routing(
     p = dist.probabilities(desc.n_expert)
     log_p = _check_support(p, desc.top_k)
     moe_layers = desc.moe_layers
-    k = desc.top_k
+    n, k = desc.n_expert, desc.top_k
+    layer_rows = np.arange(len(moe_layers))[:, None]
 
     children = np.random.SeedSequence(seed).spawn(n_passes)
     passes = []
@@ -398,15 +403,12 @@ def simulate_routing(
         rng = np.random.default_rng(ss)
         # One draw covers all tokens; smaller batches consume a prefix, so
         # nested batches yield nested activated sets.
-        keys = log_p + rng.gumbel(size=(tokens, len(moe_layers), desc.n_expert))
-        if k < desc.n_expert:
-            top = np.argpartition(-keys, k - 1, axis=-1)[..., :k]
-        else:
-            top = np.broadcast_to(np.arange(desc.n_expert), keys.shape[:2] + (desc.n_expert,))
-        activated = {
-            layer: frozenset(np.unique(top[:, j, :]).tolist())
-            for j, layer in enumerate(moe_layers)
-        }
+        keys = log_p + rng.gumbel(size=(tokens, len(moe_layers), n))
+        hit = np.full((len(moe_layers), n), k == n)
+        if k < n:
+            hit[layer_rows, np.argpartition(-keys, k - 1, axis=-1)[..., :k]] = True
+        packed = np.packbits(hit, axis=-1, bitorder="little")
+        bitmaps = {layer: int.from_bytes(row.tobytes(), "little") for layer, row in zip(moe_layers, packed)}
         passes.append(
             ForwardPassRecord(
                 pass_id=pass_id,
@@ -415,7 +417,7 @@ def simulate_routing(
                 tokens_processed=tokens,
                 latency_s=latency_s,
                 kv_bytes_read=0,
-                activated=activated,
+                bitmaps=bitmaps,
             )
         )
     return ActivationSheet(model_name=desc.name, passes=passes)
@@ -450,6 +452,8 @@ def _topk_inclusion_probs(p: np.ndarray, k: int) -> np.ndarray:
     suffix tables of it, truncated at k, give it for every i at once without
     division. All terms are positive, so tiny r_i keep full precision.
     """
+    import numpy as np
+
     log_p = _check_support(p, k)
     m = len(p)
     # Outside this range every integrand is below e^-40 of its peak.
@@ -485,6 +489,8 @@ def _mc_distinct_counts(
     admit an extra expert, which perturbs the estimate orders of magnitude
     below the standard error at any practical pass count.
     """
+    import numpy as np
+
     log_p32 = _check_support(p, top_k).astype(np.float32)
     n_expert = len(p)
     if top_k == n_expert:
@@ -528,6 +534,8 @@ def expected_distinct_experts(
     if dist.kind == "uniform":
         value = n_expert * (1.0 - (1.0 - top_k / n_expert) ** batch)
         return ExpectedDistinct(value=value, method="closed_form")
+    import numpy as np
+
     r = _topk_inclusion_probs(dist.probabilities(n_expert), top_k)
     with np.errstate(divide="ignore"):
         value = float(np.sum(-np.expm1(batch * np.log1p(-r))))
@@ -554,23 +562,14 @@ class ActivatedFractionReport:
 def activated_fraction(sheet: ActivationSheet, desc: ModelDescriptor) -> ActivatedFractionReport:
     validate_sheet(sheet, desc)
     total = total_params(desc)
-    sizes = desc.routed_expert_sizes()
-    expert_total = sum(
-        sum(sizes) + desc.n_shared * desc.params_shared_expert for moe in desc.moe_layer_mask if moe
-    )
+    expert_total = len(desc.moe_layers) * (sum(desc.routed_expert_sizes()) + desc.n_shared * desc.params_shared_expert)
     fracs = []
     fracs_expert = []
     for rec in sheet.passes:
-        act = activated_params_from_sets(desc, rec.activated)
+        act = activated_params_from_sets(desc, rec.bitmaps)
         fracs.append(act / total)
-        if expert_total > 0:
-            act_expert = sum(
-                sum(sizes[i] for i in rec.activated[layer]) + desc.n_shared * desc.params_shared_expert
-                for layer in desc.moe_layers
-            )
-            fracs_expert.append(act_expert / expert_total)
-        else:
-            fracs_expert.append(1.0)
+        # every pass reads all non-expert parameters, total - expert_total
+        fracs_expert.append((act - total + expert_total) / expert_total if expert_total > 0 else 1.0)
     return ActivatedFractionReport(
         per_pass=tuple(fracs),
         mean=sum(fracs) / len(fracs),
