@@ -143,6 +143,22 @@ def cmd_plan(args: argparse.Namespace) -> int:
         verdicts = planner.feasibility(req, specs, use_offload=args.use_offload, margin=args.margin)
         feasibility_docs[mode] = planner.verdicts_to_dicts(verdicts)
 
+    # the sweep is computed before any report is written, so an invalid
+    # batch list leaves no partial output behind
+    if batches:
+        points = planner.batch_sweep(
+            desc,
+            dist if dist is not None else trace.RoutingDistribution.uniform(),
+            batches,
+            slo,
+            prec,
+            efficiency_mbu=args.efficiency_mbu,
+            catalog=specs,
+            use_offload=args.use_offload,
+            margin=args.margin,
+            include_embed=not args.exclude_embed,
+        )
+
     digests = _input_digests(model=args.model, catalog=args.catalog, trace=args.trace or None)
     doc = {
         "inputs": digests,
@@ -164,19 +180,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
         print(out_dir / "bandwidth_power_map.json")
 
     if batches:
-        sweep_dist = dist if dist is not None else trace.RoutingDistribution.uniform()
-        points = planner.batch_sweep(
-            desc,
-            sweep_dist,
-            batches,
-            slo,
-            prec,
-            efficiency_mbu=args.efficiency_mbu,
-            catalog=specs,
-            use_offload=args.use_offload,
-            margin=args.margin,
-            include_embed=not args.exclude_embed,
-        )
         _write_text(out_dir / "batch_sweep.csv", planner.sweep_to_csv(points, _digest_comment(digests)))
         print(out_dir / "batch_sweep.csv")
     return EXIT_OK

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import warnings
 from dataclasses import dataclass, asdict
 
@@ -44,8 +45,7 @@ def vanilla_mbu(
     (S_model + S_kv) / TPOT / peak."""
     if tpot_s <= 0:
         raise ValidationError("tpot_s must be > 0", field="tpot_s")
-    if hw_peak_bandwidth <= 0:
-        raise ValidationError("peak bandwidth must be > 0", field="hw_peak_bandwidth")
+    _check_peak(hw_peak_bandwidth, "hw_peak_bandwidth")
     if kv_bytes < 0:
         raise ValidationError("kv_bytes must be >= 0", field="kv_bytes")
     s_model = total_param_bytes(desc, prec, include_embed=include_embed)
@@ -84,8 +84,7 @@ def s_mbu_per_pass(
     """Sparsity-aware MBU for one pass: only the activated parameter bytes
     (plus KV) count toward achieved bandwidth. The pass latency is the TPOT
     for decode passes; prefill passes use their latency directly."""
-    if hw_peak_bandwidth <= 0:
-        raise ValidationError("peak bandwidth must be > 0", field="hw_peak_bandwidth")
+    _check_peak(hw_peak_bandwidth, "hw_peak_bandwidth")
     act = activated_bytes_for_pass(rec, desc, prec, include_embed=include_embed)
     kv = _pass_kv_bytes(rec, desc, prec, kv_seq_len)
     return _warn_if_over_one((act + kv) / rec.latency_s / hw_peak_bandwidth, "S-MBU")
@@ -102,8 +101,7 @@ def s_mbu_aggregate(
     """Dynamic-batching aggregate: total bytes moved across all passes over
     total wall time, over peak bandwidth (latency-weighted, not the mean of
     per-pass values)."""
-    if hw_peak_bandwidth <= 0:
-        raise ValidationError("peak bandwidth must be > 0", field="hw_peak_bandwidth")
+    _check_peak(hw_peak_bandwidth, "hw_peak_bandwidth")
     validate_sheet(sheet, desc)
     total_bytes = 0.0
     total_latency = 0.0
@@ -124,8 +122,7 @@ def s_mfu(
     only activated experts, over peak FLOPS. Needs no trace."""
     if throughput_tokens_per_s <= 0:
         raise ValidationError("throughput must be > 0", field="throughput_tokens_per_s")
-    if hw_peak_flops <= 0:
-        raise ValidationError("peak FLOPS must be > 0", field="hw_peak_flops")
+    _check_peak(hw_peak_flops, "hw_peak_flops")
     return _warn_if_over_one(
         throughput_tokens_per_s * sparse_flops_per_token(desc, seq_len) / hw_peak_flops, "S-MFU"
     )
@@ -140,8 +137,7 @@ def vanilla_mfu(
     """MFU under the all-experts-participate baseline."""
     if throughput_tokens_per_s <= 0:
         raise ValidationError("throughput must be > 0", field="throughput_tokens_per_s")
-    if hw_peak_flops <= 0:
-        raise ValidationError("peak FLOPS must be > 0", field="hw_peak_flops")
+    _check_peak(hw_peak_flops, "hw_peak_flops")
     return _warn_if_over_one(
         throughput_tokens_per_s * dense_flops_per_token(desc, seq_len) / hw_peak_flops, "vanilla MFU"
     )
@@ -152,6 +148,11 @@ def overestimation(vanilla: float, sparse: float) -> float:
     if sparse <= 0:
         raise ValidationError("sparse value must be > 0", field="sparse")
     return vanilla / sparse
+
+
+def _check_peak(value: float, field: str) -> None:
+    if not 0 < value < math.inf:
+        raise ValidationError(f"{field} must be finite and > 0, got {value!r}", field=field)
 
 
 def _warn_if_over_one(value: float, label: str) -> float:
@@ -224,6 +225,8 @@ def compute_metric_report(
     ``kv_seq_len`` (optional) enables the KV-cache byte fallback for passes
     that recorded no KV traffic.
     """
+    _check_peak(hw_peak_bandwidth, "hw_peak_bandwidth")
+    _check_peak(hw_peak_flops, "hw_peak_flops")
     validate_sheet(sheet, desc)
     s_model = total_param_bytes(desc, prec, include_embed=include_embed)
     passes = []

@@ -19,6 +19,13 @@ nibbles, and expert 0 is the least-significant bit of the last hex char.
 Shared experts are never recorded (they are active by definition); metric
 code adds them analytically.
 
+In memory a pass holds the same numbers: one packed Python ``int`` per MoE
+layer, routed expert i at bit i. Parsing is ``int(hex, 16)``, validation is
+``bit_length``/``bit_count``, and accounting is a popcount times the expert
+size (the sizes of the set bits when expert sizes differ). numpy is
+imported only by the functions that simulate routing or compute
+expectations.
+
 Simulation determinism: pass ``i`` draws from
 ``numpy.random.default_rng(SeedSequence(seed).spawn(n_passes)[i])``, so
 per-pass work can be parallelized without changing results. Within a pass,
@@ -313,7 +320,9 @@ class RoutingDistribution:
         if self.kind == "uniform":
             return np.full(n_expert, 1.0 / n_expert)
         if self.kind == "zipf":
-            w = 1.0 / np.arange(1, n_expert + 1, dtype=float) ** self.zipf_s
+            # a rank**s that overflows to inf gives the correctly rounded weight 0
+            with np.errstate(over="ignore"):
+                w = 1.0 / np.arange(1, n_expert + 1, dtype=float) ** self.zipf_s
             return w / w.sum()
         assert self.weights is not None
         if len(self.weights) != n_expert:
@@ -383,6 +392,8 @@ def simulate_routing(
         raise ValidationError("batch must be >= 1", field="batch")
     if n_passes < 1:
         raise ValidationError("n_passes must be >= 1", field="n_passes")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}", field="seed")
     if phase not in PHASES:
         raise ValidationError(f"phase must be one of {PHASES}", field="phase")
     tokens = batch if phase == "decode" else (tokens_per_pass if tokens_per_pass is not None else batch)

@@ -279,6 +279,10 @@ def test_recommend_match(tmp_path):
         ("plan", ["--mode", "expected", "--batch", 2, "--dist", "zipf:inf"]),
         ("plan", ["--sweep-batches", "1,x", "--dist", "uniform"]),
         ("simulate", ["--batch", 2, "--dist", "zipf:abc", "--passes", 1, "--seed", 1]),
+        # invalid sweeps are rejected before plan_report.json is written
+        ("plan", ["--sweep-batches", "4,2", "--dist", "uniform"]),
+        ("plan", ["--sweep-batches", "0,2", "--fig2"]),
+        ("simulate", ["--batch", 2, "--dist", "uniform", "--passes", 1, "--seed", -1]),
     ],
 )
 def test_malformed_routing_arguments_exit_2(tmp_path, command, extra):
@@ -290,3 +294,73 @@ def test_malformed_routing_arguments_exit_2(tmp_path, command, extra):
     err = json.loads(line)
     assert err["error"]["type"] == "validation"
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "bitmap",
+    [
+        "0x1f", "+f", "1_f", "", "g",
+        "10",  # expert 4 of a 4-expert layer
+        "1",  # fewer experts than top_k=2
+        "7",  # more than batch_size*top_k = 2
+    ],
+)
+def test_malformed_bitmap_exits_2(tmp_path, capsys, bitmap):
+    from moemeter.cli import main
+
+    bad = tmp_path / "bad.trace"
+    bad.write_text(f"model=toy-4x2\n0,decode,1,1,0.004,0,0:{bitmap};1:3\n")
+    argv = ["metrics", "--model", MODELS / "toy-4x2.json", "--trace", bad, "--catalog", CATALOG,
+            "--device", "H100-SXM", "--bytes-per-param", "1.0", "--output-dir", tmp_path / "out"]
+    assert main([str(a) for a in argv]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["field"] == "activated"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_plan_expected_extreme_zipf_runs_warning_free(tmp_path):
+    from moemeter.cli import main
+
+    # a warning raised as an error would surface as exit 1 ("internal")
+    argv = ["plan", "--model", MODELS / "deepseek-r1.json", "--catalog", CATALOG, "--mode", "expected",
+            "--batch", 4, "--dist", "zipf:200", "--output-dir", tmp_path]
+    assert main([str(a) for a in argv]) == 0
+
+
+@pytest.mark.parametrize("field", ["peak_bandwidth_gbps", "peak_flops_by_precision"])
+def test_metrics_zero_peak_in_catalog_exits_2(tmp_path, field):
+    devices = json.loads(CATALOG.read_text())
+    for d in devices:
+        if d["name"] == "H100-SXM":
+            d[field] = {"fp16": 0.0} if field == "peak_flops_by_precision" else 0.0
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps(devices))
+    result = run_cli(
+        "metrics",
+        "--model", MODELS / "toy-4x2.json",
+        "--trace", TRACES / "sample_decode.trace",
+        "--catalog", catalog,
+        "--device", "H100-SXM",
+        "--bytes-per-param", "1.0",
+        "--output-dir", tmp_path / "out",
+    )
+    assert result.returncode == 2, result.stderr
+    err = json.loads(result.stderr)
+    assert err["error"]["field"] in ("hw_peak_bandwidth", "hw_peak_flops")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_import_and_metrics_leave_numpy_unloaded(tmp_path):
+    code = f"""
+import sys
+import moemeter.cli
+assert "numpy" not in sys.modules, "import moemeter.cli loaded numpy"
+argv = ["metrics", "--model", {str(MODELS / "toy-4x2.json")!r}, "--trace", {str(TRACES / "sample_decode.trace")!r},
+        "--catalog", {str(CATALOG)!r}, "--device", "H100-SXM", "--bytes-per-param", "1.0",
+        "--output-dir", {str(tmp_path)!r}]
+assert moemeter.cli.main(argv) == 0
+assert "numpy" not in sys.modules, "metrics loaded numpy"
+"""
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=REPO_ROOT)
+    assert result.returncode == 0, result.stderr

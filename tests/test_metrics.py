@@ -367,6 +367,18 @@ def test_heterogeneous_expert_sizes_flagged_and_counted():
     assert report.heterogeneous_experts
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("field", ["hw_peak_bandwidth", "hw_peak_flops"])
+def test_report_rejects_nonpositive_or_nonfinite_peaks(toy_desc, traces_dir, field, bad):
+    from moemeter.trace import load_activation_sheet
+
+    sheet = load_activation_sheet(traces_dir / "sample_decode.trace", toy_desc)
+    peaks = {"hw_peak_bandwidth": 1e12, "hw_peak_flops": 1e15, field: bad}
+    with pytest.raises(ValidationError) as info:
+        compute_metric_report(sheet, toy_desc, INT8, **peaks)
+    assert info.value.field == field
+
+
 def test_kv_fallback_formula_opt_in(toy_desc):
     rec = ForwardPassRecord(0, "decode", 2, 2, 0.01, 0, {0: frozenset({0, 1}), 1: frozenset({1, 2})})
     without = s_mbu_per_pass(rec, toy_desc, INT8, 1e12)

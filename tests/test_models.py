@@ -9,6 +9,7 @@ from moemeter.models import (
     Precision,
     active_param_bytes_analytic,
     active_params_analytic,
+    activated_params_from_sets,
     attn_flops_per_token,
     dense_flops_per_token,
     descriptor_from_dict,
@@ -301,3 +302,29 @@ def test_precision_names():
     assert Precision.from_name("int4").bytes_per_param == 0.5
     with pytest.raises(ValidationError):
         Precision.from_name("fp13")
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_activated_params_match_brute_force_index_sum(data):
+    n_expert = data.draw(st.integers(1, 80))
+    by_index = data.draw(
+        st.none() | st.lists(st.integers(0, 10**12), min_size=n_expert, max_size=n_expert).map(tuple)
+    )
+    mask = tuple(data.draw(st.lists(st.booleans(), min_size=1, max_size=4)))
+    desc = make_desc(
+        n_layer=len(mask), moe_layer_mask=mask, n_expert=n_expert, top_k=1, n_shared=2,
+        params_expert=7, params_expert_by_index=by_index, params_shared_expert=5, params_dense_ffn=11,
+    )
+    sizes = by_index or (7,) * n_expert
+    sets = {layer: data.draw(st.sets(st.integers(0, n_expert - 1))) for layer in desc.moe_layers}
+    bitmaps = {layer: sum(1 << i for i in s) for layer, s in sets.items()}
+    for include_embed in (True, False):
+        expected = desc.params_embed if include_embed else 0
+        for layer, moe in enumerate(mask):
+            expected += desc.params_attn_layer
+            if moe:
+                expected += desc.params_router + 2 * 5 + sum(sizes[i] for i in sets[layer])
+            else:
+                expected += 11
+        assert activated_params_from_sets(desc, bitmaps, include_embed=include_embed) == expected

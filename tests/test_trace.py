@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import warnings
@@ -122,6 +123,50 @@ def test_serialize_parse_roundtrip_property(pair):
         assert a.kv_bytes_read == b.kv_bytes_read
 
 
+@pytest.mark.parametrize("idxs", [{-1}, {0.5}, {"1"}, -4, True])
+def test_record_rejects_bad_expert_indices(idxs):
+    with pytest.raises(ValidationError) as info:
+        ForwardPassRecord(0, "decode", 1, 1, 0.01, 0, {0: idxs})
+    assert info.value.field == "activated"
+
+
+def test_record_packs_index_sets_into_bitmaps():
+    rec = ForwardPassRecord(0, "decode", 2, 2, 0.01, 0, {0: [3, 0, 3], 1: 0b101, 2: range(70, 72)})
+    assert rec.bitmaps == {0: 0b1001, 1: 0b101, 2: 3 << 70}
+    assert rec.activated == {0: {0, 3}, 1: {0, 2}, 2: {70, 71}}
+
+
+# SHA-256 of `moemeter simulate` output, computed before activations were
+# stored as bitmaps: the representation must not change a single byte.
+@pytest.mark.parametrize(
+    "model, args, digest",
+    [
+        ("deepseek-r1", ["--batch", "64", "--dist", "zipf:1.1", "--passes", "3", "--seed", "11"],
+         "1372391bdbe63f5db2c2c6b9cbc141c0e64dd6994c8a6499f11d55319577b20e"),
+        ("mixtral-8x7b", ["--batch", "3", "--dist", "uniform", "--passes", "20", "--seed", "5"],
+         "b95f8429c4628eff9f6c35db525daf61338a5e9596300ecb32e3de8f9ce5a02a"),
+        ("toy-4x2", ["--batch", "1", "--dist", "uniform", "--passes", "50", "--seed", "0"],
+         "7007ec1c870b56034b447e53fde92f1b3e00f7563393dca0da02033edfea5879"),
+        ("deepseek-v2-lite", ["--batch", "2", "--dist", "zipf:0.8", "--passes", "4", "--seed", "7",
+                              "--phase", "prefill", "--tokens-per-pass", "48"],
+         "920b188acc56362e3cc0032101458b3ce8021775aae9513dd1cbe17138302180"),
+        ("qwen1_5-moe-a2_7b", ["--batch", "5", "--dist", "empirical:0.5," + ",".join([repr(0.5 / 59)] * 59),
+                               "--passes", "3", "--seed", "2"],
+         "905f438a9cfb6e442208622b08cbb283e7c9fa634b36daffab5ec5105cc9ab31"),
+    ],
+)
+def test_simulate_output_is_pinned_and_round_trips(tmp_path, models_dir, model, args, digest):
+    from moemeter.cli import main
+    from moemeter.models import load_model_descriptor
+
+    out = tmp_path / "sim.trace"
+    assert main(["simulate", "--model", str(models_dir / f"{model}.json"), *args, "--out", str(out)]) == 0
+    raw = out.read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == digest
+    desc = load_model_descriptor(models_dir / f"{model}.json")
+    assert serialize_activation_sheet(parse_activation_sheet(raw.decode(), desc), desc).encode() == raw
+
+
 def test_decode_tokens_must_equal_batch():
     with pytest.raises(ValidationError, match="tokens_processed"):
         ForwardPassRecord(0, "decode", 2, 3, 0.01, 0, {0: frozenset({0})})
@@ -238,6 +283,16 @@ def test_empirical_wrong_length_rejected(toy_desc):
     dist = RoutingDistribution.empirical([0.5, 0.5])
     with pytest.raises(ValidationError, match="length"):
         simulate_routing(toy_desc, 2, dist, 5, seed=1)
+
+
+@pytest.mark.filterwarnings("error")
+def test_zipf_weights_underflow_to_zero_without_overflow_warning():
+    p = RoutingDistribution.zipf(200.0).probabilities(256)
+    # 35**200 is the first rank power above the float range
+    finite = 1.0 / np.arange(1, 35, dtype=float) ** 200.0
+    assert np.array_equal(p[:34], finite / finite.sum())
+    assert not p[34:].any()
+    assert expected_distinct_experts(256, 8, 4, RoutingDistribution.zipf(200.0)).value >= 8
 
 
 def test_dist_spec_parsing():
