@@ -236,6 +236,8 @@ def activated_params_from_sets(
         layer_bitmaps = [bitmaps[layer] for layer in desc.moe_layers]
     except KeyError as exc:
         raise ValidationError(f"missing activated set for MoE layer {exc.args[0]}", field="activated") from None
+    if max(layer_bitmaps, default=0).bit_length() > desc.n_expert:
+        raise ValidationError(f"activation bitmap names an expert beyond n_expert={desc.n_expert}", field="activated")
     sizes = desc.routed_expert_sizes()
     if desc.heterogeneous_experts:
         routed = sum(sizes[i] for bitmap in layer_bitmaps for i in expert_indices(bitmap))

@@ -484,8 +484,9 @@ def _topk_inclusion_probs(p: np.ndarray, k: int) -> np.ndarray:
             i = m - 1 - j
             suffix[i] = suffix[i + 1] * idle[i]
             suffix[i, 1:] += suffix[i + 1, :-1] * fired[i]
-        # P(at most k-1 others) = sum_c prefix[i, c] * P(at most k-1-c of i+1.. fired)
-        others = np.einsum("ict,ict->it", prefix[:-1], np.cumsum(suffix, axis=1)[1:, ::-1])
+        # P(at most k-1 others) = sum_c prefix[i, c] * P(at most k-1-c of i+1.. fired);
+        # the cumulative sum overwrites suffix, which is not read again, to save a copy
+        others = np.einsum("ict,ict->it", prefix[:-1], np.cumsum(suffix, axis=1, out=suffix)[1:, ::-1])
         total += (np.exp(log_x - x) * others).sum(axis=1)
     return np.minimum(_RACE_STEP * total, 1.0)
 
@@ -573,7 +574,9 @@ class ActivatedFractionReport:
 def activated_fraction(sheet: ActivationSheet, desc: ModelDescriptor) -> ActivatedFractionReport:
     validate_sheet(sheet, desc)
     total = total_params(desc)
-    expert_total = len(desc.moe_layers) * (sum(desc.routed_expert_sizes()) + desc.n_shared * desc.params_shared_expert)
+    expert_total = len(desc.moe_layers) * (
+        sum(desc.routed_expert_sizes()) + desc.n_shared * desc.params_shared_expert
+    )
     fracs = []
     fracs_expert = []
     for rec in sheet.passes:

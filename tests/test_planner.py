@@ -17,7 +17,7 @@ from moemeter.planner import (
     sweep_to_csv,
     theoretical_bandwidth_gbps,
 )
-from moemeter.trace import RoutingDistribution, simulate_routing
+from moemeter.trace import ActivationSheet, ForwardPassRecord, RoutingDistribution, simulate_routing
 
 from conftest import REPO_ROOT, make_desc
 
@@ -57,6 +57,14 @@ def test_slo_inverse_proportionality(r1_desc):
 def test_trace_mode_requires_sheet(toy_desc):
     with pytest.raises(ValidationError, match="sheet"):
         theoretical_bandwidth_gbps(toy_desc, INT8, SLO, "trace")
+
+
+def test_trace_mode_rejects_expert_beyond_model(toy_desc):
+    # expert 40 of a 4-expert model: the library path never ran validate_sheet
+    rec = ForwardPassRecord(0, "decode", 2, 2, 0.01, 0, {0: 0b11 | 1 << 40, 1: 0b11})
+    with pytest.raises(ValidationError) as info:
+        theoretical_bandwidth_gbps(toy_desc, INT8, SLO, "trace", sheet=ActivationSheet("toy-4x2", [rec]))
+    assert info.value.field == "activated"
 
 
 def test_expected_mode_requires_batch_and_dist(toy_desc):
