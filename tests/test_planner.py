@@ -60,7 +60,7 @@ def test_trace_mode_requires_sheet(toy_desc):
 
 
 def test_trace_mode_rejects_expert_beyond_model(toy_desc):
-    # expert 40 of a 4-expert model: the library path never ran validate_sheet
+    # expert 40 of a 4-expert model; planner trace mode does not run validate_sheet
     rec = ForwardPassRecord(0, "decode", 2, 2, 0.01, 0, {0: 0b11 | 1 << 40, 1: 0b11})
     with pytest.raises(ValidationError) as info:
         theoretical_bandwidth_gbps(toy_desc, INT8, SLO, "trace", sheet=ActivationSheet("toy-4x2", [rec]))
