@@ -29,9 +29,15 @@ expectations.
 Simulation determinism: pass ``i`` draws from
 ``numpy.random.default_rng(SeedSequence(seed).spawn(n_passes)[i])``, so
 per-pass work can be parallelized without changing results. Within a pass,
-token ``t`` consumes row ``t`` of a single ``(tokens, layers, experts)``
-Gumbel draw, so a smaller batch consumes a prefix of a larger batch's
-stream and nested batches activate nested expert sets.
+the uniforms u come in (token, layer, expert) C order, drawn in bounded
+token blocks that continue one stream, so a smaller batch consumes a prefix
+of a larger batch's stream and nested batches activate nested expert sets.
+Each token keeps the top_k experts with the earliest race times
+-log(1 - u) / p: the same doubles numpy's Gumbel sampler turns into
+G = -log(-log(1 - u)), and the same choice as Gumbel-top-k of log p + G.
+The two forms agree in exact arithmetic; in floating point they could
+differ only on keys within a few ulps. Byte-identical output on 180 shapes
+and the pinned hashes in the tests are the evidence that they do not.
 """
 
 from __future__ import annotations
@@ -368,6 +374,71 @@ def _check_support(p: np.ndarray, top_k: int) -> np.ndarray:
         return np.where(p > 0, np.log(p), -np.inf)
 
 
+# Uniform cells (tokens x layers x experts) drawn at a time: a pass's memory
+# stays bounded whatever its token count, and a block and its partition copy
+# (1 MiB) stay within a core's L2 cache.
+_ROUTE_BLOCK_CELLS = 1 << 16
+
+
+def _race_block(rng, shape: tuple[int, int, int], neg_inv_p: np.ndarray, k: int) -> np.ndarray | None:
+    """Draw one block of tokens and return the (layers, experts) mask of the
+    experts any of them selects: each token's k earliest race times
+    -log(1 - u) / p per layer. ``neg_inv_p`` is -1/p (-inf for zero
+    weights) up to a common positive factor. Returns None if the block drew
+    a zero uniform, which numpy's Gumbel sampler would have rejected."""
+    import numpy as np
+
+    t = rng.random(size=shape)
+    if t.min() == 0.0:
+        return None
+    np.log(np.subtract(1.0, t, out=t), out=t)
+    t *= neg_inv_p
+    won = t <= np.partition(t, k - 1, axis=-1)[..., k - 1 : k]
+    # every row admits at least k; an exact tie at the k-th time admits more
+    if np.count_nonzero(won) > k * (won.size // shape[-1]):
+        won[...] = False
+        np.put_along_axis(won, np.argpartition(t, k - 1, axis=-1)[..., :k], True, axis=-1)
+    return won.any(axis=0)
+
+
+def _gumbel_block(rng, shape: tuple[int, int, int], log_p: np.ndarray, k: int) -> np.ndarray:
+    """The same block through numpy's Gumbel sampler: each token's top-k
+    of log p + G per layer."""
+    import numpy as np
+
+    keys = log_p + rng.gumbel(size=shape)
+    won = np.zeros(shape, dtype=bool)
+    np.put_along_axis(won, np.argpartition(-keys, k - 1, axis=-1)[..., :k], True, axis=-1)
+    return won.any(axis=0)
+
+
+def _route_pass(make_rng, shape: tuple[int, int, int], log_p: np.ndarray, neg_inv_p: np.ndarray, k: int) -> np.ndarray:
+    """(layers, experts) mask of the experts a pass of ``shape`` = (tokens,
+    layers, experts) activates, drawn in token blocks from ``make_rng()``.
+    Consecutive draws continue one stream, so the blocking changes nothing.
+    A zero uniform replays the pass from a fresh generator through numpy's
+    Gumbel sampler, which rejects that draw and takes the next."""
+    import numpy as np
+
+    tokens, n_layers, n = shape
+    step = max(1, _ROUTE_BLOCK_CELLS // (n_layers * n))
+
+    def run(block):
+        rng = make_rng()
+        hit = np.zeros((n_layers, n), dtype=bool)
+        for start in range(0, tokens, step):
+            won = block(rng, (min(step, tokens - start), n_layers, n))
+            if won is None:
+                return None
+            hit |= won
+        return hit
+
+    hit = run(lambda rng, s: _race_block(rng, s, neg_inv_p, k))
+    if hit is None:
+        hit = run(lambda rng, s: _gumbel_block(rng, s, log_p, k))
+    return hit
+
+
 def simulate_routing(
     desc: ModelDescriptor,
     batch: int,
@@ -381,11 +452,21 @@ def simulate_routing(
     """Synthesize an activation sheet by sampling per-token routing.
 
     Each token independently selects top_k distinct routed experts per MoE
-    layer (Gumbel-top-k over log weights, equivalent in distribution to
-    sequential weighted draws with renormalization); a pass's activated set
-    is the union over its tokens. latency_s is a placeholder unless a
-    latency model supplies real values downstream.
+    layer; a pass's activated set is the union over its tokens. Pass i draws
+    uniforms u from ``default_rng(SeedSequence(seed).spawn(n_passes)[i])``
+    in (token, layer, expert) C order, and each token keeps the k experts
+    with the earliest race times -log(1 - u) / p. These are the doubles
+    numpy's Gumbel sampler turns into G = -log(-log(1 - u)), and the
+    selection is Gumbel-top-k of log p + G, equivalent in distribution to
+    sequential weighted draws with renormalization. The two forms agree in
+    exact arithmetic; in floating point they could differ only on keys
+    within a few ulps (see the module docstring). Tokens are drawn in blocks
+    of about ``_ROUTE_BLOCK_CELLS`` uniforms, so memory does not grow with
+    tokens_per_pass. latency_s is a placeholder unless a latency model
+    supplies real values downstream.
     """
+    import functools
+
     import numpy as np
 
     if batch < 1:
@@ -404,20 +485,21 @@ def simulate_routing(
 
     p = dist.probabilities(desc.n_expert)
     log_p = _check_support(p, desc.top_k)
+    # 1/p up to the exact factor 2^-64, which keeps it finite for subnormal
+    # weights and never reorders race times
+    with np.errstate(divide="ignore"):
+        neg_inv_p = -1.0 / (p * 2.0**64)
     moe_layers = desc.moe_layers
-    n, k = desc.n_expert, desc.top_k
-    layer_rows = np.arange(len(moe_layers))[:, None]
+    shape = (tokens, len(moe_layers), desc.n_expert)
 
     children = np.random.SeedSequence(seed).spawn(n_passes)
     passes = []
     for pass_id, ss in enumerate(children):
-        rng = np.random.default_rng(ss)
-        # One draw covers all tokens; smaller batches consume a prefix, so
-        # nested batches yield nested activated sets.
-        keys = log_p + rng.gumbel(size=(tokens, len(moe_layers), n))
-        hit = np.full((len(moe_layers), n), k == n)
-        if k < n:
-            hit[layer_rows, np.argpartition(-keys, k - 1, axis=-1)[..., :k]] = True
+        if desc.top_k == desc.n_expert:
+            hit = np.ones(shape[1:], dtype=bool)
+        else:
+            make_rng = functools.partial(np.random.default_rng, ss)
+            hit = _route_pass(make_rng, shape, log_p, neg_inv_p, desc.top_k)
         packed = np.packbits(hit, axis=-1, bitorder="little")
         bitmaps = {layer: int.from_bytes(row.tobytes(), "little") for layer, row in zip(moe_layers, packed)}
         passes.append(

@@ -22,7 +22,10 @@ from moemeter.trace import (
     simulate_routing,
     validate_sheet,
     _mc_distinct_counts,
+    _gumbel_block,
     _parse_dist_spec,
+    _race_block,
+    _route_pass,
     _topk_inclusion_probs,
 )
 
@@ -136,8 +139,9 @@ def test_record_packs_index_sets_into_bitmaps():
     assert rec.activated == {0: {0, 3}, 1: {0, 2}, 2: {70, 71}}
 
 
-# SHA-256 of `moemeter simulate` output, computed before activations were
-# stored as bitmaps: the representation must not change a single byte.
+# SHA-256 of `moemeter simulate` output. The first five were computed before
+# activations were stored as bitmaps, the multi-block r1 prefill before
+# routing was drawn as an exponential race: neither may change a single byte.
 @pytest.mark.parametrize(
     "model, args, digest",
     [
@@ -153,6 +157,9 @@ def test_record_packs_index_sets_into_bitmaps():
         ("qwen1_5-moe-a2_7b", ["--batch", "5", "--dist", "empirical:0.5," + ",".join([repr(0.5 / 59)] * 59),
                                "--passes", "3", "--seed", "2"],
          "905f438a9cfb6e442208622b08cbb283e7c9fa634b36daffab5ec5105cc9ab31"),
+        ("deepseek-r1", ["--batch", "4", "--dist", "zipf:1.1", "--passes", "2", "--seed", "11",
+                         "--phase", "prefill", "--tokens-per-pass", "300"],
+         "598150af9544635d55ef5b1161f1c06342aca2dc2b0aa9c04b43ec49818fb1eb"),
     ],
 )
 def test_simulate_output_is_pinned_and_round_trips(tmp_path, models_dir, model, args, digest):
@@ -271,6 +278,126 @@ def test_simulate_uniform_mean_matches_closed_form():
     closed = 64 * (1 - (1 - 8 / 64) ** 8)
     se = counts.std(ddof=1) / math.sqrt(len(counts))
     assert abs(counts.mean() - closed) <= 3 * se
+
+
+def _gumbel_topk_oracle(desc, dist, n_passes, seed, tokens):
+    """The simulator's original loop body: one Gumbel draw per pass, top-k
+    of log p + G by argpartition, one bitmap per MoE layer."""
+    p = dist.probabilities(desc.n_expert)
+    with np.errstate(divide="ignore"):
+        log_p = np.where(p > 0, np.log(p), -np.inf)
+    n_layers, n, k = len(desc.moe_layers), desc.n_expert, desc.top_k
+    out = []
+    for ss in np.random.SeedSequence(seed).spawn(n_passes):
+        keys = log_p + np.random.default_rng(ss).gumbel(size=(tokens, n_layers, n))
+        hit = np.full((n_layers, n), k == n)
+        if k < n:
+            hit[np.arange(n_layers)[:, None], np.argpartition(-keys, k - 1, axis=-1)[..., :k]] = True
+        out.append({layer: sum(1 << int(i) for i in np.flatnonzero(row)) for layer, row in zip(desc.moe_layers, hit)})
+    return out
+
+
+@pytest.mark.parametrize(
+    "model, batch, dist, tokens",
+    [
+        ("deepseek-r1", 2, "zipf:1.1", 300),  # prefill over many token blocks
+        ("deepseek-r1", 16, "zipf:200", 16),  # zero tail weights
+        ("mixtral-8x7b", 5, "uniform", 5),
+        ("mixtral-8x22b", 3, "zipf:0.5", 40),
+    ],
+)
+def test_simulate_matches_gumbel_topk_oracle(models_dir, model, batch, dist, tokens):
+    from moemeter.models import load_model_descriptor
+
+    desc = load_model_descriptor(models_dir / f"{model}.json")
+    phase = "decode" if tokens == batch else "prefill"
+    d = _parse_dist_spec(dist)
+    sheet = simulate_routing(desc, batch, d, 3, seed=29, phase=phase, tokens_per_pass=tokens)
+    assert [rec.bitmaps for rec in sheet.passes] == _gumbel_topk_oracle(desc, d, 3, 29, tokens)
+
+
+def test_simulate_top_k_equal_to_n_expert_matches_oracle():
+    desc = make_desc(n_expert=4, top_k=4)
+    sheet = simulate_routing(desc, 3, RoutingDistribution.zipf(1.0), 4, seed=1)
+    assert [rec.bitmaps for rec in sheet.passes] == _gumbel_topk_oracle(desc, RoutingDistribution.zipf(1.0), 4, 1, 3)
+    assert all(b == 0b1111 for rec in sheet.passes for b in rec.bitmaps.values())
+
+
+class _StubRng:
+    """Generator stand-in that hands out fixed uniform and Gumbel blocks."""
+
+    def __init__(self, uniforms=(), gumbels=()):
+        self.uniforms, self.gumbels = list(uniforms), list(gumbels)
+
+    def random(self, size):
+        return np.array(self.uniforms.pop(0), dtype=float).reshape(size)
+
+    def gumbel(self, size):
+        return np.array(self.gumbels.pop(0), dtype=float).reshape(size)
+
+
+def test_race_block_selects_earliest_times_and_rejects_zero_uniforms():
+    # race times -log(1 - u) / p with p = (0.4, 0.3, 0.2, 0.1, 0): expert 4 never wins
+    p = np.array([0.4, 0.3, 0.2, 0.1, 0.0])
+    with np.errstate(divide="ignore"):
+        neg_inv_p = -1.0 / p
+    u = [[[0.5, 0.5, 0.01, 0.9, 0.999]], [[0.9, 0.1, 0.9, 0.9, 0.001]]]
+    hit = _race_block(_StubRng([u]), (2, 1, 5), neg_inv_p, 2)
+    assert hit.tolist() == [[True, True, True, False, False]]
+    assert _race_block(_StubRng([[[[0.5, 0.0, 0.2, 0.3, 0.4]]]]), (1, 1, 5), neg_inv_p, 2) is None
+
+
+def test_race_block_breaks_exact_ties_to_exactly_k():
+    # experts 0 and 2 tie at the k-th race time; `<=` alone would admit three
+    neg_inv_p = np.full(4, -4.0)
+    hit = _race_block(_StubRng([[[[0.5, 0.1, 0.5, 0.9]]]]), (1, 1, 4), neg_inv_p, 2)
+    assert hit.sum() == 2 and hit[0, 1] and hit[0, 0] != hit[0, 2]
+
+
+def test_zero_uniform_replays_the_pass_through_the_gumbel_sampler(r1_desc, monkeypatch):
+    import moemeter.trace as trace
+
+    monkeypatch.setattr(trace, "_ROUTE_BLOCK_CELLS", 1)  # one token per block
+    dist = RoutingDistribution.zipf(1.1)
+    p = dist.probabilities(r1_desc.n_expert)
+    shape = (5, len(r1_desc.moe_layers), r1_desc.n_expert)
+    ss = np.random.SeedSequence(8).spawn(1)[0]
+    made = []
+
+    class ZeroOnThirdBlock:
+        """The pass's real stream, with a zero uniform in the third block."""
+
+        def __init__(self):
+            self.rng, self.calls = np.random.default_rng(ss), 0
+            made.append(self)
+
+        def random(self, size):
+            self.calls += 1
+            u = self.rng.random(size=size)
+            if self.calls == 3:
+                u[0, 7, 100] = 0.0
+            return u
+
+        def gumbel(self, size):
+            return self.rng.gumbel(size=size)
+
+    hit = _route_pass(ZeroOnThirdBlock, shape, np.log(p), -1.0 / p, r1_desc.top_k)
+    assert len(made) == 2 and made[1].calls == 0  # the replay drew through gumbel only
+    bitmaps = {layer: sum(1 << int(i) for i in np.flatnonzero(row)) for layer, row in zip(r1_desc.moe_layers, hit)}
+    assert bitmaps == _gumbel_topk_oracle(r1_desc, dist, 1, 8, 5)[0]
+
+
+def test_long_prefill_pass_memory_is_bounded(r1_desc):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        simulate_routing(r1_desc, 1, RoutingDistribution.zipf(1.1), 1, seed=0, phase="prefill", tokens_per_pass=2048)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one (2048, 58, 256) float64 draw alone would be 243 MB
+    assert peak < 64 * 2**20
 
 
 def test_simulate_insufficient_support_rejected(toy_desc):
