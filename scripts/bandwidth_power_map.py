@@ -47,7 +47,7 @@ def main() -> None:
             efficiency_mbu=args.efficiency_mbu,
         )
         path = out_dir / f"{name}.json"
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
         lines = {l["activation_mode"]: l["practical_bandwidth_gbps"] for l in doc["requirement_lines"]}
         print(
             f"{name}: batch-1 {lines['batch1_analytic']:.1f} GB/s, "

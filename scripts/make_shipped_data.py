@@ -34,7 +34,7 @@ def write(path: Path, text: str) -> None:
 
 
 def dump_json(path: Path, doc) -> None:
-    write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write(path, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 # --------------------------------------------------------------------------

@@ -17,13 +17,12 @@ model evaluations.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, load_json
 
 AXES = ("cost", "accuracy", "performance")
 
@@ -174,8 +173,7 @@ def classify_tradeoff(dataset: RadarDataset) -> dict[str, str]:
 
 
 def load_cap_records(path: str | Path) -> list[CapRecord]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = load_json(path)
     if not isinstance(doc, list):
         raise ValidationError("cap records file must be a JSON list", field="records")
     out = []
@@ -273,8 +271,7 @@ def validate_rules(rules: Sequence[DecisionRule]) -> None:
 
 
 def load_decision_rules(path: str | Path) -> list[DecisionRule]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = load_json(path)
     if not isinstance(doc, list):
         raise ValidationError("rules file must be a JSON list", field="rules")
     rules = []

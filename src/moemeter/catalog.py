@@ -10,11 +10,12 @@ with summed bandwidth/TDP and ``aggregate: true``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, load_json
 
 DEVICE_CLASSES = ("edge", "low_power", "workstation", "datacenter")
 MEMORY_TIERS = ("HBM", "DRAM", "SSD")
@@ -40,12 +41,12 @@ class HardwareSpec:
                 field="device_class",
             )
         for fname in ("peak_bandwidth_gbps", "tdp_watts", "price_usd"):
-            if getattr(self, fname) < 0:
-                raise ValidationError(f"device {self.name!r}: {fname} must be >= 0", field=fname)
+            if not 0 <= getattr(self, fname) < math.inf:
+                raise ValidationError(f"device {self.name!r}: {fname} must be finite and >= 0", field=fname)
         for prec, flops in self.peak_flops_by_precision.items():
-            if flops < 0:
+            if not 0 <= flops < math.inf:
                 raise ValidationError(
-                    f"device {self.name!r}: peak FLOPS for {prec!r} must be >= 0",
+                    f"device {self.name!r}: peak FLOPS for {prec!r} must be finite and >= 0",
                     field="peak_flops_by_precision",
                 )
         for tier, gb in self.memory_gb.items():
@@ -53,14 +54,14 @@ class HardwareSpec:
                 raise ValidationError(
                     f"device {self.name!r}: unknown memory tier {tier!r}", field="memory_gb"
                 )
-            if gb < 0:
+            if not 0 <= gb < math.inf:
                 raise ValidationError(
-                    f"device {self.name!r}: memory size for {tier!r} must be >= 0", field="memory_gb"
+                    f"device {self.name!r}: memory size for {tier!r} must be finite and >= 0", field="memory_gb"
                 )
         if self.offload_bandwidth_gbps is not None:
-            if self.offload_bandwidth_gbps < 0:
+            if not 0 <= self.offload_bandwidth_gbps < math.inf:
                 raise ValidationError(
-                    f"device {self.name!r}: offload bandwidth must be >= 0",
+                    f"device {self.name!r}: offload bandwidth must be finite and >= 0",
                     field="offload_bandwidth_gbps",
                 )
             if self.offload_bandwidth_gbps > self.peak_bandwidth_gbps:
@@ -80,8 +81,7 @@ def spec_from_dict(doc: Mapping) -> HardwareSpec:
 def load_catalog(source: str | Path | Sequence[Mapping]) -> list[HardwareSpec]:
     """Load and validate a catalog; duplicate device names are rejected."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = load_json(source)
     else:
         doc = list(source)
     if not isinstance(doc, list):
@@ -96,7 +96,7 @@ def load_catalog(source: str | Path | Sequence[Mapping]) -> list[HardwareSpec]:
 
 
 def serialize_catalog(specs: Iterable[HardwareSpec]) -> str:
-    return json.dumps([asdict(s) for s in specs], indent=2, sort_keys=True) + "\n"
+    return json.dumps([asdict(s) for s in specs], indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def get_device(catalog: Sequence[HardwareSpec], name: str) -> HardwareSpec:

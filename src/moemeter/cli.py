@@ -49,7 +49,7 @@ def _input_digests(**paths: str | None) -> dict:
 
 def _write_json(path: Path, doc: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -382,7 +382,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(_error_doc("validation", str(exc), exc.field), file=sys.stderr)
         return EXIT_INVALID
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(_error_doc("input", str(exc)), file=sys.stderr)
         return EXIT_INVALID
     except Exception as exc:  # pragma: no cover - defensive

@@ -14,12 +14,11 @@ silently skew results.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-from .errors import ValidationError
+from .errors import ValidationError, load_json
 
 SECONDS_PER_HOUR = 3600.0
 
@@ -168,8 +167,7 @@ def _build(cls, doc: Mapping, section: str):
 def load_cost_inputs(path: str | Path) -> tuple[BillOfMaterials, PowerProfile, DeploymentEconomics]:
     """Read a cost inputs JSON document with sections bill_of_materials,
     power_profile, and economics."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = load_json(path)
     for section in ("bill_of_materials", "power_profile", "economics"):
         if section not in doc:
             raise ValidationError(f"cost inputs: missing section {section!r}", field=section)

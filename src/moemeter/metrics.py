@@ -229,6 +229,10 @@ def compute_metric_report(
     _check_peak(hw_peak_flops, "hw_peak_flops")
     validate_sheet(sheet, desc)
     s_model = total_param_bytes(desc, prec, include_embed=include_embed)
+    # per-token FLOPs depend only on (desc, seq_len): derive them once, and
+    # form each MFU with the same expression as s_mfu / vanilla_mfu
+    sparse_flops = sparse_flops_per_token(desc, seq_len)
+    dense_flops = dense_flops_per_token(desc, seq_len)
     passes = []
     total_bytes = 0.0
     total_vanilla_bytes = 0.0
@@ -240,8 +244,8 @@ def compute_metric_report(
         throughput = rec.tokens_processed / rec.latency_s
         smbu = (act + kv) / rec.latency_s / hw_peak_bandwidth
         vmbu = (s_model + kv) / rec.latency_s / hw_peak_bandwidth
-        smfu = s_mfu(throughput, desc, seq_len, hw_peak_flops)
-        vmfu = vanilla_mfu(throughput, desc, seq_len, hw_peak_flops)
+        smfu = _warn_if_over_one(throughput * sparse_flops / hw_peak_flops, "S-MFU")
+        vmfu = _warn_if_over_one(throughput * dense_flops / hw_peak_flops, "vanilla MFU")
         passes.append(
             PassMetrics(
                 pass_id=rec.pass_id,
@@ -269,8 +273,8 @@ def compute_metric_report(
     agg_s_mbu = total_bytes / total_latency / hw_peak_bandwidth
     agg_v_mbu = total_vanilla_bytes / total_latency / hw_peak_bandwidth
     agg_throughput = total_tokens / total_latency
-    agg_s_mfu = s_mfu(agg_throughput, desc, seq_len, hw_peak_flops)
-    agg_v_mfu = vanilla_mfu(agg_throughput, desc, seq_len, hw_peak_flops)
+    agg_s_mfu = _warn_if_over_one(agg_throughput * sparse_flops / hw_peak_flops, "S-MFU")
+    agg_v_mfu = _warn_if_over_one(agg_throughput * dense_flops / hw_peak_flops, "vanilla MFU")
     return MetricReport(
         model_name=sheet.model_name,
         peak_bandwidth_bytes_per_s=hw_peak_bandwidth,

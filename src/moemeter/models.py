@@ -34,7 +34,7 @@ from dataclasses import dataclass, fields as _dc_fields
 from pathlib import Path
 from typing import Iterator, Mapping
 
-from .errors import ValidationError
+from .errors import ValidationError, load_json
 
 ALLOWED_BYTES_PER_PARAM = (0.5, 1.0, 2.0, 4.0)
 
@@ -72,6 +72,29 @@ class Precision:
             raise ValidationError(f"unknown precision name {name!r}", field="precision") from None
 
 
+# Every count a descriptor holds; each must be a non-negative int.
+_COUNT_FIELDS = (
+    "n_layer",
+    "d_model",
+    "n_heads",
+    "n_kv_heads",
+    "head_dim",
+    "n_expert",
+    "top_k",
+    "n_shared",
+    "params_expert",
+    "params_shared_expert",
+    "params_router",
+    "params_attn_layer",
+    "params_dense_ffn",
+    "params_embed",
+)
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 @dataclass(frozen=True)
 class ModelDescriptor:
     """Architecture and parameter accounting of one (possibly MoE) model.
@@ -105,9 +128,11 @@ class ModelDescriptor:
     def __post_init__(self):
         object.__setattr__(self, "moe_layer_mask", tuple(bool(b) for b in self.moe_layer_mask))
         if self.params_expert_by_index is not None:
-            object.__setattr__(
-                self, "params_expert_by_index", tuple(int(v) for v in self.params_expert_by_index)
-            )
+            object.__setattr__(self, "params_expert_by_index", tuple(self.params_expert_by_index))
+        for fname in _COUNT_FIELDS:
+            value = getattr(self, fname)
+            if not _is_count(value):
+                raise ValidationError(f"{fname} must be a non-negative integer, got {value!r}", field=fname)
         if self.n_layer < 1:
             raise ValidationError("n_layer must be >= 1", field="n_layer")
         if len(self.moe_layer_mask) != self.n_layer:
@@ -121,23 +146,6 @@ class ModelDescriptor:
                 f"n_expert={self.n_expert}",
                 field="top_k",
             )
-        if self.n_shared < 0:
-            raise ValidationError("n_shared must be >= 0", field="n_shared")
-        for fname in (
-            "d_model",
-            "n_heads",
-            "n_kv_heads",
-            "head_dim",
-            "params_expert",
-            "params_shared_expert",
-            "params_router",
-            "params_attn_layer",
-            "params_dense_ffn",
-            "params_embed",
-        ):
-            value = getattr(self, fname)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise ValidationError(f"{fname} must be a non-negative integer, got {value!r}", field=fname)
         if self.params_expert_by_index is not None:
             if len(self.params_expert_by_index) != self.n_expert:
                 raise ValidationError(
@@ -145,9 +153,10 @@ class ModelDescriptor:
                     f"expected n_expert={self.n_expert}",
                     field="params_expert_by_index",
                 )
-            if any(v < 0 for v in self.params_expert_by_index):
+            if not all(_is_count(v) for v in self.params_expert_by_index):
                 raise ValidationError(
-                    "params_expert_by_index entries must be >= 0", field="params_expert_by_index"
+                    "params_expert_by_index entries must be non-negative integers",
+                    field="params_expert_by_index",
                 )
         if self.kv_bytes_per_param is not None and float(self.kv_bytes_per_param) not in ALLOWED_BYTES_PER_PARAM:
             raise ValidationError(
@@ -394,15 +403,11 @@ def descriptor_to_dict(desc: ModelDescriptor) -> dict:
 
 def load_model_descriptor(path: str | Path) -> ModelDescriptor:
     """Load and validate a descriptor JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"descriptor {path}: invalid JSON ({exc})", field="document") from exc
+    doc = load_json(path)
     if not isinstance(doc, dict):
         raise ValidationError(f"descriptor {path}: expected a JSON object", field="document")
     return descriptor_from_dict(doc)
 
 
 def serialize_model_descriptor(desc: ModelDescriptor) -> str:
-    return json.dumps(descriptor_to_dict(desc), indent=2, sort_keys=True) + "\n"
+    return json.dumps(descriptor_to_dict(desc), indent=2, sort_keys=True, allow_nan=False) + "\n"

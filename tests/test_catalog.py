@@ -9,7 +9,10 @@ from moemeter.catalog import (
     load_catalog,
     serialize_catalog,
 )
+from moemeter.cap import load_cap_records, load_decision_rules
+from moemeter.costing import load_cost_inputs
 from moemeter.errors import ValidationError
+from moemeter.models import load_model_descriptor
 
 
 @pytest.fixture(scope="module")
@@ -100,3 +103,24 @@ def test_catalog_roundtrip_byte_stable(catalog_path):
     raw = catalog_path.read_text(encoding="utf-8")
     specs = load_catalog(catalog_path)
     assert serialize_catalog(specs) == raw
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "1,"])
+@pytest.mark.parametrize(
+    "loader", [load_catalog, load_model_descriptor, load_cost_inputs, load_cap_records, load_decision_rules]
+)
+def test_loaders_reject_non_finite_or_malformed_json(tmp_path, loader, literal):
+    path = tmp_path / "doc.json"
+    path.write_text(f'[{{"peak_bandwidth_gbps": {literal}}}]')
+    with pytest.raises(ValidationError, match="doc.json") as exc:
+        loader(path)
+    assert exc.value.field == "document"
+
+
+@pytest.mark.parametrize("field", ["peak_bandwidth_gbps", "tdp_watts", "price_usd"])
+def test_spec_rejects_non_finite_figures(field):
+    doc = dict(name="x", device_class="edge", peak_bandwidth_gbps=100.0, tdp_watts=10.0, price_usd=1.0)
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="finite") as exc:
+            HardwareSpec(**{**doc, field: value})
+        assert exc.value.field == field

@@ -364,3 +364,57 @@ assert "numpy" not in sys.modules, "metrics loaded numpy"
 """
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=REPO_ROOT)
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("command", ["simulate", "plan", "metrics"])
+def test_fractional_top_k_descriptor_exits_2(tmp_path, capsys, command):
+    from moemeter.cli import main
+
+    doc = json.loads((MODELS / "mixtral-8x7b.json").read_text())
+    doc["top_k"] = 1.5
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = {
+        "simulate": ["simulate", "--model", model, "--batch", 4, "--dist", "uniform", "--passes", 1,
+                     "--seed", 0, "--out", out / "sim.trace"],
+        "plan": ["plan", "--model", model, "--catalog", CATALOG, "--mode", "expected", "--batch", 4,
+                 "--dist", "zipf:1.1", "--output-dir", out],
+        "metrics": ["metrics", "--model", model, "--trace", TRACES / "sample_decode.trace", "--catalog", CATALOG,
+                    "--device", "H100-SXM", "--bytes-per-param", "1.0", "--output-dir", out],
+    }[command]
+    assert main([str(a) for a in argv]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["field"] == "top_k"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e999"])
+@pytest.mark.parametrize("command", ["plan", "metrics"])
+def test_non_finite_catalog_number_exits_2(tmp_path, capsys, command, literal):
+    from moemeter.cli import main
+
+    devices = json.loads(CATALOG.read_text())
+    devices[0]["peak_bandwidth_gbps"] = "@"
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps(devices).replace('"@"', literal))
+    out = tmp_path / "out"
+    argv = {
+        "plan": ["plan", "--model", MODELS / "mixtral-8x7b.json", "--catalog", catalog, "--fig2",
+                 "--output-dir", out],
+        "metrics": ["metrics", "--model", MODELS / "toy-4x2.json", "--trace", TRACES / "sample_decode.trace",
+                    "--catalog", catalog, "--device", devices[0]["name"], "--bytes-per-param", "1.0",
+                    "--output-dir", out],
+    }[command]
+    assert main([str(a) for a in argv]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["field"] == "document" and literal in err["error"]["message"]
+    assert not out.exists()
+
+
+def test_json_reports_refuse_non_finite_numbers(tmp_path):
+    from moemeter.cli import _write_json
+
+    with pytest.raises(ValueError):
+        _write_json(tmp_path / "report.json", {"value": float("nan")})
+    assert not (tmp_path / "report.json").exists()

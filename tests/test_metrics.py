@@ -418,3 +418,20 @@ def test_report_serializers(toy_desc):
     assert lines[1].startswith("row,")
     assert len(lines) == 2 + 3 + 1  # comment + header + passes + aggregate
     assert lines[-1].startswith("aggregate")
+
+
+def test_report_derives_per_token_flops_once(toy_desc, monkeypatch):
+    import moemeter.metrics as metrics
+
+    sheet = simulate_routing(toy_desc, 2, RoutingDistribution.uniform(), 6, seed=3)
+    calls = []
+    for name in ("sparse_flops_per_token", "dense_flops_per_token"):
+        real = getattr(metrics, name)
+        monkeypatch.setattr(metrics, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    report = compute_metric_report(sheet, toy_desc, Precision(2.0), 1e12, 1e15, seq_len=64)
+    assert sorted(calls) == ["dense_flops_per_token", "sparse_flops_per_token"]
+    monkeypatch.undo()
+    for rec, p in zip(sheet.passes, report.passes):
+        throughput = rec.tokens_processed / rec.latency_s
+        assert p.s_mfu == s_mfu(throughput, toy_desc, 64, 1e15)
+        assert p.vanilla_mfu == vanilla_mfu(throughput, toy_desc, 64, 1e15)

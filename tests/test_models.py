@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from moemeter.errors import ValidationError
 from moemeter.models import (
+    _COUNT_FIELDS,
     ModelDescriptor,
     Precision,
     active_param_bytes_analytic,
@@ -328,3 +329,17 @@ def test_activated_params_match_brute_force_index_sum(data):
             else:
                 expected += 11
         assert activated_params_from_sets(desc, bitmaps, include_embed=include_embed) == expected
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, "2"])
+@pytest.mark.parametrize("fname", _COUNT_FIELDS)
+def test_count_fields_must_be_integers(fname, bad):
+    with pytest.raises(ValidationError, match=fname) as exc:
+        make_desc(**{fname: bad})
+    assert exc.value.field == fname
+
+
+def test_expert_sizes_must_be_integers():
+    with pytest.raises(ValidationError) as exc:
+        make_desc(params_expert_by_index=(100, 200.5, 300, 400))
+    assert exc.value.field == "params_expert_by_index"
