@@ -48,8 +48,15 @@ def _input_digests(**paths: str | None) -> dict:
 
 
 def _write_json(path: Path, doc: dict) -> None:
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        # inputs are finite, but extreme ones can still overflow a derived figure
+        raise ValidationError(
+            f"{path.name} would hold a non-finite number; an input is out of range", field="report"
+        ) from None
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _write_text(path: Path, text: str) -> None:

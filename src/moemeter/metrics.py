@@ -43,11 +43,11 @@ def vanilla_mbu(
 ) -> float:
     """Memory-bandwidth utilization assuming the full model is read per step:
     (S_model + S_kv) / TPOT / peak."""
-    if tpot_s <= 0:
-        raise ValidationError("tpot_s must be > 0", field="tpot_s")
+    if not 0 < tpot_s < math.inf:
+        raise ValidationError("tpot_s must be finite and > 0", field="tpot_s")
     _check_peak(hw_peak_bandwidth, "hw_peak_bandwidth")
-    if kv_bytes < 0:
-        raise ValidationError("kv_bytes must be >= 0", field="kv_bytes")
+    if not 0 <= kv_bytes < math.inf:
+        raise ValidationError("kv_bytes must be finite and >= 0", field="kv_bytes")
     s_model = total_param_bytes(desc, prec, include_embed=include_embed)
     return _warn_if_over_one((s_model + kv_bytes) / tpot_s / hw_peak_bandwidth, "vanilla MBU")
 

@@ -158,7 +158,8 @@ class ModelDescriptor:
                     "params_expert_by_index entries must be non-negative integers",
                     field="params_expert_by_index",
                 )
-        if self.kv_bytes_per_param is not None and float(self.kv_bytes_per_param) not in ALLOWED_BYTES_PER_PARAM:
+        kv = self.kv_bytes_per_param
+        if kv is not None and (isinstance(kv, bool) or not isinstance(kv, (int, float)) or kv not in ALLOWED_BYTES_PER_PARAM):
             raise ValidationError(
                 f"kv_bytes_per_param must be one of {ALLOWED_BYTES_PER_PARAM}",
                 field="kv_bytes_per_param",

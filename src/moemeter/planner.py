@@ -22,6 +22,7 @@ overridable per run. GB means 1e9 bytes throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 from typing import Sequence
 
@@ -56,8 +57,8 @@ class SloSpec:
     tpot_s: float
 
     def __post_init__(self):
-        if self.tpot_s <= 0:
-            raise ValidationError("tpot_s must be > 0", field="tpot_s")
+        if not 0 < self.tpot_s < math.inf:
+            raise ValidationError("tpot_s must be finite and > 0", field="tpot_s")
 
 
 @dataclass(frozen=True)
@@ -92,8 +93,8 @@ def theoretical_bandwidth_gbps(
         raise ValidationError(
             f"activation_mode must be one of {ACTIVATION_MODES}", field="activation_mode"
         )
-    if kv_bytes < 0:
-        raise ValidationError("kv_bytes must be >= 0", field="kv_bytes")
+    if not 0 <= kv_bytes < math.inf:
+        raise ValidationError("kv_bytes must be finite and >= 0", field="kv_bytes")
     if activation_mode == "batch1_analytic":
         step_bytes = active_param_bytes_analytic(desc, prec, include_embed=include_embed)
     elif activation_mode == "full_activation":

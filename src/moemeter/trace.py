@@ -87,8 +87,8 @@ class ForwardPassRecord:
             )
         if self.batch_size < 1:
             raise ValidationError(f"pass {self.pass_id}: batch_size must be >= 1", field="batch_size")
-        if self.latency_s <= 0:
-            raise ValidationError(f"pass {self.pass_id}: latency_s must be > 0", field="latency_s")
+        if not 0 < self.latency_s < math.inf:
+            raise ValidationError(f"pass {self.pass_id}: latency_s must be finite and > 0", field="latency_s")
         if self.kv_bytes_read < 0:
             raise ValidationError(f"pass {self.pass_id}: kv_bytes_read must be >= 0", field="kv_bytes_read")
         if self.phase == "decode" and self.tokens_processed != self.batch_size:

@@ -283,6 +283,11 @@ def test_recommend_match(tmp_path):
         ("plan", ["--sweep-batches", "4,2", "--dist", "uniform"]),
         ("plan", ["--sweep-batches", "0,2", "--fig2"]),
         ("simulate", ["--batch", 2, "--dist", "uniform", "--passes", 1, "--seed", -1]),
+        # non-finite numbers would reach plan_report.json
+        ("plan", ["--slo", "nan"]),
+        ("plan", ["--slo", "inf"]),
+        ("plan", ["--kv-bytes", "nan"]),
+        ("plan", ["--kv-bytes", "inf"]),
     ],
 )
 def test_malformed_routing_arguments_exit_2(tmp_path, command, extra):
@@ -412,9 +417,17 @@ def test_non_finite_catalog_number_exits_2(tmp_path, capsys, command, literal):
     assert not out.exists()
 
 
-def test_json_reports_refuse_non_finite_numbers(tmp_path):
-    from moemeter.cli import _write_json
+def test_json_reports_refuse_non_finite_numbers(tmp_path, capsys):
+    from moemeter.cli import main
 
-    with pytest.raises(ValueError):
-        _write_json(tmp_path / "report.json", {"value": float("nan")})
-    assert not (tmp_path / "report.json").exists()
+    # finite inputs whose total cost overflows a double
+    inputs = {
+        "bill_of_materials": {"gpu_usd": 1.5e308, "cpu_usd": 1.5e308, "motherboard_usd": 0, "dram_usd": 0, "ssd_usd": 0},
+        "power_profile": {"gpu_watts": 400, "cpu_watts": 100},
+        "economics": {"runtime_hours": 8760, "energy_price_usd_per_kwh": 0.1, "token_throughput_tps": 1000},
+    }
+    path = tmp_path / "inputs.json"
+    path.write_text(json.dumps(inputs))
+    assert main(["cost", "--inputs", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["field"] == "report"
+    assert not (tmp_path / "out").exists()

@@ -343,3 +343,10 @@ def test_expert_sizes_must_be_integers():
     with pytest.raises(ValidationError) as exc:
         make_desc(params_expert_by_index=(100, 200.5, 300, 400))
     assert exc.value.field == "params_expert_by_index"
+
+
+@pytest.mark.parametrize("bad", ["2", True, 3.0])
+def test_kv_bytes_per_param_must_be_an_allowed_number(bad):
+    with pytest.raises(ValidationError) as exc:
+        make_desc(kv_bytes_per_param=bad)
+    assert exc.value.field == "kv_bytes_per_param"

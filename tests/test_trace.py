@@ -81,6 +81,13 @@ def test_parse_nonpositive_latency_rejected():
         parse_activation_sheet("model=m\n0,decode,1,1,0.0,0,0:1\n")
 
 
+@pytest.mark.parametrize("latency", ["nan", "inf"])
+def test_parse_non_finite_latency_rejected(latency):
+    with pytest.raises(ValidationError, match="latency") as exc:
+        parse_activation_sheet(f"model=m\n0,decode,1,1,{latency},0,0:3\n")
+    assert exc.value.field == "latency_s"
+
+
 def test_parse_missing_header():
     with pytest.raises(ValidationError, match="model"):
         parse_activation_sheet("0,decode,1,1,0.01,0,0:1\n")
