@@ -425,9 +425,16 @@ def test_report_derives_per_token_flops_once(toy_desc, monkeypatch):
 
     sheet = simulate_routing(toy_desc, 2, RoutingDistribution.uniform(), 6, seed=3)
     calls = []
+
+    def counted(real):
+        def wrapper(*args):
+            calls.append(real.__name__)
+            return real(*args)
+
+        return wrapper
+
     for name in ("sparse_flops_per_token", "dense_flops_per_token"):
-        real = getattr(metrics, name)
-        monkeypatch.setattr(metrics, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        monkeypatch.setattr(metrics, name, counted(getattr(metrics, name)))
     report = compute_metric_report(sheet, toy_desc, Precision(2.0), 1e12, 1e15, seq_len=64)
     assert sorted(calls) == ["dense_flops_per_token", "sparse_flops_per_token"]
     monkeypatch.undo()
