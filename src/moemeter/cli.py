@@ -9,20 +9,22 @@ Validation failures print a machine-readable JSON error document to stderr.
 
 The default catalog path can be set via the MOEMETER_CATALOG environment
 variable.
+
+Each subcommand imports the modules it runs inside its ``cmd_*`` function;
+at module level this file needs only what the parser does, so ``metrics``
+never loads the planner and ``simulate`` loads neither catalog nor metrics.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 from pathlib import Path
 
-from . import cap, catalog, costing, metrics, planner, trace
+from . import models, trace
 from .errors import ValidationError
-from .models import Precision, load_model_descriptor
 
 CATALOG_ENV_VAR = "MOEMETER_CATALOG"
 
@@ -32,6 +34,8 @@ EXIT_INVALID = 2
 
 
 def _sha256_file(path: str | Path) -> str:
+    import hashlib
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
@@ -74,12 +78,14 @@ def _digest_comment(digests: dict) -> str:
 # --------------------------------------------------------------------------
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    desc = load_model_descriptor(args.model)
+    from . import catalog, metrics
+
+    desc = models.load_model_descriptor(args.model)
     specs = catalog.load_catalog(args.catalog)
     device = catalog.get_device(specs, args.device)
-    prec = Precision(args.bytes_per_param)
+    prec = models.Precision(args.bytes_per_param)
     sheet = trace.load_activation_sheet(args.trace, desc)
-    peak_bw = device.peak_bandwidth_gbps * planner.GB
+    peak_bw = device.peak_bandwidth_gbps * models.GB
     peak_flops = device.peak_flops_by_precision.get(args.flops_precision)
     if peak_flops is None:
         raise ValidationError(
@@ -114,9 +120,11 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    desc = load_model_descriptor(args.model)
+    from . import catalog, planner
+
+    desc = models.load_model_descriptor(args.model)
     specs = catalog.load_catalog(args.catalog)
-    prec = Precision(args.bytes_per_param)
+    prec = models.Precision(args.bytes_per_param)
     slo = planner.SloSpec(args.slo)
     sheet = None
     if args.trace:
@@ -193,7 +201,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    desc = load_model_descriptor(args.model)
+    desc = models.load_model_descriptor(args.model)
     dist = trace._parse_dist_spec(args.dist)
     sheet = trace.simulate_routing(
         desc,
@@ -211,6 +219,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_cost(args: argparse.Namespace) -> int:
+    from . import costing
+
     bom, power, econ = costing.load_cost_inputs(args.inputs)
     doc = {
         "inputs": _input_digests(cost_inputs=args.inputs),
@@ -223,6 +233,8 @@ def cmd_cost(args: argparse.Namespace) -> int:
 
 
 def cmd_radar(args: argparse.Namespace) -> int:
+    from . import cap
+
     records = cap.load_cap_records(args.records)
     dataset = cap.normalize_radar(records)
     labels = cap.classify_tradeoff(dataset)
@@ -246,6 +258,8 @@ def cmd_radar(args: argparse.Namespace) -> int:
 
 
 def cmd_recommend(args: argparse.Namespace) -> int:
+    from . import cap
+
     rules = cap.load_decision_rules(args.rules)
     result = cap.recommend(rules, args.tier, args.batch, args.primary, args.secondary)
     doc = {
@@ -308,14 +322,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     add_catalog(p)
     p.add_argument("--bytes-per-param", type=float, default=1.0, choices=[0.5, 1.0, 2.0, 4.0])
-    p.add_argument("--slo", type=float, default=planner.DEFAULT_SLO_TPOT_S, help="TPOT target in s/token")
+    p.add_argument("--slo", type=float, default=models.DEFAULT_SLO_TPOT_S, help="TPOT target in s/token")
     p.add_argument(
         "--mode",
         nargs="+",
         default=["batch1_analytic"],
-        choices=list(planner.ACTIVATION_MODES),
+        choices=list(models.ACTIVATION_MODES),
     )
-    p.add_argument("--efficiency-mbu", type=float, default=planner.DEFAULT_EFFICIENCY_MBU)
+    p.add_argument("--efficiency-mbu", type=float, default=models.DEFAULT_EFFICIENCY_MBU)
     p.add_argument("--efficiency-mfu", type=float, default=None)
     p.add_argument("--kv-bytes", type=float, default=0.0)
     p.add_argument("--trace", default=None, help="activation trace (trace mode)")

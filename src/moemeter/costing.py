@@ -14,6 +14,7 @@ silently skew results.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -54,8 +55,8 @@ class BillOfMaterials:
             "chip_to_memory_usd",
             "pcie_usd",
         ):
-            if getattr(self, fname) < 0:
-                raise ValidationError(f"{fname} must be >= 0", field=fname)
+            if not 0 <= getattr(self, fname) < math.inf:
+                raise ValidationError(f"{fname} must be finite and >= 0", field=fname)
         if self.hbm_usd + self.nvlink_usd + self.chip_to_memory_usd > self.gpu_usd + self.cpu_usd:
             raise ValidationError(
                 "informational HBM+NVLink+chip-to-memory cost exceeds the GPU+CPU line items",
@@ -79,8 +80,8 @@ class PowerProfile:
 
     def __post_init__(self):
         for fname in ("gpu_watts", "cpu_watts", "chip_to_memory_watts", "pcie_watts", "nvlink_watts"):
-            if getattr(self, fname) < 0:
-                raise ValidationError(f"{fname} must be >= 0", field=fname)
+            if not 0 <= getattr(self, fname) < math.inf:
+                raise ValidationError(f"{fname} must be finite and >= 0", field=fname)
 
     @property
     def total_watts(self) -> float:
@@ -100,12 +101,12 @@ class DeploymentEconomics:
     token_throughput_tps: float
 
     def __post_init__(self):
-        if self.runtime_hours <= 0:
-            raise ValidationError("runtime_hours must be > 0", field="runtime_hours")
-        if self.energy_price_usd_per_kwh < 0:
-            raise ValidationError("energy price must be >= 0", field="energy_price_usd_per_kwh")
-        if self.token_throughput_tps <= 0:
-            raise ValidationError("token throughput must be > 0", field="token_throughput_tps")
+        if not 0 < self.runtime_hours < math.inf:
+            raise ValidationError("runtime_hours must be finite and > 0", field="runtime_hours")
+        if not 0 <= self.energy_price_usd_per_kwh < math.inf:
+            raise ValidationError("energy price must be finite and >= 0", field="energy_price_usd_per_kwh")
+        if not 0 < self.token_throughput_tps < math.inf:
+            raise ValidationError("token throughput must be finite and > 0", field="token_throughput_tps")
 
 
 def purchase_cost(bom: BillOfMaterials) -> float:

@@ -18,7 +18,7 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, fields
 
 from .errors import ValidationError
 from .models import (
@@ -295,9 +295,15 @@ def compute_metric_report(
     )
 
 
+# Every field is a str, int, float or bool, except MetricReport.passes, so a
+# report becomes JSON-ready dicts field by field, with no deep copy.
+_PASS_FIELDS = tuple(f.name for f in fields(PassMetrics))
+_REPORT_FIELDS = tuple(f.name for f in fields(MetricReport))
+
+
 def report_to_dict(report: MetricReport) -> dict:
-    doc = asdict(report)
-    doc["passes"] = [asdict(p) for p in report.passes]
+    doc = {name: getattr(report, name) for name in _REPORT_FIELDS}
+    doc["passes"] = [{name: getattr(p, name) for name in _PASS_FIELDS} for p in report.passes]
     return doc
 
 

@@ -48,6 +48,17 @@ PRECISION_NAMES = {
     "fp32": 4.0,
 }
 
+# Planning conventions. They live here, not in planner, so that the CLI can
+# build its parser and run the non-planning commands without importing it.
+GB = 1e9
+
+ACTIVATION_MODES = ("batch1_analytic", "full_activation", "trace", "expected")
+
+# Default assumptions for the shipped bandwidth-requirement recipe. The
+# efficiency divisor is an inferred convention, not a measured constant.
+DEFAULT_EFFICIENCY_MBU = 0.3558
+DEFAULT_SLO_TPOT_S = 0.1
+
 
 @dataclass(frozen=True)
 class Precision:

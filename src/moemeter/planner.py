@@ -30,6 +30,10 @@ from .catalog import HardwareSpec
 from .errors import ValidationError
 from .metrics import activated_bytes_for_pass
 from .models import (
+    ACTIVATION_MODES,
+    DEFAULT_EFFICIENCY_MBU,
+    DEFAULT_SLO_TPOT_S,  # noqa: F401  (re-exported: planner.DEFAULT_SLO_TPOT_S)
+    GB,
     ModelDescriptor,
     Precision,
     active_param_bytes_analytic,
@@ -39,15 +43,6 @@ from .models import (
     sparse_flops_per_token,
 )
 from .trace import ActivationSheet, RoutingDistribution, expected_distinct_experts
-
-GB = 1e9
-
-ACTIVATION_MODES = ("batch1_analytic", "full_activation", "trace", "expected")
-
-# Default assumptions for the shipped bandwidth-requirement recipe. The
-# efficiency divisor is an inferred convention, not a measured constant.
-DEFAULT_EFFICIENCY_MBU = 0.3558
-DEFAULT_SLO_TPOT_S = 0.1
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,7 @@ and the pinned hashes in the tests are the evidence that they do not.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -302,6 +303,8 @@ class RoutingDistribution:
         if self.kind == "empirical":
             if self.weights is None:
                 raise ValidationError("empirical distribution requires weights", field="weights")
+            # a tuple keeps the distribution hashable, as the expectation cache needs
+            object.__setattr__(self, "weights", tuple(self.weights))
             if any(w < 0 for w in self.weights):
                 raise ValidationError("empirical weights must be non-negative", field="weights")
             s = sum(self.weights)
@@ -466,8 +469,6 @@ def simulate_routing(
     tokens_per_pass. latency_s is a placeholder unless a latency model
     supplies real values downstream.
     """
-    import functools
-
     import numpy as np
 
     if batch < 1:
@@ -574,6 +575,16 @@ def _topk_inclusion_probs(p: np.ndarray, k: int) -> np.ndarray:
     return np.minimum(_RACE_STEP * total, 1.0)
 
 
+@functools.lru_cache(maxsize=32)
+def _inclusion_probs(n_expert: int, top_k: int, dist: RoutingDistribution) -> np.ndarray:
+    """``_topk_inclusion_probs`` for one routing setting, computed once per
+    process: r_i does not depend on the batch, so a sweep pays for one
+    quadrature. Read-only, because every caller shares the array."""
+    r = _topk_inclusion_probs(dist.probabilities(n_expert), top_k)
+    r.flags.writeable = False
+    return r
+
+
 def _mc_distinct_counts(
     p: np.ndarray, top_k: int, batch: int, n_passes: int, seed: int
 ) -> np.ndarray:
@@ -631,7 +642,7 @@ def expected_distinct_experts(
         return ExpectedDistinct(value=value, method="closed_form")
     import numpy as np
 
-    r = _topk_inclusion_probs(dist.probabilities(n_expert), top_k)
+    r = _inclusion_probs(n_expert, top_k, dist)
     with np.errstate(divide="ignore"):
         value = float(np.sum(-np.expm1(batch * np.log1p(-r))))
     return ExpectedDistinct(value=value, method="quadrature")

@@ -371,6 +371,68 @@ assert "numpy" not in sys.modules, "metrics loaded numpy"
     assert result.returncode == 0, result.stderr
 
 
+_CLI_MODULES = {"moemeter", "moemeter.cli", "moemeter.errors", "moemeter.models", "moemeter.trace"}
+
+
+@pytest.mark.parametrize(
+    "command, loaded",
+    [
+        ("import moemeter", {"moemeter"}),
+        ("from moemeter import load_catalog", {"moemeter", "moemeter.catalog", "moemeter.errors"}),
+        ("import moemeter.cli", _CLI_MODULES),
+        ("simulate", _CLI_MODULES),
+        ("metrics", _CLI_MODULES | {"moemeter.catalog", "moemeter.metrics"}),
+        ("plan", _CLI_MODULES | {"moemeter.catalog", "moemeter.metrics", "moemeter.planner"}),
+        ("radar", _CLI_MODULES | {"moemeter.cap"}),
+    ],
+)
+def test_each_command_loads_only_its_modules(tmp_path, command, loaded):
+    argv = {
+        "simulate": ["simulate", "--model", MODELS / "toy-4x2.json", "--batch", 4, "--dist", "zipf:1.1",
+                     "--passes", 2, "--seed", 1, "--out", tmp_path / "sim.trace"],
+        "metrics": ["metrics", "--model", MODELS / "toy-4x2.json", "--trace", TRACES / "sample_decode.trace",
+                    "--catalog", CATALOG, "--device", "H100-SXM", "--bytes-per-param", "1.0",
+                    "--output-dir", tmp_path],
+        "plan": ["plan", "--model", MODELS / "mixtral-8x7b.json", "--catalog", CATALOG, "--mode", "expected",
+                 "--batch", 4, "--dist", "zipf:1.1", "--sweep-batches", "1,2", "--fig2", "--output-dir", tmp_path],
+        "radar": ["radar", "--records", BUNDLES / "radar_serving_systems.json", "--output-dir", tmp_path],
+    }.get(command)
+    if argv is None:
+        run = command
+    else:
+        run = f"import moemeter.cli\nassert moemeter.cli.main({[str(a) for a in argv]!r}) == 0"
+    code = f"""
+import json, sys
+{run}
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "moemeter")))
+"""
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=REPO_ROOT)
+    assert result.returncode == 0, result.stderr
+    assert set(json.loads(result.stdout.splitlines()[-1])) == loaded
+
+
+def test_package_names_resolve_lazily_to_their_submodules():
+    import importlib
+
+    import moemeter
+    from moemeter import _EXPORTS
+
+    assert sorted(moemeter.__all__) == sorted(name for names in _EXPORTS.values() for name in names)
+    listed = dir(moemeter)
+    for module, names in _EXPORTS.items():
+        home = importlib.import_module(f"moemeter.{module}")
+        assert getattr(moemeter, module) is home
+        for name in names:
+            assert getattr(moemeter, name) is getattr(home, name)
+            assert name in listed
+    assert moemeter.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        moemeter.no_such_name  # noqa: B018
+    namespace = {}
+    exec("from moemeter import *", namespace)
+    assert {n for n in namespace if n != "__builtins__"} == set(moemeter.__all__)
+
+
 @pytest.mark.parametrize("command", ["simulate", "plan", "metrics"])
 def test_fractional_top_k_descriptor_exits_2(tmp_path, capsys, command):
     from moemeter.cli import main

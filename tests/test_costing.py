@@ -157,6 +157,36 @@ def test_economics_validation():
         DeploymentEconomics(10.0, 0.1, 0.0)
 
 
+NAN, INF = float("nan"), float("inf")
+_BOM = dict(gpu_usd=100.0, cpu_usd=20.0, motherboard_usd=10.0, dram_usd=5.0, ssd_usd=5.0)
+_POWER = dict(gpu_watts=400.0, cpu_watts=100.0)
+_ECON = dict(runtime_hours=10.0, energy_price_usd_per_kwh=0.1, token_throughput_tps=100.0)
+
+
+@pytest.mark.parametrize(
+    "cls, base, field, value",
+    [
+        (BillOfMaterials, _BOM, "gpu_usd", NAN),
+        (BillOfMaterials, _BOM, "dram_usd", INF),
+        (BillOfMaterials, _BOM, "hbm_usd", NAN),
+        (PowerProfile, _POWER, "gpu_watts", NAN),
+        (PowerProfile, _POWER, "cpu_watts", INF),
+        (PowerProfile, _POWER, "nvlink_watts", NAN),
+        (DeploymentEconomics, _ECON, "runtime_hours", INF),
+        (DeploymentEconomics, _ECON, "runtime_hours", NAN),
+        (DeploymentEconomics, _ECON, "energy_price_usd_per_kwh", NAN),
+        (DeploymentEconomics, _ECON, "energy_price_usd_per_kwh", INF),
+        (DeploymentEconomics, _ECON, "token_throughput_tps", NAN),
+        (DeploymentEconomics, _ECON, "token_throughput_tps", INF),
+    ],
+)
+def test_cost_inputs_reject_non_finite_fields(cls, base, field, value):
+    cls(**base)  # the base values are accepted
+    with pytest.raises(ValidationError, match="finite") as exc:
+        cls(**{**base, field: value})
+    assert exc.value.field == field
+
+
 def test_cost_inputs_file_roundtrip(tmp_path):
     doc = {
         "bill_of_materials": {

@@ -295,6 +295,36 @@ def test_sweep_csv_rows_round_trip(r1_desc, shipped_catalog):
     assert sweep_to_csv(points).splitlines() == lines[1:]
 
 
+def test_zipf_sweep_runs_the_quadrature_once(r1_desc, monkeypatch):
+    import moemeter.trace as trace
+
+    dist = RoutingDistribution.zipf(1.1)
+    batches = [1, 2, 4, 8, 16, 32, 64]
+    uncached = []
+    for batch in batches:
+        trace._inclusion_probs.cache_clear()
+        uncached.append(trace.expected_distinct_experts(r1_desc.n_expert, r1_desc.top_k, batch, dist).value)
+
+    quadrature = trace._topk_inclusion_probs
+    calls = []
+
+    def counted(p, k):
+        calls.append(k)
+        return quadrature(p, k)
+
+    monkeypatch.setattr(trace, "_topk_inclusion_probs", counted)
+    trace._inclusion_probs.cache_clear()
+    try:
+        points = batch_sweep(r1_desc, dist, batches, SLO, INT8)
+        r = trace._inclusion_probs(r1_desc.n_expert, r1_desc.top_k, dist)
+    finally:
+        trace._inclusion_probs.cache_clear()
+    assert calls == [r1_desc.top_k]
+    assert [p.expected_distinct_per_layer for p in points] == uncached
+    with pytest.raises(ValueError, match="read-only"):
+        r[0] = 0.0
+
+
 def test_sweep_requires_sorted_batches(toy_desc):
     with pytest.raises(ValidationError, match="sorted"):
         batch_sweep(toy_desc, RoutingDistribution.uniform(), [4, 2], SLO, INT8)

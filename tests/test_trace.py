@@ -528,6 +528,16 @@ def test_quadrature_spans_subnormal_weights_without_overflow():
     assert out.value == pytest.approx(2.0, rel=1e-14)
 
 
+def test_empirical_weights_given_as_a_list_are_stored_as_a_tuple():
+    # the expectation cache keys on the distribution, so it must hash
+    weights = [0.5, 0.25, 0.125, 0.125]
+    dist = RoutingDistribution(kind="empirical", weights=weights)
+    assert dist.weights == tuple(weights) and dist == RoutingDistribution.empirical(weights)
+    assert expected_distinct_experts(4, 2, 3, dist) == expected_distinct_experts(
+        4, 2, 3, RoutingDistribution.empirical(weights)
+    )
+
+
 def test_expected_rejects_fewer_positive_weights_than_top_k():
     one_hot = RoutingDistribution.empirical([1, 0, 0, 0, 0, 0, 0, 0])
     with pytest.raises(ValidationError, match="positive weight"):
