@@ -20,7 +20,12 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from moemeter.catalog import load_catalog  # noqa: E402
-from moemeter.models import Precision, load_model_descriptor  # noqa: E402
+from moemeter.models import (  # noqa: E402
+    DEFAULT_EFFICIENCY_MBU,
+    DEFAULT_SLO_TPOT_S,
+    Precision,
+    load_model_descriptor,
+)
 from moemeter.planner import SloSpec, bandwidth_power_map  # noqa: E402
 
 MODELS = ("deepseek-r1", "deepseek-v2-lite", "qwen1_5-moe-a2_7b", "mixtral-8x22b")
@@ -29,9 +34,9 @@ MODELS = ("deepseek-r1", "deepseek-v2-lite", "qwen1_5-moe-a2_7b", "mixtral-8x22b
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="out/bandwidth_power")
-    parser.add_argument("--slo", type=float, default=0.1)
+    parser.add_argument("--slo", type=float, default=DEFAULT_SLO_TPOT_S)
     parser.add_argument("--bytes-per-param", type=float, default=1.0)
-    parser.add_argument("--efficiency-mbu", type=float, default=0.3558)
+    parser.add_argument("--efficiency-mbu", type=float, default=DEFAULT_EFFICIENCY_MBU)
     args = parser.parse_args()
 
     catalog = load_catalog(REPO / "catalog" / "default.json")

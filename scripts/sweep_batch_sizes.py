@@ -18,7 +18,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from moemeter.catalog import load_catalog  # noqa: E402
-from moemeter.models import Precision, load_model_descriptor  # noqa: E402
+from moemeter.models import DEFAULT_EFFICIENCY_MBU, Precision, load_model_descriptor  # noqa: E402
 from moemeter.planner import SloSpec, batch_sweep, sweep_to_csv  # noqa: E402
 from moemeter.trace import RoutingDistribution  # noqa: E402
 
@@ -31,7 +31,7 @@ def main() -> None:
     parser.add_argument("--batches", default="1,2,4,8,16,32,64")
     parser.add_argument("--slo", type=float, default=0.25)
     parser.add_argument("--bytes-per-param", type=float, default=1.0)
-    parser.add_argument("--efficiency-mbu", type=float, default=0.3558)
+    parser.add_argument("--efficiency-mbu", type=float, default=DEFAULT_EFFICIENCY_MBU)
     args = parser.parse_args()
 
     batches = [int(b) for b in args.batches.split(",")]

@@ -84,7 +84,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     specs = catalog.load_catalog(args.catalog)
     device = catalog.get_device(specs, args.device)
     prec = models.Precision(args.bytes_per_param)
-    sheet = trace.load_activation_sheet(args.trace, desc)
+    sheet = trace.load_activation_sheet(args.trace)  # compute_metric_report validates it
     peak_bw = device.peak_bandwidth_gbps * models.GB
     peak_flops = device.peak_flops_by_precision.get(args.flops_precision)
     if peak_flops is None:
@@ -126,16 +126,15 @@ def cmd_plan(args: argparse.Namespace) -> int:
     specs = catalog.load_catalog(args.catalog)
     prec = models.Precision(args.bytes_per_param)
     slo = planner.SloSpec(args.slo)
+    modes = ["batch1_analytic", "full_activation"] if args.fig2 else args.mode
     sheet = None
     if args.trace:
-        sheet = trace.load_activation_sheet(args.trace, desc)
+        # trace mode validates the sheet it plans from; an unused one is checked here
+        sheet = trace.load_activation_sheet(args.trace, None if "trace" in modes else desc)
     dist = trace._parse_dist_spec(args.dist) if args.dist else None
     sweep = args.sweep_batches.split(",") if args.sweep_batches else []
     batches = [trace._parse_number(b, int, "sweep_batches") for b in sweep]
 
-    modes = args.mode
-    if args.fig2:
-        modes = ["batch1_analytic", "full_activation"]
     requirements = []
     feasibility_docs = {}
     for mode in modes:

@@ -24,9 +24,9 @@ from .errors import ValidationError
 from .models import (
     ModelDescriptor,
     Precision,
-    activated_params_from_sets,
+    activated_bytes_for_pass,  # noqa: F401  (re-exported: metrics.activated_bytes_for_pass)
     dense_flops_per_token,
-    kv_cache_bytes,
+    pass_bytes,
     sparse_flops_per_token,
     total_param_bytes,
 )
@@ -52,27 +52,6 @@ def vanilla_mbu(
     return _warn_if_over_one((s_model + kv_bytes) / tpot_s / hw_peak_bandwidth, "vanilla MBU")
 
 
-def activated_bytes_for_pass(
-    rec: ForwardPassRecord,
-    desc: ModelDescriptor,
-    prec: Precision,
-    include_embed: bool = True,
-) -> float:
-    return activated_params_from_sets(desc, rec.bitmaps, include_embed=include_embed) * prec.bytes_per_param
-
-
-def _pass_kv_bytes(
-    rec: ForwardPassRecord, desc: ModelDescriptor, prec: Precision, kv_seq_len: int | None
-) -> float:
-    # kv_seq_len opts into the KV-cache formula for passes that recorded no
-    # KV traffic; without it, unknown KV counts as zero.
-    if rec.kv_bytes_read > 0:
-        return float(rec.kv_bytes_read)
-    if kv_seq_len is not None:
-        return kv_cache_bytes(desc, kv_seq_len, rec.batch_size, prec)
-    return 0.0
-
-
 def s_mbu_per_pass(
     rec: ForwardPassRecord,
     desc: ModelDescriptor,
@@ -82,11 +61,9 @@ def s_mbu_per_pass(
     include_embed: bool = True,
 ) -> float:
     """Sparsity-aware MBU for one pass: only the activated parameter bytes
-    (plus KV) count toward achieved bandwidth. The pass latency is the TPOT
-    for decode passes; prefill passes use their latency directly."""
+    (plus KV) count toward achieved bandwidth."""
     _check_peak(hw_peak_bandwidth, "hw_peak_bandwidth")
-    act = activated_bytes_for_pass(rec, desc, prec, include_embed=include_embed)
-    kv = _pass_kv_bytes(rec, desc, prec, kv_seq_len)
+    act, kv = pass_bytes(rec, desc, prec, kv_seq_len=kv_seq_len, include_embed=include_embed)
     return _warn_if_over_one((act + kv) / rec.latency_s / hw_peak_bandwidth, "S-MBU")
 
 
@@ -106,8 +83,9 @@ def s_mbu_aggregate(
     total_bytes = 0.0
     total_latency = 0.0
     for rec in sheet.passes:
-        total_bytes += activated_bytes_for_pass(rec, desc, prec, include_embed=include_embed)
-        total_bytes += _pass_kv_bytes(rec, desc, prec, kv_seq_len)
+        act, kv = pass_bytes(rec, desc, prec, kv_seq_len=kv_seq_len, include_embed=include_embed)
+        total_bytes += act
+        total_bytes += kv
         total_latency += rec.latency_s
     return _warn_if_over_one(total_bytes / total_latency / hw_peak_bandwidth, "aggregate S-MBU")
 
@@ -225,9 +203,9 @@ def compute_metric_report(
     ``kv_seq_len`` (optional) enables the KV-cache byte fallback for passes
     that recorded no KV traffic.
     """
+    validate_sheet(sheet, desc)
     _check_peak(hw_peak_bandwidth, "hw_peak_bandwidth")
     _check_peak(hw_peak_flops, "hw_peak_flops")
-    validate_sheet(sheet, desc)
     s_model = total_param_bytes(desc, prec, include_embed=include_embed)
     # per-token FLOPs depend only on (desc, seq_len): derive them once, and
     # form each MFU with the same expression as s_mfu / vanilla_mfu
@@ -239,8 +217,7 @@ def compute_metric_report(
     total_latency = 0.0
     total_tokens = 0
     for rec in sheet.passes:
-        act = activated_bytes_for_pass(rec, desc, prec, include_embed=include_embed)
-        kv = _pass_kv_bytes(rec, desc, prec, kv_seq_len)
+        act, kv = pass_bytes(rec, desc, prec, kv_seq_len=kv_seq_len, include_embed=include_embed)
         throughput = rec.tokens_processed / rec.latency_s
         smbu = (act + kv) / rec.latency_s / hw_peak_bandwidth
         vmbu = (s_model + kv) / rec.latency_s / hw_peak_bandwidth

@@ -32,9 +32,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields as _dc_fields
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .errors import ValidationError, load_json
+
+if TYPE_CHECKING:
+    from .trace import ForwardPassRecord
 
 ALLOWED_BYTES_PER_PARAM = (0.5, 1.0, 2.0, 4.0)
 
@@ -265,6 +268,40 @@ def activated_params_from_sets(
     else:
         routed = sum(bitmap.bit_count() for bitmap in layer_bitmaps) * sizes[0]
     return total_params(desc, include_embed=include_embed) - len(layer_bitmaps) * sum(sizes) + routed
+
+
+def pass_bytes(
+    rec: "ForwardPassRecord",
+    desc: ModelDescriptor,
+    prec: Precision,
+    kv_seq_len: int | None = None,
+    kv_bytes: float = 0.0,
+    include_embed: bool = True,
+) -> tuple[float, float]:
+    """Bytes one forward pass reads: ``(activated parameter bytes, KV bytes)``.
+
+    The one per-pass byte rule. Parameters: those of the experts the pass
+    activated, plus everything always read, at the weight precision. KV: what
+    the pass recorded if it recorded any; otherwise the caller's fallback,
+    which is the KV-cache formula at ``kv_seq_len`` for the pass's batch when
+    ``kv_seq_len`` is given, and ``kv_bytes`` when it is not.
+    """
+    act = activated_params_from_sets(desc, rec.bitmaps, include_embed=include_embed) * prec.bytes_per_param
+    if rec.kv_bytes_read > 0:
+        return act, float(rec.kv_bytes_read)
+    if kv_seq_len is not None:
+        return act, kv_cache_bytes(desc, kv_seq_len, rec.batch_size, prec)
+    return act, kv_bytes
+
+
+def activated_bytes_for_pass(
+    rec: "ForwardPassRecord",
+    desc: ModelDescriptor,
+    prec: Precision,
+    include_embed: bool = True,
+) -> float:
+    """Activated parameter bytes of one pass, the first figure of :func:`pass_bytes`."""
+    return pass_bytes(rec, desc, prec, include_embed=include_embed)[0]
 
 
 def activated_params_from_counts(

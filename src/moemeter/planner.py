@@ -10,7 +10,9 @@ Activation modes:
 
 * ``batch1_analytic`` - one token activates exactly top_k + shared experts.
 * ``full_activation`` - every expert in every layer is read (large-batch bound).
-* ``trace`` - byte footprint taken from a recorded activation sheet.
+* ``trace`` - the mean decode pass of a recorded activation sheet: its
+  bytes by :func:`models.pass_bytes` (recorded KV, else ``kv_bytes``) and,
+  for OPS, its tokens. Prefill passes are left out.
 * ``expected`` - per-layer expected distinct experts for a given batch size
   and routing distribution.
 
@@ -28,7 +30,6 @@ from typing import Sequence
 
 from .catalog import HardwareSpec
 from .errors import ValidationError
-from .metrics import activated_bytes_for_pass
 from .models import (
     ACTIVATION_MODES,
     DEFAULT_EFFICIENCY_MBU,
@@ -38,11 +39,12 @@ from .models import (
     Precision,
     active_param_bytes_analytic,
     activated_params_from_counts,
+    pass_bytes,
     total_param_bytes,
     total_params,
     sparse_flops_per_token,
 )
-from .trace import ActivationSheet, RoutingDistribution, expected_distinct_experts
+from .trace import ActivationSheet, RoutingDistribution, expected_distinct_experts, validate_sheet
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,10 @@ class SloSpec:
 
 @dataclass(frozen=True)
 class DeploymentRequirement:
+    """What one decode step needs. ``kv_bytes`` is the KV the step was
+    charged: the ``kv_bytes`` argument, or in trace mode the mean over decode
+    passes of what :func:`models.pass_bytes` charged."""
+
     model_name: str
     activation_mode: str
     tpot_s: float
@@ -83,35 +89,19 @@ def theoretical_bandwidth_gbps(
     include_embed: bool = True,
 ) -> float:
     """Minimum bandwidth (GB/s) to move one decode step's bytes within the
-    TPOT target, under the chosen activation assumption."""
-    if activation_mode not in ACTIVATION_MODES:
-        raise ValidationError(
-            f"activation_mode must be one of {ACTIVATION_MODES}", field="activation_mode"
-        )
-    if not 0 <= kv_bytes < math.inf:
-        raise ValidationError("kv_bytes must be finite and >= 0", field="kv_bytes")
-    if activation_mode == "batch1_analytic":
-        step_bytes = active_param_bytes_analytic(desc, prec, include_embed=include_embed)
-    elif activation_mode == "full_activation":
-        step_bytes = total_param_bytes(desc, prec, include_embed=include_embed)
-    elif activation_mode == "trace":
-        if sheet is None:
-            raise ValidationError("trace mode requires an activation sheet", field="sheet")
-        per_pass = [
-            activated_bytes_for_pass(rec, desc, prec, include_embed=include_embed)
-            + rec.kv_bytes_read
-            for rec in sheet.passes
-        ]
-        step_bytes = sum(per_pass) / len(per_pass)
-    else:  # expected
-        if batch is None or dist is None:
-            raise ValidationError("expected mode requires batch and dist", field="batch")
-        expected = expected_distinct_experts(desc.n_expert, desc.top_k, batch, dist)
-        step_bytes = (
-            activated_params_from_counts(desc, expected.value, include_embed=include_embed)
-            * prec.bytes_per_param
-        )
-    return (step_bytes + kv_bytes) / slo.tpot_s / GB
+    TPOT target, under the chosen activation assumption (see
+    :func:`plan_requirement`)."""
+    return plan_requirement(
+        desc,
+        prec,
+        slo,
+        activation_mode,
+        kv_bytes=kv_bytes,
+        sheet=sheet,
+        batch=batch,
+        dist=dist,
+        include_embed=include_embed,
+    ).theoretical_bandwidth_gbps
 
 
 def practical_bandwidth(theoretical_gbps: float, s_mbu_efficiency: float) -> float:
@@ -143,22 +133,55 @@ def plan_requirement(
     seq_len: int = 1,
     include_embed: bool = True,
 ) -> DeploymentRequirement:
-    theoretical = theoretical_bandwidth_gbps(
-        desc,
-        prec,
-        slo,
-        activation_mode,
-        kv_bytes=kv_bytes,
-        sheet=sheet,
-        batch=batch,
-        dist=dist,
-        include_embed=include_embed,
-    )
+    """Bandwidth (and optionally OPS) requirement of one decode step: the
+    bytes and tokens of the step, per TPOT target, then divided by the
+    achievable efficiency."""
+    if activation_mode not in ACTIVATION_MODES:
+        raise ValidationError(
+            f"activation_mode must be one of {ACTIVATION_MODES}", field="activation_mode"
+        )
+    if not 0 <= kv_bytes < math.inf:
+        raise ValidationError("kv_bytes must be finite and >= 0", field="kv_bytes")
+    tokens = batch if batch else 1
+    if activation_mode == "trace":
+        if sheet is None:
+            raise ValidationError("trace mode requires an activation sheet", field="sheet")
+        validate_sheet(sheet, desc)
+        # the requirement is per decode step, so prefill passes are left out
+        per_pass = []
+        per_pass_kv = []
+        tokens = 0
+        for rec in sheet.passes:
+            if rec.phase == "decode":
+                act, kv = pass_bytes(rec, desc, prec, kv_bytes=kv_bytes, include_embed=include_embed)
+                per_pass.append(act + kv)
+                per_pass_kv.append(kv)
+                tokens += rec.tokens_processed
+        if not per_pass:
+            raise ValidationError("trace mode requires at least one decode pass", field="sheet")
+        step_bytes = sum(per_pass) / len(per_pass)
+        kv_bytes = sum(per_pass_kv) / len(per_pass)
+        tokens /= len(per_pass)
+    else:
+        if activation_mode == "batch1_analytic":
+            param_bytes = active_param_bytes_analytic(desc, prec, include_embed=include_embed)
+        elif activation_mode == "full_activation":
+            param_bytes = total_param_bytes(desc, prec, include_embed=include_embed)
+        else:  # expected
+            if batch is None or dist is None:
+                raise ValidationError("expected mode requires batch and dist", field="batch")
+            expected = expected_distinct_experts(desc.n_expert, desc.top_k, batch, dist)
+            param_bytes = (
+                activated_params_from_counts(desc, expected.value, include_embed=include_embed)
+                * prec.bytes_per_param
+            )
+        step_bytes = param_bytes + kv_bytes
+    theoretical = step_bytes / slo.tpot_s / GB
     theo_ops = prac_ops = eff_mfu = None
     if include_ops:
         eff_mfu = efficiency_mfu if efficiency_mfu is not None else efficiency_mbu
         per_token = sparse_flops_per_token(desc, seq_len)
-        theo_ops = per_token * (batch if batch else 1) / slo.tpot_s
+        theo_ops = per_token * tokens / slo.tpot_s
         prac_ops = practical_ops(theo_ops, eff_mfu)
     return DeploymentRequirement(
         model_name=desc.name,

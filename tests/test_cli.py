@@ -382,7 +382,7 @@ _CLI_MODULES = {"moemeter", "moemeter.cli", "moemeter.errors", "moemeter.models"
         ("import moemeter.cli", _CLI_MODULES),
         ("simulate", _CLI_MODULES),
         ("metrics", _CLI_MODULES | {"moemeter.catalog", "moemeter.metrics"}),
-        ("plan", _CLI_MODULES | {"moemeter.catalog", "moemeter.metrics", "moemeter.planner"}),
+        ("plan", _CLI_MODULES | {"moemeter.catalog", "moemeter.planner"}),
         ("radar", _CLI_MODULES | {"moemeter.cap"}),
     ],
 )
@@ -493,3 +493,73 @@ def test_json_reports_refuse_non_finite_numbers(tmp_path, capsys):
     assert main(["cost", "--inputs", str(path), "--output-dir", str(tmp_path / "out")]) == 2
     assert json.loads(capsys.readouterr().err)["error"]["field"] == "report"
     assert not (tmp_path / "out").exists()
+
+
+def _trace_commands(trace, out):
+    """Every command that reads --trace: metrics, and plan in and out of trace mode."""
+    plan = ["plan", "--model", MODELS / "toy-4x2.json", "--catalog", CATALOG, "--trace", trace, "--output-dir", out]
+    return {
+        "metrics": ["metrics", "--model", MODELS / "toy-4x2.json", "--trace", trace, "--catalog", CATALOG,
+                    "--device", "H100-SXM", "--bytes-per-param", "1.0", "--output-dir", out],
+        "plan-trace": [*plan, "--mode", "trace"],
+        "plan-unused-trace": [*plan, "--mode", "batch1_analytic"],
+    }
+
+
+@pytest.mark.parametrize("command", ["metrics", "plan-trace", "plan-unused-trace"])
+def test_each_command_validates_its_trace_once(tmp_path, monkeypatch, command):
+    from moemeter import cli, metrics, planner, trace
+
+    calls = []
+    original = trace.validate_sheet
+
+    def counted(sheet, desc):
+        calls.append(sheet.model_name)
+        return original(sheet, desc)
+
+    for module in (trace, metrics, planner):
+        monkeypatch.setattr(module, "validate_sheet", counted)
+    argv = _trace_commands(TRACES / "sample_decode.trace", tmp_path)[command]
+    assert cli.main([str(a) for a in argv]) == 0
+    assert calls == ["toy-4x2"]
+
+
+@pytest.mark.parametrize("command", ["metrics", "plan-trace", "plan-unused-trace"])
+@pytest.mark.parametrize(
+    "records, field",
+    [
+        ("model=other-model\n0,decode,1,1,0.004,0,0:3;1:3\n", "model_name"),
+        ("model=toy-4x2\n0,decode,1,1,0.004,0,0:0;1:3\n", "activated"),  # a layer with 0 experts
+    ],
+)
+def test_invalid_trace_exits_2_on_every_command(tmp_path, capsys, command, records, field):
+    from moemeter.cli import main
+
+    bad = tmp_path / "bad.trace"
+    bad.write_text(records)
+    out = tmp_path / "out"
+    argv = _trace_commands(bad, out)[command]
+    assert main([str(a) for a in argv]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["field"] == field
+    assert not out.exists()
+
+
+def test_trace_plan_without_kv_is_byte_stable(tmp_path, monkeypatch):
+    import hashlib
+    import shutil
+
+    from moemeter.cli import main
+
+    # relative paths, so the digests in the report do not depend on tmp_path
+    shutil.copy(MODELS / "toy-4x2.json", tmp_path / "toy-4x2.json")
+    shutil.copy(CATALOG, tmp_path / "catalog.json")
+    monkeypatch.chdir(tmp_path)
+    simulate = ["simulate", "--model", "toy-4x2.json", "--batch", "2", "--dist", "uniform", "--passes", "10",
+                "--seed", "7", "--out", "zero_kv.trace"]
+    plan = ["plan", "--model", "toy-4x2.json", "--catalog", "catalog.json", "--mode", "trace", "batch1_analytic",
+            "--trace", "zero_kv.trace", "--output-dir", "out"]
+    assert main(simulate) == 0 and main(plan) == 0
+    # an all-decode trace with no recorded KV and no --kv-bytes: the report
+    # these inputs have always produced
+    digest = hashlib.sha256((tmp_path / "out" / "plan_report.json").read_bytes()).hexdigest()
+    assert digest == "82188b050564b053298aa39dcedc8d9b2bda6e7b551f9138df87ff03e58bccd6"

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from moemeter.catalog import load_catalog
@@ -17,7 +19,13 @@ from moemeter.planner import (
     sweep_to_csv,
     theoretical_bandwidth_gbps,
 )
-from moemeter.trace import ActivationSheet, ForwardPassRecord, RoutingDistribution, simulate_routing
+from moemeter.trace import (
+    ActivationSheet,
+    ForwardPassRecord,
+    RoutingDistribution,
+    load_activation_sheet,
+    simulate_routing,
+)
 
 from conftest import REPO_ROOT, make_desc
 
@@ -60,7 +68,7 @@ def test_trace_mode_requires_sheet(toy_desc):
 
 
 def test_trace_mode_rejects_expert_beyond_model(toy_desc):
-    # expert 40 of a 4-expert model; planner trace mode does not run validate_sheet
+    # expert 40 of a 4-expert model, caught by validate_sheet at the library entry point
     rec = ForwardPassRecord(0, "decode", 2, 2, 0.01, 0, {0: 0b11 | 1 << 40, 1: 0b11})
     with pytest.raises(ValidationError) as info:
         theoretical_bandwidth_gbps(toy_desc, INT8, SLO, "trace", sheet=ActivationSheet("toy-4x2", [rec]))
@@ -81,6 +89,78 @@ def test_trace_mode_mean_bytes(toy_desc):
         sheet.passes
     )
     assert value == pytest.approx(mean_bytes / 0.1 / 1e9, rel=1e-12)
+
+
+# sample_decode.trace on toy-4x2 at 1 byte/param: the passes activate 5, 4
+# and 7 routed experts of 1e6 parameters, over 8.02e6 always-read ones, and
+# record 0, 4096 and 8192 KV bytes.
+SAMPLE_ACT_BYTES = (10.02e6, 9.02e6, 12.02e6)
+
+
+@pytest.mark.parametrize(
+    "recorded, kv_flag, charged",
+    [
+        (True, 0.0, (0, 4096, 8192)),
+        # the flag fills in only where no KV was recorded: 0.10357763 GB/s, where
+        # charging it on top of every pass's KV gave 0.10358429 GB/s
+        (True, 1000.0, (1000, 4096, 8192)),
+        (False, 0.0, (0, 0, 0)),
+        (False, 1000.0, (1000, 1000, 1000)),
+    ],
+)
+def test_trace_mode_kv_rule(toy_desc, traces_dir, recorded, kv_flag, charged):
+    sheet = load_activation_sheet(traces_dir / "sample_decode.trace")
+    if not recorded:
+        sheet = ActivationSheet(sheet.model_name, [replace(rec, kv_bytes_read=0) for rec in sheet.passes])
+    req = plan_requirement(toy_desc, INT8, SLO, "trace", kv_bytes=kv_flag, sheet=sheet)
+    step = sum(a + kv for a, kv in zip(SAMPLE_ACT_BYTES, charged)) / 3
+    assert req.theoretical_bandwidth_gbps == pytest.approx(step / 0.1 / 1e9, rel=1e-12)
+    assert req.theoretical_bandwidth_gbps == theoretical_bandwidth_gbps(
+        toy_desc, INT8, SLO, "trace", kv_bytes=kv_flag, sheet=sheet
+    )
+    assert req.kv_bytes == pytest.approx(sum(charged) / 3, rel=1e-12)
+
+
+def _rename(sheet):
+    return ActivationSheet("other-model", sheet.passes)
+
+
+def _zero_expert_layer(sheet):
+    return ActivationSheet(sheet.model_name, [replace(sheet.passes[0], bitmaps={0: 0, 1: 0b11})])
+
+
+def _prefill_only(sheet):
+    return ActivationSheet(sheet.model_name, [replace(sheet.passes[0], phase="prefill")])
+
+
+@pytest.mark.parametrize(
+    "corrupt, field",
+    [(_rename, "model_name"), (_zero_expert_layer, "activated"), (_prefill_only, "sheet")],
+)
+def test_trace_mode_rejects_invalid_sheet(toy_desc, traces_dir, corrupt, field):
+    sheet = corrupt(load_activation_sheet(traces_dir / "sample_decode.trace"))
+    with pytest.raises(ValidationError) as info:
+        plan_requirement(toy_desc, INT8, SLO, "trace", sheet=sheet)
+    assert info.value.field == field
+
+
+def test_trace_mode_averages_decode_passes_only(toy_desc, traces_dir):
+    sheet = load_activation_sheet(traces_dir / "sample_decode.trace")
+    prefill = ForwardPassRecord(9, "prefill", 4, 64, 0.05, 1 << 20, {0: 0b1111, 1: 0b1111})
+    mixed = ActivationSheet(sheet.model_name, [sheet.passes[0], prefill, *sheet.passes[1:]])
+    expected = plan_requirement(toy_desc, INT8, SLO, "trace", sheet=sheet, include_ops=True)
+    assert plan_requirement(toy_desc, INT8, SLO, "trace", sheet=mixed, include_ops=True) == expected
+
+
+def test_trace_mode_ops_use_mean_tokens_per_decode_pass(toy_desc, traces_dir):
+    from moemeter.models import sparse_flops_per_token
+
+    sheet = load_activation_sheet(traces_dir / "sample_decode.trace")
+    req = plan_requirement(toy_desc, INT8, SLO, "trace", sheet=sheet, include_ops=True, efficiency_mfu=0.5)
+    # the passes decode 2, 1 and 4 tokens; batch 1 would give 160,405,120 FLOP/s
+    assert sparse_flops_per_token(toy_desc, 1) / SLO.tpot_s == 160_405_120.0
+    assert req.theoretical_ops == pytest.approx(160_405_120.0 * 7 / 3, rel=1e-12)
+    assert req.practical_ops == pytest.approx(2 * req.theoretical_ops, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
