@@ -142,7 +142,6 @@ def plan_requirement(
         )
     if not 0 <= kv_bytes < math.inf:
         raise ValidationError("kv_bytes must be finite and >= 0", field="kv_bytes")
-    tokens = batch if batch else 1
     if activation_mode == "trace":
         if sheet is None:
             raise ValidationError("trace mode requires an activation sheet", field="sheet")
@@ -176,6 +175,7 @@ def plan_requirement(
                 * prec.bytes_per_param
             )
         step_bytes = param_bytes + kv_bytes
+        tokens = batch if batch else 1
     theoretical = step_bytes / slo.tpot_s / GB
     theo_ops = prac_ops = eff_mfu = None
     if include_ops:

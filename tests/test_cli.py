@@ -559,7 +559,7 @@ def test_trace_plan_without_kv_is_byte_stable(tmp_path, monkeypatch):
     plan = ["plan", "--model", "toy-4x2.json", "--catalog", "catalog.json", "--mode", "trace", "batch1_analytic",
             "--trace", "zero_kv.trace", "--output-dir", "out"]
     assert main(simulate) == 0 and main(plan) == 0
-    # an all-decode trace with no recorded KV and no --kv-bytes: the report
-    # these inputs have always produced
+    # an all-decode trace with no recorded KV and no --kv-bytes: trace mode's
+    # KV rule and decode-only mean leave its plan unchanged, byte for byte
     digest = hashlib.sha256((tmp_path / "out" / "plan_report.json").read_bytes()).hexdigest()
     assert digest == "82188b050564b053298aa39dcedc8d9b2bda6e7b551f9138df87ff03e58bccd6"
