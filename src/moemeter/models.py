@@ -203,17 +203,25 @@ class ModelDescriptor:
 # Parameter counts
 # --------------------------------------------------------------------------
 
-def total_params(desc: ModelDescriptor, include_embed: bool = True) -> int:
-    """Exact total parameter count, recomputed from the per-component counts."""
-    routed_total = sum(desc.routed_expert_sizes())
+def _params_read(desc: ModelDescriptor, routed: int | float, include_embed: bool = True) -> int | float:
+    """The one per-layer parameter rule: the embedding (unless excluded),
+    each layer's attention, each MoE layer's router and shared experts plus
+    ``routed`` routed-expert parameters, and each dense layer's FFN. Every
+    parameter and FLOP figure below is this sum for some ``routed``."""
     total = desc.params_embed if include_embed else 0
     for moe in desc.moe_layer_mask:
         total += desc.params_attn_layer
         if moe:
-            total += desc.params_router + routed_total + desc.n_shared * desc.params_shared_expert
+            total += desc.params_router + desc.n_shared * desc.params_shared_expert
+            total += routed
         else:
             total += desc.params_dense_ffn
     return total
+
+
+def total_params(desc: ModelDescriptor, include_embed: bool = True) -> int:
+    """Exact total parameter count, recomputed from the per-component counts."""
+    return _params_read(desc, sum(desc.routed_expert_sizes()), include_embed)
 
 
 def active_params_analytic(desc: ModelDescriptor, include_embed: bool = True) -> int | float:
@@ -224,19 +232,12 @@ def active_params_analytic(desc: ModelDescriptor, include_embed: bool = True) ->
     is routing-dependent, so the mean routed size is used (result may be
     non-integer).
     """
+    sizes = desc.routed_expert_sizes()
     if desc.heterogeneous_experts:
-        sizes = desc.routed_expert_sizes()
-        routed_active = desc.top_k * (sum(sizes) / len(sizes))
+        routed = desc.top_k * (sum(sizes) / len(sizes))
     else:
-        routed_active = desc.top_k * desc.params_expert
-    total = desc.params_embed if include_embed else 0
-    for moe in desc.moe_layer_mask:
-        total += desc.params_attn_layer
-        if moe:
-            total += desc.params_router + routed_active + desc.n_shared * desc.params_shared_expert
-        else:
-            total += desc.params_dense_ffn
-    return total
+        routed = desc.top_k * sizes[0]
+    return _params_read(desc, routed, include_embed)
 
 
 def expert_indices(bitmap: int) -> Iterator[int]:
@@ -267,7 +268,7 @@ def activated_params_from_sets(
         routed = sum(sizes[i] for bitmap in layer_bitmaps for i in expert_indices(bitmap))
     else:
         routed = sum(bitmap.bit_count() for bitmap in layer_bitmaps) * sizes[0]
-    return total_params(desc, include_embed=include_embed) - len(layer_bitmaps) * sum(sizes) + routed
+    return _params_read(desc, 0, include_embed) + routed
 
 
 def pass_bytes(
@@ -304,35 +305,6 @@ def activated_bytes_for_pass(
     return pass_bytes(rec, desc, prec, include_embed=include_embed)[0]
 
 
-def activated_params_from_counts(
-    desc: ModelDescriptor,
-    distinct_routed_per_layer: float,
-    include_embed: bool = True,
-) -> float:
-    """Like :func:`activated_params_from_sets` but with a (possibly
-    fractional, e.g. expected) distinct routed-expert count applied to every
-    MoE layer. Requires uniform routed-expert sizes."""
-    if desc.heterogeneous_experts:
-        raise ValidationError(
-            "count-based activation accounting requires uniform routed-expert sizes",
-            field="params_expert_by_index",
-        )
-    if not 0 <= distinct_routed_per_layer <= desc.n_expert:
-        raise ValidationError(
-            f"distinct count {distinct_routed_per_layer} outside [0, n_expert={desc.n_expert}]",
-            field="distinct_routed_per_layer",
-        )
-    total = float(desc.params_embed if include_embed else 0)
-    for moe in desc.moe_layer_mask:
-        total += desc.params_attn_layer
-        if moe:
-            total += desc.params_router + desc.n_shared * desc.params_shared_expert
-            total += distinct_routed_per_layer * desc.params_expert
-        else:
-            total += desc.params_dense_ffn
-    return total
-
-
 # --------------------------------------------------------------------------
 # Bytes
 # --------------------------------------------------------------------------
@@ -362,43 +334,30 @@ def kv_cache_bytes(desc: ModelDescriptor, seq_len: int, batch: int, prec: Precis
 # FLOPs per token
 # --------------------------------------------------------------------------
 
+def _context_flops(desc: ModelDescriptor, seq_len: int) -> float:
+    """Score and value-weighting FLOPs per token at context length ``seq_len``."""
+    if seq_len < 1:
+        raise ValidationError("seq_len must be >= 1", field="seq_len")
+    return 4.0 * desc.n_layer * seq_len * desc.d_model
+
+
 def attn_flops_per_token(desc: ModelDescriptor, seq_len: int) -> float:
     """Attention FLOPs per decoded token: 2 FLOPs per projection parameter
     plus the context-length-dependent score/value terms."""
-    if seq_len < 1:
-        raise ValidationError("seq_len must be >= 1", field="seq_len")
-    return 2.0 * desc.n_layer * desc.params_attn_layer + 4.0 * desc.n_layer * seq_len * desc.d_model
+    return 2.0 * desc.n_layer * desc.params_attn_layer + _context_flops(desc, seq_len)
 
 
 def sparse_flops_per_token(desc: ModelDescriptor, seq_len: int) -> float:
     """FLOPs per token counting only the experts a token actually activates
-    (top_k routed at their own size, shared experts at theirs) plus the
-    router and attention terms."""
-    flops = attn_flops_per_token(desc, seq_len)
-    if desc.heterogeneous_experts:
-        sizes = desc.routed_expert_sizes()
-        routed = desc.top_k * (sum(sizes) / len(sizes))
-    else:
-        routed = desc.top_k * desc.params_expert
-    for moe in desc.moe_layer_mask:
-        if moe:
-            flops += 2.0 * (desc.params_router + routed + desc.n_shared * desc.params_shared_expert)
-        else:
-            flops += 2.0 * desc.params_dense_ffn
-    return flops
+    (top_k routed, shared experts at their size) plus the router and
+    attention terms: 2 FLOPs per parameter read, plus the context term."""
+    return 2.0 * active_params_analytic(desc, include_embed=False) + _context_flops(desc, seq_len)
 
 
 def dense_flops_per_token(desc: ModelDescriptor, seq_len: int) -> float:
     """FLOPs per token under the all-parameters-participate assumption, the
     baseline that ignores routing."""
-    flops = attn_flops_per_token(desc, seq_len)
-    routed_total = sum(desc.routed_expert_sizes())
-    for moe in desc.moe_layer_mask:
-        if moe:
-            flops += 2.0 * (desc.params_router + routed_total + desc.n_shared * desc.params_shared_expert)
-        else:
-            flops += 2.0 * desc.params_dense_ffn
-    return flops
+    return 2.0 * total_params(desc, include_embed=False) + _context_flops(desc, seq_len)
 
 
 # --------------------------------------------------------------------------

@@ -13,8 +13,13 @@ Activation modes:
 * ``trace`` - the mean decode pass of a recorded activation sheet: its
   bytes by :func:`models.pass_bytes` (recorded KV, else ``kv_bytes``) and,
   for OPS, its tokens. Prefill passes are left out.
-* ``expected`` - per-layer expected distinct experts for a given batch size
-  and routing distribution.
+* ``expected`` - the expected parameters a batch of independent tokens
+  reads under a routing distribution: each routed expert's size times the
+  probability that the batch hits it, 1 - (1 - r_i)^batch with r_i its top-k
+  inclusion probability. Exact for any expert sizes; with equal sizes it is
+  the size times the expected distinct count. At batch 1 it is sum_i size_i
+  r_i, which differs from ``batch1_analytic`` (top_k times the mean size)
+  when expert sizes differ and routing is not uniform.
 
 The headline recipe shipped with this repo (see README) evaluates the two
 bounding modes at 1 byte/param with a default efficiency divisor of 0.3558
@@ -37,14 +42,14 @@ from .models import (
     GB,
     ModelDescriptor,
     Precision,
+    _params_read,
     active_param_bytes_analytic,
-    activated_params_from_counts,
     pass_bytes,
     total_param_bytes,
     total_params,
     sparse_flops_per_token,
 )
-from .trace import ActivationSheet, RoutingDistribution, expected_distinct_experts, validate_sheet
+from .trace import ActivationSheet, RoutingDistribution, _batch_hit_probs, expected_distinct_experts, validate_sheet
 
 
 @dataclass(frozen=True)
@@ -169,20 +174,31 @@ def plan_requirement(
         else:  # expected
             if batch is None or dist is None:
                 raise ValidationError("expected mode requires batch and dist", field="batch")
-            expected = expected_distinct_experts(desc.n_expert, desc.top_k, batch, dist)
-            param_bytes = (
-                activated_params_from_counts(desc, expected.value, include_embed=include_embed)
-                * prec.bytes_per_param
-            )
+            param_bytes = _expected_params(desc, batch, dist, include_embed)[1] * prec.bytes_per_param
         step_bytes = param_bytes + kv_bytes
         tokens = batch if batch else 1
-    theoretical = step_bytes / slo.tpot_s / GB
-    theo_ops = prac_ops = eff_mfu = None
+    theo_ops = eff_mfu = None
     if include_ops:
         eff_mfu = efficiency_mfu if efficiency_mfu is not None else efficiency_mbu
-        per_token = sparse_flops_per_token(desc, seq_len)
-        theo_ops = per_token * tokens / slo.tpot_s
-        prac_ops = practical_ops(theo_ops, eff_mfu)
+        theo_ops = sparse_flops_per_token(desc, seq_len) * tokens / slo.tpot_s
+    return _requirement(desc, prec, slo, activation_mode, step_bytes, kv_bytes, efficiency_mbu, theo_ops, eff_mfu)
+
+
+def _requirement(
+    desc: ModelDescriptor,
+    prec: Precision,
+    slo: SloSpec,
+    activation_mode: str,
+    step_bytes: float,
+    kv_bytes: float,
+    efficiency_mbu: float,
+    theo_ops: float | None = None,
+    efficiency_mfu: float | None = None,
+) -> DeploymentRequirement:
+    """The requirement of a decode step that moves ``step_bytes`` (and, when
+    given, performs ``theo_ops`` FLOP/s at the TPOT target)."""
+    theoretical = step_bytes / slo.tpot_s / GB
+    prac_ops = None if theo_ops is None else practical_ops(theo_ops, efficiency_mfu)
     return DeploymentRequirement(
         model_name=desc.name,
         activation_mode=activation_mode,
@@ -194,8 +210,28 @@ def plan_requirement(
         efficiency_mbu=efficiency_mbu,
         theoretical_ops=theo_ops,
         practical_ops=prac_ops,
-        efficiency_mfu=eff_mfu,
+        efficiency_mfu=efficiency_mfu,
     )
+
+
+def _expected_params(
+    desc: ModelDescriptor, batch: int, dist: RoutingDistribution, include_embed: bool
+) -> tuple[float, float]:
+    """Expected distinct routed experts per MoE layer, and the expected
+    parameters a step of ``batch`` independent tokens reads.
+
+    By linearity each routed expert adds its size times the probability that
+    the batch hits it. With equal sizes that sum is the size times the
+    expected distinct count, the expression used for them.
+    """
+    distinct = expected_distinct_experts(desc.n_expert, desc.top_k, batch, dist).value
+    sizes = desc.routed_expert_sizes()
+    if desc.heterogeneous_experts:
+        hit = _batch_hit_probs(desc.n_expert, desc.top_k, batch, dist).tolist()
+        routed = sum(size * h for size, h in zip(sizes, hit))
+    else:
+        routed = distinct * sizes[0]
+    return distinct, _params_read(desc, routed, include_embed)
 
 
 # --------------------------------------------------------------------------
@@ -289,39 +325,28 @@ def batch_sweep(
     """Expected-activation requirement and feasibility per batch size.
 
     The bandwidth column is non-decreasing in batch and bounded by the
-    batch-1 analytic and full-activation requirements.
+    full-activation requirement; with equal expert sizes it is also bounded
+    below by the batch-1 analytic one.
     """
     if list(batches) != sorted(batches):
         raise ValidationError("batches must be sorted ascending", field="batches")
-    total = total_params(desc)
+    total = total_params(desc, include_embed=include_embed)
     points = []
     for batch in batches:
-        expected = expected_distinct_experts(desc.n_expert, desc.top_k, batch, dist)
-        act_params = activated_params_from_counts(desc, expected.value, include_embed=include_embed)
-        theoretical = act_params * prec.bytes_per_param / slo.tpot_s / GB
-        prac = practical_bandwidth(theoretical, efficiency_mbu)
+        distinct, act_params = _expected_params(desc, batch, dist, include_embed)
+        req = _requirement(desc, prec, slo, "expected", act_params * prec.bytes_per_param, 0.0, efficiency_mbu)
         feas: tuple[str, ...] = ()
         if catalog:
-            req = DeploymentRequirement(
-                model_name=desc.name,
-                activation_mode="expected",
-                tpot_s=slo.tpot_s,
-                bytes_per_param=prec.bytes_per_param,
-                kv_bytes=0.0,
-                theoretical_bandwidth_gbps=theoretical,
-                practical_bandwidth_gbps=prac,
-                efficiency_mbu=efficiency_mbu,
-            )
             feas = tuple(
                 v.name for v in feasibility(req, catalog, use_offload=use_offload, margin=margin) if v.satisfied
             )
         points.append(
             SweepPoint(
                 batch=batch,
-                expected_distinct_per_layer=expected.value,
+                expected_distinct_per_layer=distinct,
                 expected_activated_fraction=act_params / total,
-                theoretical_bandwidth_gbps=theoretical,
-                practical_bandwidth_gbps=prac,
+                theoretical_bandwidth_gbps=req.theoretical_bandwidth_gbps,
+                practical_bandwidth_gbps=req.practical_bandwidth_gbps,
                 feasible_devices=feas,
             )
         )

@@ -4,8 +4,10 @@ An activation sheet is the runtime realization of the per-layer expert
 indicator: for every forward pass it records which routed experts each MoE
 layer touched, together with batch size, token count and wall time. Sheets
 come either from an external profiler (parsed here) or from the routing
-simulator below, which doubles as the Monte-Carlo oracle for the
-expected-activation analytics.
+simulator below. Expected activation is exact, not sampled: a closed form
+under uniform routing and an exponential-race quadrature otherwise. The
+Monte-Carlo sampler ``_mc_distinct_counts`` survives only as an independent
+reference for the tests.
 
 Trace file format (line-delimited, UTF-8, ``#`` starts a comment line)::
 
@@ -640,12 +642,21 @@ def expected_distinct_experts(
     if dist.kind == "uniform":
         value = n_expert * (1.0 - (1.0 - top_k / n_expert) ** batch)
         return ExpectedDistinct(value=value, method="closed_form")
+    return ExpectedDistinct(value=float(_batch_hit_probs(n_expert, top_k, batch, dist).sum()), method="quadrature")
+
+
+def _batch_hit_probs(n_expert: int, top_k: int, batch: int, dist: RoutingDistribution) -> np.ndarray:
+    """1 - (1 - r_i)^batch for each expert i: the probability that at least
+    one of ``batch`` independent tokens routes to it, r_i being its top-k
+    inclusion probability (exactly k/E under uniform routing)."""
     import numpy as np
 
-    r = _inclusion_probs(n_expert, top_k, dist)
+    if dist.kind == "uniform":
+        r = np.full(n_expert, top_k / n_expert)
+    else:
+        r = _inclusion_probs(n_expert, top_k, dist)
     with np.errstate(divide="ignore"):
-        value = float(np.sum(-np.expm1(batch * np.log1p(-r))))
-    return ExpectedDistinct(value=value, method="quadrature")
+        return -np.expm1(batch * np.log1p(-r))
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import replace
 
 import pytest
@@ -410,12 +412,63 @@ def test_sweep_requires_sorted_batches(toy_desc):
         batch_sweep(toy_desc, RoutingDistribution.uniform(), [4, 2], SLO, INT8)
 
 
-def test_expected_mode_rejects_heterogeneous_experts():
-    desc = make_desc(params_expert_by_index=(1, 2, 3, 4))
-    with pytest.raises(ValidationError, match="uniform"):
-        theoretical_bandwidth_gbps(
-            desc, INT8, SLO, "expected", batch=2, dist=RoutingDistribution.uniform()
-        )
+def _brute_force_routed_params(sizes, probs, top_k, batch):
+    """Expected routed parameters of one MoE layer: the sizes of the experts a
+    batch activates, summed over every batch of ordered top-k draws."""
+    draws = []
+    for seq in itertools.permutations(range(len(probs)), top_k):
+        prob, left = 1.0, 1.0
+        for i in seq:
+            prob *= probs[i] / left
+            left -= probs[i]
+        draws.append((prob, set(seq)))
+    total = 0.0
+    for batch_draws in itertools.product(draws, repeat=batch):
+        hit = set().union(*(chosen for _, chosen in batch_draws))
+        total += math.prod(prob for prob, _ in batch_draws) * sum(sizes[i] for i in hit)
+    return total
+
+
+def test_expected_mode_supports_heterogeneous_experts():
+    sizes = (100, 2_000, 30_000, 400_000, 5_000_000)
+    desc = make_desc(
+        n_layer=3, moe_layer_mask=(False, True, True), n_expert=5, top_k=2, params_expert_by_index=sizes,
+        n_shared=1, params_shared_expert=7_000, params_dense_ffn=50_000,
+    )
+    dists = (
+        RoutingDistribution.uniform(),
+        RoutingDistribution.zipf(1.1),
+        RoutingDistribution.empirical([0.5, 0.1, 0.25, 0.05, 0.1]),
+    )
+    for dist in dists:
+        for batch in (1, 2, 3):
+            routed = _brute_force_routed_params(sizes, dist.probabilities(5).tolist(), 2, batch)
+            for include_embed in (True, False):
+                always_read = 3 * desc.params_attn_layer + 50_000 + 2 * (desc.params_router + 7_000)
+                embed = desc.params_embed if include_embed else 0
+                expected_bytes = (embed + always_read + 2 * routed) * INT8.bytes_per_param
+                req = plan_requirement(desc, INT8, SLO, "expected", batch=batch, dist=dist, include_embed=include_embed)
+                assert req.theoretical_bandwidth_gbps * SLO.tpot_s * 1e9 == pytest.approx(expected_bytes, rel=1e-12)
+                [point] = batch_sweep(desc, dist, [batch], SLO, INT8, include_embed=include_embed)
+                assert point.theoretical_bandwidth_gbps == req.theoretical_bandwidth_gbps
+                total = embed + always_read + 2 * sum(sizes)
+                assert point.expected_activated_fraction == pytest.approx(expected_bytes / total, rel=1e-12)
+
+
+def test_indexed_sizes_of_one_value_set_the_routed_size():
+    # params_expert is only nominal once params_expert_by_index is given
+    desc = make_desc(params_expert_by_index=(5,) * 4, params_expert=7)
+    ref = make_desc(params_expert=5)
+    for mode in ("batch1_analytic", "full_activation", "expected"):
+        kwargs = dict(batch=3, dist=RoutingDistribution.zipf(1.1), include_ops=True)
+        assert plan_requirement(desc, INT8, SLO, mode, **kwargs) == plan_requirement(ref, INT8, SLO, mode, **kwargs)
+
+
+@pytest.mark.parametrize("include_embed", [True, False])
+def test_sweep_fraction_is_one_when_every_expert_is_read(toy_desc, include_embed):
+    [point] = batch_sweep(toy_desc, RoutingDistribution.uniform(), [64], SLO, INT8, include_embed=include_embed)
+    assert point.expected_distinct_per_layer == toy_desc.n_expert
+    assert point.expected_activated_fraction == 1.0
 
 
 def test_sweep_feasible_devices_with_catalog(toy_desc, shipped_catalog):
