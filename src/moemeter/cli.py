@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -127,6 +128,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
     prec = models.Precision(args.bytes_per_param)
     slo = planner.SloSpec(args.slo)
     modes = ["batch1_analytic", "full_activation"] if args.fig2 else args.mode
+    if len(set(modes)) != len(modes):
+        raise ValidationError(f"--mode names a mode more than once: {' '.join(modes)}", field="mode")
     sheet = None
     if args.trace:
         # trace mode validates the sheet it plans from; an unused one is checked here
@@ -282,8 +285,22 @@ def cmd_recommend(args: argparse.Namespace) -> int:
 # Parser
 # --------------------------------------------------------------------------
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad command line as a JSON validation error document whose
+    field is the argument's name (``--bytes-per-param`` gives
+    ``bytes_per_param``), like every other input error. ``--help`` is
+    unchanged."""
+
+    def error(self, message: str):
+        match = re.match(r"argument ([^:]+): |the following arguments are required: ([^,]+)", message)
+        field = None
+        if match:
+            field = (match[1] or match[2]).split("/")[-1].lstrip("-").replace("-", "_")
+        self.exit(EXIT_INVALID, _error_doc("validation", message, field) + "\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="moemeter",
         description="Analytical cost / accuracy / performance toolkit for MoE serving.",
     )

@@ -63,6 +63,7 @@ def s_mbu_per_pass(
     """Sparsity-aware MBU for one pass: only the activated parameter bytes
     (plus KV) count toward achieved bandwidth."""
     _check_peak(hw_peak_bandwidth, "hw_peak_bandwidth")
+    _check_kv_seq_len(kv_seq_len)
     act, kv = pass_bytes(rec, desc, prec, kv_seq_len=kv_seq_len, include_embed=include_embed)
     return _warn_if_over_one((act + kv) / rec.latency_s / hw_peak_bandwidth, "S-MBU")
 
@@ -79,6 +80,7 @@ def s_mbu_aggregate(
     total wall time, over peak bandwidth (latency-weighted, not the mean of
     per-pass values)."""
     _check_peak(hw_peak_bandwidth, "hw_peak_bandwidth")
+    _check_kv_seq_len(kv_seq_len)
     validate_sheet(sheet, desc)
     total_bytes = 0.0
     total_latency = 0.0
@@ -131,6 +133,12 @@ def overestimation(vanilla: float, sparse: float) -> float:
 def _check_peak(value: float, field: str) -> None:
     if not 0 < value < math.inf:
         raise ValidationError(f"{field} must be finite and > 0, got {value!r}", field=field)
+
+
+def _check_kv_seq_len(kv_seq_len: int | None) -> None:
+    # checked before any pass is charged: a pass that recorded KV never reads it
+    if kv_seq_len is not None and kv_seq_len < 1:
+        raise ValidationError(f"kv_seq_len must be >= 1, got {kv_seq_len}", field="kv_seq_len")
 
 
 def _warn_if_over_one(value: float, label: str) -> float:
@@ -206,6 +214,7 @@ def compute_metric_report(
     validate_sheet(sheet, desc)
     _check_peak(hw_peak_bandwidth, "hw_peak_bandwidth")
     _check_peak(hw_peak_flops, "hw_peak_flops")
+    _check_kv_seq_len(kv_seq_len)
     s_model = total_param_bytes(desc, prec, include_embed=include_embed)
     # per-token FLOPs depend only on (desc, seq_len): derive them once, and
     # form each MFU with the same expression as s_mfu / vanilla_mfu
@@ -219,8 +228,8 @@ def compute_metric_report(
     for rec in sheet.passes:
         act, kv = pass_bytes(rec, desc, prec, kv_seq_len=kv_seq_len, include_embed=include_embed)
         throughput = rec.tokens_processed / rec.latency_s
-        smbu = (act + kv) / rec.latency_s / hw_peak_bandwidth
-        vmbu = (s_model + kv) / rec.latency_s / hw_peak_bandwidth
+        smbu = _warn_if_over_one((act + kv) / rec.latency_s / hw_peak_bandwidth, "S-MBU")
+        vmbu = _warn_if_over_one((s_model + kv) / rec.latency_s / hw_peak_bandwidth, "vanilla MBU")
         smfu = _warn_if_over_one(throughput * sparse_flops / hw_peak_flops, "S-MFU")
         vmfu = _warn_if_over_one(throughput * dense_flops / hw_peak_flops, "vanilla MFU")
         passes.append(
@@ -247,8 +256,8 @@ def compute_metric_report(
         total_vanilla_bytes += s_model + kv
         total_latency += rec.latency_s
         total_tokens += rec.tokens_processed
-    agg_s_mbu = total_bytes / total_latency / hw_peak_bandwidth
-    agg_v_mbu = total_vanilla_bytes / total_latency / hw_peak_bandwidth
+    agg_s_mbu = _warn_if_over_one(total_bytes / total_latency / hw_peak_bandwidth, "aggregate S-MBU")
+    agg_v_mbu = _warn_if_over_one(total_vanilla_bytes / total_latency / hw_peak_bandwidth, "aggregate vanilla MBU")
     agg_throughput = total_tokens / total_latency
     agg_s_mfu = _warn_if_over_one(agg_throughput * sparse_flops / hw_peak_flops, "S-MFU")
     agg_v_mfu = _warn_if_over_one(agg_throughput * dense_flops / hw_peak_flops, "vanilla MFU")

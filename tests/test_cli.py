@@ -563,3 +563,53 @@ def test_trace_plan_without_kv_is_byte_stable(tmp_path, monkeypatch):
     # KV rule and decode-only mean leave its plan unchanged, byte for byte
     digest = hashlib.sha256((tmp_path / "out" / "plan_report.json").read_bytes()).hexdigest()
     assert digest == "82188b050564b053298aa39dcedc8d9b2bda6e7b551f9138df87ff03e58bccd6"
+
+
+def test_repeated_mode_exits_2_without_output(tmp_path, capsys):
+    from moemeter.cli import main
+
+    out = tmp_path / "out"
+    argv = [*_trace_commands(TRACES / "sample_decode.trace", out)["plan-trace"], "trace"]
+    assert main([str(a) for a in argv]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["field"] == "mode"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("every_pass_records_kv", [False, True])
+def test_metrics_kv_seq_len_below_one_exits_2(tmp_path, capsys, every_pass_records_kv):
+    from moemeter.cli import main
+
+    trace = TRACES / "sample_decode.trace"
+    if every_pass_records_kv:
+        text = trace.read_text().replace("0,decode,2,2,0.004,0,", "0,decode,2,2,0.004,2048,")
+        trace = tmp_path / "all_kv.trace"
+        trace.write_text(text)
+    out = tmp_path / "out"
+    argv = [*_trace_commands(trace, out)["metrics"], "--kv-seq-len", 0]
+    assert main([str(a) for a in argv]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["field"] == "kv_seq_len"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [("--bytes-per-param", "3", "bytes_per_param"), ("--slo", "abc", "slo")],
+)
+def test_bad_argument_prints_json_error(tmp_path, capsys, flag, value, field):
+    from moemeter.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["plan", "--model", str(MODELS / "toy-4x2.json"), flag, value, "--output-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "validation" and err["field"] == field and value in err["message"]
+    assert not list(tmp_path.iterdir())
+
+
+def test_help_still_prints_usage(capsys):
+    from moemeter.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["plan", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: moemeter plan")

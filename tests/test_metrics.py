@@ -331,6 +331,29 @@ def test_values_above_one_warn_not_clamp(toy_desc):
     assert value > 1.0
 
 
+def test_report_warns_on_every_mbu_above_one(toy_desc):
+    sheet = one_pass_sheet(toy_desc, {0: frozenset({0, 1}), 1: frozenset({0, 1})}, latency=1e-9)
+    with pytest.warns(RuntimeWarning) as caught:
+        report = compute_metric_report(sheet, toy_desc, INT8, 1.0, 1e30)
+    labels = {str(w.message).split(" = ")[0] for w in caught}
+    assert labels == {"S-MBU", "vanilla MBU", "aggregate S-MBU", "aggregate vanilla MBU"}
+    assert report.passes[0].s_mbu == report.aggregate_s_mbu > 1.0
+
+
+@pytest.mark.parametrize("kv_seq_len", [0, -3])
+def test_kv_seq_len_below_one_rejected_before_any_pass(toy_desc, kv_seq_len):
+    # the pass records its KV, so the fallback length would never be read
+    sheet = one_pass_sheet(toy_desc, {0: frozenset({0, 1}), 1: frozenset({0, 1})}, kv=4096)
+    for call in (
+        lambda: compute_metric_report(sheet, toy_desc, INT8, 1e12, 1e15, kv_seq_len=kv_seq_len),
+        lambda: s_mbu_aggregate(sheet, toy_desc, INT8, 1e12, kv_seq_len=kv_seq_len),
+        lambda: s_mbu_per_pass(sheet.passes[0], toy_desc, INT8, 1e12, kv_seq_len=kv_seq_len),
+    ):
+        with pytest.raises(ValidationError) as exc:
+            call()
+        assert exc.value.field == "kv_seq_len"
+
+
 # ---------------------------------------------------------------------------
 # Report
 # ---------------------------------------------------------------------------
