@@ -535,7 +535,9 @@ class ExpectedDistinct:
 # Trapezoid step in s = ln t; the integrand is analytic, so the error falls
 # geometrically with the step (about 4e-13 at 0.25, rounding at 0.125).
 _RACE_STEP = 0.125
-# Bound on experts x counts x grid nodes per block of the count tables.
+# The grid is cut into node blocks so that (experts + 1) x counts x nodes
+# stays below this. The cut sets how each expert's sum over nodes is
+# grouped, so changing it changes the last bits of r_i.
 _RACE_BLOCK_CELLS = 1 << 20
 
 
@@ -545,35 +547,75 @@ def _topk_inclusion_probs(p: np.ndarray, k: int) -> np.ndarray:
 
     Exponential race: expert i fires at an Exp(p_i) time and the k earliest
     win, so r_i = integral over ln t of p_i t e^(-p_i t) P(at most k-1 others
-    fired by t). That count is Poisson-binomial in 1 - e^(-p_j t); prefix and
-    suffix tables of it, truncated at k, give it for every i at once without
-    division. All terms are positive, so tiny r_i keep full precision.
+    fired by t). That count is Poisson-binomial in 1 - e^(-p_j t); the counts
+    among the experts before i (prefix) and after i (suffix), truncated at k,
+    give it for every i without division. All terms are positive, so tiny
+    r_i keep full precision.
+
+    Memory is O(sqrt(E) k nodes), not O(E k nodes). A forward sweep keeps
+    the prefix row only at the start of each segment of g = ceil(sqrt(E))
+    experts. A backward sweep, last segment first, rebuilds the segment's
+    prefix rows from its checkpoint and its suffix rows from the one row
+    carried down from the segment after it, then combines them. Every row
+    comes from the same recurrence as full tables would, so r_i is too.
     """
     import numpy as np
 
     log_p = _check_support(p, k)
     m = len(p)
+    g = math.isqrt(m - 1) + 1
     # Outside this range every integrand is below e^-40 of its peak.
     s = np.arange(-log_p.max() - 40.0, -log_p[p > 0].min() + 4.0, _RACE_STEP)
     total = np.zeros(m)
+
+    def step(row, fired, idle, out=None):
+        # count row after one more expert: row[c] is P(exactly c fired), c < k
+        out = np.multiply(row, idle, out=out)
+        out[1:] += row[:-1] * fired
+        return out
+
     for s_block in np.array_split(s, -(-len(s) * (m + 1) * k // _RACE_BLOCK_CELLS)):
-        # x = p t from log space, capped where e^-x is already 0 so it stays finite
-        log_x = log_p[:, None] + s_block
-        x = np.exp(np.minimum(log_x, 700.0))
-        fired, idle = -np.expm1(-x), np.exp(-x)
-        # prefix[j, c] (suffix[j, c]): P(exactly c of experts 0..j-1 (j..m-1) fired), c < k
-        prefix, suffix = np.zeros((2, m + 1, k, len(s_block)))
-        prefix[0, 0] = suffix[m, 0] = 1.0
-        for j in range(m):
-            prefix[j + 1] = prefix[j] * idle[j]
-            prefix[j + 1, 1:] += prefix[j, :-1] * fired[j]
-            i = m - 1 - j
-            suffix[i] = suffix[i + 1] * idle[i]
-            suffix[i, 1:] += suffix[i + 1, :-1] * fired[i]
-        # P(at most k-1 others) = sum_c prefix[i, c] * P(at most k-1-c of i+1.. fired);
-        # the cumulative sum overwrites suffix, which is not read again, to save a copy
-        others = np.einsum("ict,ict->it", prefix[:-1], np.cumsum(suffix, axis=1, out=suffix)[1:, ::-1])
-        total += (np.exp(log_x - x) * others).sum(axis=1)
+
+        def segment(lo):
+            # x = p t from log space, capped where e^-x is already 0 so it stays finite
+            log_x = log_p[lo : lo + g, None] + s_block
+            x = np.exp(np.minimum(log_x, 700.0))
+            return -np.expm1(-x), np.exp(-x), log_x - x
+
+        # prefix[j, c] (suffix[j, c]): P(exactly c of the experts before
+        # (from) lo + j fired), c < k; the suffix has one row more, for lo + n
+        prefix, suffix = np.zeros((g, k, len(s_block))), np.zeros((g + 1, k, len(s_block)))
+        row = np.zeros((k, len(s_block)))
+        row[0] = 1.0  # of no experts, none fired
+        checkpoints, carry = [row], row
+        for lo in range(0, m - g, g):
+            fired, idle, _ = segment(lo)
+            for j in range(g):
+                row = step(row, fired[j], idle[j])
+            checkpoints.append(row)
+        for lo in reversed(range(0, m, g)):
+            fired, idle, log_w = segment(lo)
+            n = len(fired)
+            prefix[0] = checkpoints.pop()
+            for j in range(n - 1):
+                step(prefix[j], fired[j], idle[j], out=prefix[j + 1])
+            suffix[n] = carry
+            for j in reversed(range(n)):
+                step(suffix[j + 1], fired[j], idle[j], out=suffix[j])
+            carry = suffix[0].copy()
+            # P(at most k-1 others) = sum_c prefix[i, c] * P(at most k-1-c of i+1.. fired).
+            # The cumulative sum over c overwrites suffix rows the next segment
+            # rewrites. np.cumsum makes one short inner loop per (row, node),
+            # a loop over c one numpy call per count; both add the same pairs,
+            # and the loop is faster unless k is large and the block narrow.
+            tail = suffix[1 : n + 1]
+            if 64 * k <= n * len(s_block):
+                for c in range(1, k):
+                    tail[:, c] += tail[:, c - 1]
+            else:
+                np.cumsum(tail, axis=1, out=tail)
+            others = np.einsum("ict,ict->it", prefix[:n], tail[:, ::-1])
+            total[lo : lo + n] += (np.exp(log_w) * others).sum(axis=1)
     return np.minimum(_RACE_STEP * total, 1.0)
 
 

@@ -528,6 +528,80 @@ def test_quadrature_spans_subnormal_weights_without_overflow():
     assert out.value == pytest.approx(2.0, rel=1e-14)
 
 
+# SHA-256 of r_i's bytes from the full prefix/suffix tables the checkpointed
+# kernel replaced (numpy 2.4 on x86-64). The checkpoints must leave every bit
+# alone, multi-block grids included (r1 zipf:200 has 12 node blocks, 512
+# experts top-16 has 4).
+_PINNED_QUADRATURE = [
+    ("zipf", 1.1, 256, 8, "3062e7a0ddd853b413d2caefa71652c0abd1424e982c8ab5d28006649105b326"),
+    ("zipf", 1.1, 64, 6, "9fed3a99c8622f9c8bab6f3ba1ecb63b305c4a644d78d4d37cc91a744a269b84"),
+    ("zipf", 1.1, 8, 2, "f9dda7b499cfdbc17956d0936c70c6f81ff8e53b918f6434292e92b2e1a19681"),
+    ("zipf", 200.0, 256, 8, "244c54fd1187574110abb5120750fc9859f343c5aa58cf4c4ba7962e322117bc"),
+    ("zipf", 1.1, 512, 16, "793f50d80941f93eeefa4f0219fab8a9f8bfb28639274f5971576be7149b56e9"),
+    ("subnormal", None, 4, 2, "10415a50cf0f70979c2b900605c2da78254216e6837b62b1726910026fcf3090"),
+]
+
+
+@pytest.mark.parametrize("kind, s, n_expert, k, digest", _PINNED_QUADRATURE)
+def test_quadrature_values_are_pinned(kind, s, n_expert, k, digest):
+    if kind == "zipf":
+        p = RoutingDistribution.zipf(s).probabilities(n_expert)
+    else:
+        p = np.array([0.5, 0.5 - 1e-320, 1e-320, 0.0])
+    assert hashlib.sha256(_topk_inclusion_probs(p, k).tobytes()).hexdigest() == digest
+
+
+def test_quadrature_memory_is_bounded():
+    import tracemalloc
+
+    p = RoutingDistribution.zipf(1.1).probabilities(256)
+    tracemalloc.start()
+    try:
+        _topk_inclusion_probs(p, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # full prefix and suffix tables would be 2 x 257 x 8 x 401 doubles, 13 MB
+    assert peak <= 2 * 2**20
+
+
+def _edge_weights(n_expert, kind):
+    p = RoutingDistribution.zipf(1.1).probabilities(n_expert)
+    if kind == "zero":
+        p[-1] = 0.0
+    elif kind == "subnormal":
+        p[-1] = 1e-320
+    return p / math.fsum(p)
+
+
+_EDGE_CASES = [
+    (n_expert, k, kind)
+    for n_expert in (2, 3, 7, 17, 255, 257)
+    for k in sorted({1, n_expert - 1})
+    for kind in ("positive", "zero", "subnormal")
+    # a subnormal weight stretches the grid to ~6000 nodes, which at k = 254
+    # or 256 costs 8 s; k = 1 covers subnormals in those segment layouts
+    if not (kind == "subnormal" and k > 16)
+]
+
+
+@pytest.mark.parametrize("n_expert, k, kind", _EDGE_CASES)
+def test_quadrature_segment_edges(n_expert, k, kind):
+    # segments of ceil(sqrt(E)) experts; none of these E is a multiple of it
+    p = _edge_weights(n_expert, kind)
+    r = _topk_inclusion_probs(p, k)
+    if math.perm(n_expert, k) <= 5040:
+        want = _brute_force_inclusion(p.tolist(), k)
+        for got, w in zip(r, want):
+            if w >= np.finfo(float).tiny:  # a subnormal r_i holds too few bits for 1e-12
+                assert got == pytest.approx(w, rel=1e-12, abs=0.0)
+    assert abs(r.sum() - k) <= 1e-12 * k
+    if kind == "zero":
+        assert r[-1] == 0.0
+    elif kind == "subnormal":
+        assert 0.0 < r[-1] < 1e-300
+
+
 def test_empirical_weights_given_as_a_list_are_stored_as_a_tuple():
     # the expectation cache keys on the distribution, so it must hash
     weights = [0.5, 0.25, 0.125, 0.125]
