@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields as _dc_fields
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Mapping
 
@@ -179,7 +180,11 @@ class ModelDescriptor:
                 field="kv_bytes_per_param",
             )
 
-    @property
+    # The figures below depend only on the fields, so each is computed once
+    # per descriptor. They are cached properties, not fields, so equality,
+    # hashing and dataclasses.replace see the fields alone.
+
+    @cached_property
     def moe_layers(self) -> tuple[int, ...]:
         return tuple(i for i, moe in enumerate(self.moe_layer_mask) if moe)
 
@@ -189,14 +194,24 @@ class ModelDescriptor:
         return self.top_k + self.n_shared
 
     def routed_expert_sizes(self) -> tuple[int, ...]:
+        return self._routed_sizes
+
+    @cached_property
+    def _routed_sizes(self) -> tuple[int, ...]:
         if self.params_expert_by_index is not None:
             return self.params_expert_by_index
         return (self.params_expert,) * self.n_expert
 
-    @property
+    @cached_property
     def heterogeneous_experts(self) -> bool:
-        sizes = self.routed_expert_sizes()
+        sizes = self._routed_sizes
         return any(s != sizes[0] for s in sizes)
+
+    @cached_property
+    def _always_read(self) -> tuple[int, int]:
+        """Parameters every pass reads whatever it routes: without and with
+        the embedding, so that ``[include_embed]`` picks one."""
+        return _params_read(self, 0, False), _params_read(self, 0, True)
 
 
 # --------------------------------------------------------------------------
@@ -268,7 +283,7 @@ def activated_params_from_sets(
         routed = sum(sizes[i] for bitmap in layer_bitmaps for i in expert_indices(bitmap))
     else:
         routed = sum(bitmap.bit_count() for bitmap in layer_bitmaps) * sizes[0]
-    return _params_read(desc, 0, include_embed) + routed
+    return desc._always_read[include_embed] + routed
 
 
 def pass_bytes(
