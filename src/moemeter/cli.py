@@ -288,14 +288,17 @@ def cmd_recommend(args: argparse.Namespace) -> int:
 class _ArgumentParser(argparse.ArgumentParser):
     """Reports a bad command line as a JSON validation error document whose
     field is the argument's name (``--bytes-per-param`` gives
-    ``bytes_per_param``), like every other input error. ``--help`` is
-    unchanged."""
+    ``bytes_per_param``; of unrecognized arguments, the first), like every
+    other input error. ``--help`` is unchanged."""
 
     def error(self, message: str):
-        match = re.match(r"argument ([^:]+): |the following arguments are required: ([^,]+)", message)
+        match = re.match(
+            r"argument ([^:]+): |the following arguments are required: ([^,]+)|unrecognized arguments: ([^\s=]+)",
+            message,
+        )
         field = None
         if match:
-            field = (match[1] or match[2]).split("/")[-1].lstrip("-").replace("-", "_")
+            field = next(filter(None, match.groups())).split("/")[-1].lstrip("-").replace("-", "_")
         self.exit(EXIT_INVALID, _error_doc("validation", message, field) + "\n")
 
 

@@ -593,7 +593,14 @@ def test_metrics_kv_seq_len_below_one_exits_2(tmp_path, capsys, every_pass_recor
 
 @pytest.mark.parametrize(
     "flag, value, field",
-    [("--bytes-per-param", "3", "bytes_per_param"), ("--slo", "abc", "slo")],
+    [
+        ("--bytes-per-param", "3", "bytes_per_param"),
+        ("--slo", "abc", "slo"),
+        # unrecognized arguments: the first one names the field
+        ("--frob", "1", "frob"),
+        ("--frob-level=2", "--zap", "frob_level"),
+        ("stray", "words", "stray"),
+    ],
 )
 def test_bad_argument_prints_json_error(tmp_path, capsys, flag, value, field):
     from moemeter.cli import main
