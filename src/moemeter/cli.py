@@ -288,17 +288,21 @@ def cmd_recommend(args: argparse.Namespace) -> int:
 class _ArgumentParser(argparse.ArgumentParser):
     """Reports a bad command line as a JSON validation error document whose
     field is the argument's name (``--bytes-per-param`` gives
-    ``bytes_per_param``; of unrecognized arguments, the first), like every
-    other input error. ``--help`` is unchanged."""
+    ``bytes_per_param``; of unrecognized arguments, the first, a positional
+    one as typed), like every other input error. ``--help`` is unchanged."""
 
     def error(self, message: str):
-        match = re.match(
-            r"argument ([^:]+): |the following arguments are required: ([^,]+)|unrecognized arguments: ([^\s=]+)",
-            message,
-        )
+        match = re.match(r"argument ([^:]+): |the following arguments are required: ([^,]+)", message)
+        stray = re.match(r"unrecognized arguments: (\S+)", message)
         field = None
         if match:
             field = next(filter(None, match.groups())).split("/")[-1].lstrip("-").replace("-", "_")
+        elif stray:
+            # an unknown option is named as a known one would be; a stray
+            # positional (a path, a negative number) is kept as typed
+            token = stray.group(1)
+            is_option = re.match(r"--?[^\W\d]", token)
+            field = token.split("=")[0].lstrip("-").replace("-", "_") if is_option else token
         self.exit(EXIT_INVALID, _error_doc("validation", message, field) + "\n")
 
 

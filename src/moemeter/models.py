@@ -210,7 +210,7 @@ class ModelDescriptor:
     @cached_property
     def _always_read(self) -> tuple[int, int]:
         """Parameters every pass reads whatever it routes: without and with
-        the embedding, so that ``[include_embed]`` picks one."""
+        the embedding, so that ``[bool(include_embed)]`` picks one."""
         return _params_read(self, 0, False), _params_read(self, 0, True)
 
 
@@ -283,7 +283,7 @@ def activated_params_from_sets(
         routed = sum(sizes[i] for bitmap in layer_bitmaps for i in expert_indices(bitmap))
     else:
         routed = sum(bitmap.bit_count() for bitmap in layer_bitmaps) * sizes[0]
-    return desc._always_read[include_embed] + routed
+    return desc._always_read[bool(include_embed)] + routed
 
 
 def pass_bytes(

@@ -604,16 +604,10 @@ def _topk_inclusion_probs(p: np.ndarray, k: int) -> np.ndarray:
                 step(suffix[j + 1], fired[j], idle[j], out=suffix[j])
             carry = suffix[0].copy()
             # P(at most k-1 others) = sum_c prefix[i, c] * P(at most k-1-c of i+1.. fired).
-            # The cumulative sum over c overwrites suffix rows the next segment
-            # rewrites. np.cumsum makes one short inner loop per (row, node),
-            # a loop over c one numpy call per count; both add the same pairs,
-            # and the loop is faster unless k is large and the block narrow.
+            # The cumulative sum over c overwrites suffix rows the next segment rewrites.
             tail = suffix[1 : n + 1]
-            if 64 * k <= n * len(s_block):
-                for c in range(1, k):
-                    tail[:, c] += tail[:, c - 1]
-            else:
-                np.cumsum(tail, axis=1, out=tail)
+            for c in range(1, k):
+                tail[:, c] += tail[:, c - 1]
             others = np.einsum("ict,ict->it", prefix[:n], tail[:, ::-1])
             total[lo : lo + n] += (np.exp(log_w) * others).sum(axis=1)
     return np.minimum(_RACE_STEP * total, 1.0)

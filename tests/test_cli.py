@@ -600,6 +600,8 @@ def test_metrics_kv_seq_len_below_one_exits_2(tmp_path, capsys, every_pass_recor
         ("--frob", "1", "frob"),
         ("--frob-level=2", "--zap", "frob_level"),
         ("stray", "words", "stray"),
+        ("traces/x.trace", "words", "traces/x.trace"),
+        ("-5", "words", "-5"),
     ],
 )
 def test_bad_argument_prints_json_error(tmp_path, capsys, flag, value, field):

@@ -120,6 +120,16 @@ def test_cached_descriptor_figures_are_not_fields(toy_desc):
     assert activated_params_from_sets(toy_desc, {0: 0b11, 1: 0b1}) == pass_read
 
 
+@pytest.mark.parametrize("flag, want", [(None, False), (0, False), (1, True), (2, True), ("yes", True)])
+def test_include_embed_is_read_as_a_truth_value(toy_desc, flag, want):
+    import numpy as np
+
+    bitmaps = {0: 0b11, 1: 0b1}
+    expected = activated_params_from_sets(toy_desc, bitmaps, include_embed=want)
+    assert activated_params_from_sets(toy_desc, bitmaps, include_embed=flag) == expected
+    assert activated_params_from_sets(toy_desc, bitmaps, include_embed=np.bool_(want)) == expected
+
+
 # ---------------------------------------------------------------------------
 # Byte accounting
 # ---------------------------------------------------------------------------

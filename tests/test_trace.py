@@ -587,7 +587,8 @@ _EDGE_CASES = [
 
 @pytest.mark.parametrize("n_expert, k, kind", _EDGE_CASES)
 def test_quadrature_segment_edges(n_expert, k, kind):
-    # segments of ceil(sqrt(E)) experts; none of these E is a multiple of it
+    # segments of ceil(sqrt(E)) experts: E = 3, 7, 17, 255, 257 end in a short
+    # segment, E = 2 is one full segment
     p = _edge_weights(n_expert, kind)
     r = _topk_inclusion_probs(p, k)
     if math.perm(n_expert, k) <= 5040:
