@@ -22,7 +22,7 @@ from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import ValidationError, load_json
+from .errors import ValidationError, load_json, record_from_json
 
 AXES = ("cost", "accuracy", "performance")
 
@@ -176,13 +176,7 @@ def load_cap_records(path: str | Path) -> list[CapRecord]:
     doc = load_json(path)
     if not isinstance(doc, list):
         raise ValidationError("cap records file must be a JSON list", field="records")
-    out = []
-    for rec in doc:
-        try:
-            out.append(CapRecord(**rec))
-        except TypeError as exc:
-            raise ValidationError(f"bad cap record ({exc})", field="records") from None
-    return out
+    return [record_from_json(CapRecord, rec, "records") for rec in doc]
 
 
 def radar_to_dict(dataset: RadarDataset, labels: Mapping[str, str] | None = None) -> dict:
@@ -274,12 +268,7 @@ def load_decision_rules(path: str | Path) -> list[DecisionRule]:
     doc = load_json(path)
     if not isinstance(doc, list):
         raise ValidationError("rules file must be a JSON list", field="rules")
-    rules = []
-    for rec in doc:
-        try:
-            rules.append(DecisionRule(**rec))
-        except TypeError as exc:
-            raise ValidationError(f"bad decision rule ({exc})", field="rules") from None
+    rules = [record_from_json(DecisionRule, rec, "rules") for rec in doc]
     validate_rules(rules)
     return rules
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ValidationError, load_json
+from .errors import ValidationError, load_json, record_from_json
 
 DEVICE_CLASSES = ("edge", "low_power", "workstation", "datacenter")
 MEMORY_TIERS = ("HBM", "DRAM", "SSD")
@@ -71,13 +71,6 @@ class HardwareSpec:
                 )
 
 
-def spec_from_dict(doc: Mapping) -> HardwareSpec:
-    try:
-        return HardwareSpec(**doc)
-    except TypeError as exc:
-        raise ValidationError(f"bad catalog record ({exc})", field="record") from None
-
-
 def load_catalog(source: str | Path | Sequence[Mapping]) -> list[HardwareSpec]:
     """Load and validate a catalog; duplicate device names are rejected."""
     if isinstance(source, (str, Path)):
@@ -86,7 +79,7 @@ def load_catalog(source: str | Path | Sequence[Mapping]) -> list[HardwareSpec]:
         doc = list(source)
     if not isinstance(doc, list):
         raise ValidationError("catalog must be a JSON list of device records", field="catalog")
-    specs = [spec_from_dict(rec) for rec in doc]
+    specs = [record_from_json(HardwareSpec, rec, "record") for rec in doc]
     seen: set[str] = set()
     for spec in specs:
         if spec.name in seen:

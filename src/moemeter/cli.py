@@ -429,6 +429,11 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(_error_doc("input", str(exc)), file=sys.stderr)
         return EXIT_INVALID
+    except OverflowError:
+        # finite inputs can still overflow a derived figure, as _write_json notes
+        message = "a figure derived from the inputs overflows a double; an input is out of range"
+        print(_error_doc("validation", message, "report"), file=sys.stderr)
+        return EXIT_INVALID
     except Exception as exc:  # pragma: no cover - defensive
         print(_error_doc("internal", f"{type(exc).__name__}: {exc}"), file=sys.stderr)
         return EXIT_INTERNAL

@@ -17,9 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
 
-from .errors import ValidationError, load_json
+from .errors import ValidationError, load_json, record_from_json
 
 SECONDS_PER_HOUR = 3600.0
 
@@ -156,26 +155,20 @@ def power_profile_from_tdp(
 # Cost inputs file + report
 # --------------------------------------------------------------------------
 
-def _build(cls, doc: Mapping, section: str):
-    if not isinstance(doc, Mapping):
-        raise ValidationError(f"cost inputs: section {section!r} must be an object", field=section)
-    try:
-        return cls(**doc)
-    except TypeError as exc:
-        raise ValidationError(f"cost inputs: bad {section!r} section ({exc})", field=section) from None
-
-
 def load_cost_inputs(path: str | Path) -> tuple[BillOfMaterials, PowerProfile, DeploymentEconomics]:
-    """Read a cost inputs JSON document with sections bill_of_materials,
-    power_profile, and economics."""
+    """Read a cost inputs JSON document: an object whose keys are exactly the
+    sections bill_of_materials, power_profile and economics."""
     doc = load_json(path)
-    for section in ("bill_of_materials", "power_profile", "economics"):
+    if not isinstance(doc, dict):
+        raise ValidationError(f"cost inputs {path}: expected a JSON object", field="document")
+    sections = {"bill_of_materials": BillOfMaterials, "power_profile": PowerProfile, "economics": DeploymentEconomics}
+    for key in doc:
+        if key not in sections:
+            raise ValidationError(f"cost inputs: unknown section {key!r}", field=key)
+    for section in sections:
         if section not in doc:
             raise ValidationError(f"cost inputs: missing section {section!r}", field=section)
-    bom = _build(BillOfMaterials, doc["bill_of_materials"], "bill_of_materials")
-    power = _build(PowerProfile, doc["power_profile"], "power_profile")
-    econ = _build(DeploymentEconomics, doc["economics"], "economics")
-    return bom, power, econ
+    return tuple(record_from_json(cls, doc[section], section) for section, cls in sections.items())
 
 
 def cost_report(bom: BillOfMaterials, power: PowerProfile, econ: DeploymentEconomics) -> dict:

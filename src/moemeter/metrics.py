@@ -321,26 +321,8 @@ def report_to_csv(report: MetricReport, header_comment: str | None = None) -> st
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
     for p in report.passes:
-        writer.writerow(
-            [
-                "pass",
-                p.pass_id,
-                p.phase,
-                p.batch_size,
-                p.tokens_processed,
-                repr(p.latency_s),
-                repr(p.activated_bytes),
-                repr(p.kv_bytes),
-                repr(p.achieved_bandwidth),
-                repr(p.token_throughput),
-                repr(p.s_mbu),
-                repr(p.vanilla_mbu),
-                repr(p.s_mfu),
-                repr(p.vanilla_mfu),
-                repr(p.overestimation_mbu),
-                repr(p.overestimation_mfu),
-            ]
-        )
+        values = (getattr(p, column) for column in _CSV_COLUMNS[1:])
+        writer.writerow(["pass", *(repr(v) if isinstance(v, float) else v for v in values)])
     writer.writerow(
         [
             "aggregate",

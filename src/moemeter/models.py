@@ -35,7 +35,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Mapping
 
-from .errors import ValidationError, load_json
+from .errors import ValidationError, load_json, record_from_json
 
 if TYPE_CHECKING:
     from .trace import ForwardPassRecord
@@ -85,25 +85,6 @@ class Precision:
             return cls(PRECISION_NAMES[name.lower()])
         except KeyError:
             raise ValidationError(f"unknown precision name {name!r}", field="precision") from None
-
-
-# Every count a descriptor holds; each must be a non-negative int.
-_COUNT_FIELDS = (
-    "n_layer",
-    "d_model",
-    "n_heads",
-    "n_kv_heads",
-    "head_dim",
-    "n_expert",
-    "top_k",
-    "n_shared",
-    "params_expert",
-    "params_shared_expert",
-    "params_router",
-    "params_attn_layer",
-    "params_dense_ffn",
-    "params_embed",
-)
 
 
 def _is_count(value) -> bool:
@@ -212,6 +193,10 @@ class ModelDescriptor:
         """Parameters every pass reads whatever it routes: without and with
         the embedding, so that ``[bool(include_embed)]`` picks one."""
         return _params_read(self, 0, False), _params_read(self, 0, True)
+
+
+# Every count a descriptor holds (its int fields); each must be a non-negative int.
+_COUNT_FIELDS = tuple(f.name for f in _dc_fields(ModelDescriptor) if f.type == "int")
 
 
 # --------------------------------------------------------------------------
@@ -379,39 +364,8 @@ def dense_flops_per_token(desc: ModelDescriptor, seq_len: int) -> float:
 # Descriptor I/O
 # --------------------------------------------------------------------------
 
-_REQUIRED_FIELDS = (
-    "name",
-    "n_layer",
-    "moe_layer_mask",
-    "d_model",
-    "n_heads",
-    "n_kv_heads",
-    "head_dim",
-    "n_expert",
-    "top_k",
-    "n_shared",
-    "params_expert",
-    "params_shared_expert",
-    "params_router",
-    "params_attn_layer",
-    "params_dense_ffn",
-    "params_embed",
-)
-_OPTIONAL_FIELDS = ("params_expert_by_index", "kv_bytes_per_param", "source_note")
-
-
 def descriptor_from_dict(doc: Mapping) -> ModelDescriptor:
-    missing = [k for k in _REQUIRED_FIELDS if k not in doc]
-    if missing:
-        raise ValidationError(f"descriptor missing required field(s): {missing}", field=missing[0])
-    unknown = [k for k in doc if k not in _REQUIRED_FIELDS and k not in _OPTIONAL_FIELDS]
-    if unknown:
-        raise ValidationError(f"descriptor has unknown key(s): {unknown}", field=unknown[0])
-    kwargs = dict(doc)
-    kwargs["moe_layer_mask"] = tuple(kwargs["moe_layer_mask"])
-    if kwargs.get("params_expert_by_index") is not None:
-        kwargs["params_expert_by_index"] = tuple(kwargs["params_expert_by_index"])
-    return ModelDescriptor(**kwargs)
+    return record_from_json(ModelDescriptor, doc, "document")
 
 
 def descriptor_to_dict(desc: ModelDescriptor) -> dict:
@@ -426,10 +380,7 @@ def descriptor_to_dict(desc: ModelDescriptor) -> dict:
 
 def load_model_descriptor(path: str | Path) -> ModelDescriptor:
     """Load and validate a descriptor JSON file."""
-    doc = load_json(path)
-    if not isinstance(doc, dict):
-        raise ValidationError(f"descriptor {path}: expected a JSON object", field="document")
-    return descriptor_from_dict(doc)
+    return descriptor_from_dict(load_json(path))
 
 
 def serialize_model_descriptor(desc: ModelDescriptor) -> str:

@@ -147,6 +147,8 @@ def plan_requirement(
         )
     if not 0 <= kv_bytes < math.inf:
         raise ValidationError("kv_bytes must be finite and >= 0", field="kv_bytes")
+    if batch is not None and batch < 1:
+        raise ValidationError(f"batch must be >= 1, got {batch}", field="batch")
     if activation_mode == "trace":
         if sheet is None:
             raise ValidationError("trace mode requires an activation sheet", field="sheet")

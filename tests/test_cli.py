@@ -591,6 +591,23 @@ def test_metrics_kv_seq_len_below_one_exits_2(tmp_path, capsys, every_pass_recor
     assert not out.exists()
 
 
+@pytest.mark.parametrize("batch", ["-1", "0"])
+@pytest.mark.parametrize(
+    "mode",
+    [["--with-ops"], ["--mode", "full_activation"], ["--mode", "expected", "--dist", "uniform"], ["--fig2"]],
+    ids=["batch1-with-ops", "full", "expected", "fig2"],
+)
+def test_plan_batch_below_one_exits_2_in_every_mode(tmp_path, capsys, batch, mode):
+    from moemeter.cli import main
+
+    out = tmp_path / "out"
+    argv = ["plan", "--model", MODELS / "toy-4x2.json", "--catalog", CATALOG, *mode, "--batch", batch,
+            "--output-dir", out]
+    assert main([str(a) for a in argv]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["field"] == "batch"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flag, value, field",
     [

@@ -1,0 +1,156 @@
+"""The one reader of JSON input documents, ``errors.record_from_json``, and
+the documents it turns away at the command line."""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+
+import pytest
+
+from conftest import REPO_ROOT
+from moemeter.cap import CapRecord, DecisionRule
+from moemeter.catalog import HardwareSpec
+from moemeter.costing import BillOfMaterials, DeploymentEconomics, PowerProfile
+from moemeter.errors import JSON_TYPES, ValidationError, load_json, record_from_json
+from moemeter.models import ModelDescriptor
+
+RECORD_CLASSES = (
+    ModelDescriptor, HardwareSpec, BillOfMaterials, PowerProfile, DeploymentEconomics, CapRecord, DecisionRule
+)
+MODELS = REPO_ROOT / "models"
+CATALOG = REPO_ROOT / "catalog" / "default.json"
+
+
+@pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_record_annotation_has_a_json_type(cls):
+    # a field type the reader cannot check would fail a user's command with exit 1
+    for f in dataclasses.fields(cls):
+        assert f.type.removesuffix(" | None") in JSON_TYPES, (cls.__name__, f.name, f.type)
+
+
+def _rule(**overrides):
+    doc = {"hardware_tier": "edge", "batch_min": 1, "batch_max": None, "primary_constraint": "cost",
+           "secondary_constraint": "latency", "recommended_system": "s", "configuration": "c", "reason": "r"}
+    return {**doc, **overrides}
+
+
+@pytest.mark.parametrize(
+    "doc, field, message",
+    [
+        ([_rule()], "rules", "must be a JSON object"),
+        (_rule(surprise=1), "surprise", "unknown key 'surprise'"),
+        ({k: v for k, v in _rule().items() if k != "reason"}, "reason", "missing required field 'reason'"),
+        (_rule(batch_min=True), "batch_min", "must be an integer, got true"),
+        (_rule(batch_min=1.0), "batch_min", "must be an integer, got 1.0"),
+        (_rule(reason=None), "reason", "must be a string, got null"),
+        (_rule(batch_max="8"), "batch_max", "must be an integer"),
+    ],
+)
+def test_reader_names_the_offending_field(doc, field, message):
+    with pytest.raises(ValidationError, match=message) as exc:
+        record_from_json(DecisionRule, doc, "rules")
+    assert exc.value.field == field
+
+
+def test_reader_fills_defaults_keeps_null_optionals_and_makes_tuples():
+    rule = record_from_json(DecisionRule, _rule(), "rules")
+    assert rule.batch_max is None and rule.example_use_case == ""
+    doc = json.loads((MODELS / "toy-4x2.json").read_text())
+    desc = record_from_json(ModelDescriptor, {**doc, "params_expert_by_index": [1, 2, 3, 4]}, "document")
+    assert desc.moe_layer_mask == (True, True) and desc.params_expert_by_index == (1, 2, 3, 4)
+
+
+def test_reader_counts_no_boolean_as_a_number():
+    doc = {"runtime_hours": 1, "energy_price_usd_per_kwh": 0.1, "token_throughput_tps": True}
+    with pytest.raises(ValidationError, match="must be a number, got true") as exc:
+        record_from_json(DeploymentEconomics, doc, "economics")
+    assert exc.value.field == "token_throughput_tps"
+
+
+@pytest.mark.parametrize("literal", ["1" + "0" * 400, "1" * 5000, "-" + "9" * 309])
+def test_integers_beyond_a_double_are_rejected(tmp_path, literal):
+    path = tmp_path / "doc.json"
+    path.write_text(f'{{"n": {literal}}}')
+    with pytest.raises(ValidationError, match="overflows a double") as exc:
+        load_json(path)
+    assert exc.value.field == "document"
+    path.write_text(f'{{"n": {"9" * 308}}}')
+    assert load_json(path) == {"n": int("9" * 308)}
+
+
+def _cost_inputs(**economics):
+    bom = {"gpu_usd": 8000, "cpu_usd": 1000, "motherboard_usd": 500, "dram_usd": 300, "ssd_usd": 200}
+    econ = {"runtime_hours": 8760, "energy_price_usd_per_kwh": 0.1, "token_throughput_tps": 1000}
+    power = {"gpu_watts": 400, "cpu_watts": 100}
+    return {"bill_of_materials": bom, "power_profile": power, "economics": {**econ, **economics}}
+
+
+def _descriptor(**fields):
+    return {**json.loads((MODELS / "toy-4x2.json").read_text()), **fields}
+
+
+def _catalog(**fields):
+    devices = json.loads(CATALOG.read_text())
+    return [{**devices[0], **fields}, *devices[1:]]
+
+
+@pytest.mark.parametrize(
+    "kind, doc, field",
+    [
+        ("model", _descriptor(moe_layer_mask=5), "moe_layer_mask"),
+        ("model", _descriptor(moe_layer_mask=None), "moe_layer_mask"),
+        ("model", _descriptor(params_expert_by_index=5), "params_expert_by_index"),
+        ("model", _descriptor(name=[1]), "name"),
+        ("catalog", _catalog(memory_gb="x"), "memory_gb"),
+        ("catalog", _catalog(peak_flops_by_precision=[1]), "peak_flops_by_precision"),
+        ("catalog", _catalog(name=[1]), "name"),
+        ("cost", 5, "document"),
+        ("cost", _cost_inputs(token_throughput_tps=True), "token_throughput_tps"),
+    ],
+)
+def test_malformed_document_exits_2_naming_its_field(tmp_path, capsys, kind, doc, field):
+    from moemeter.cli import main
+
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = {
+        "model": ["plan", "--model", path, "--catalog", CATALOG, "--output-dir", out],
+        "catalog": ["plan", "--model", MODELS / "toy-4x2.json", "--catalog", path, "--output-dir", out],
+        "cost": ["cost", "--inputs", path, "--output-dir", out],
+    }[kind]
+    assert main([str(a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)["error"]
+    assert err["type"] == "validation" and err["field"] == field
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("field", ["params_expert", "params_attn_layer"])
+def test_counts_whose_sums_overflow_a_double_exit_2(tmp_path, capsys, field):
+    from moemeter.cli import main
+
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_descriptor(**{field: 10**308})))
+    out = tmp_path / "out"
+    assert main(["plan", "--model", str(path), "--catalog", str(CATALOG), "--output-dir", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["field"] == "report"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra, field",
+    [
+        ({"note": "x"}, "note"),
+        ({"economics": None}, "economics"),
+    ],
+)
+def test_cost_inputs_sections_are_exact(tmp_path, extra, field):
+    from moemeter.costing import load_cost_inputs
+
+    path = tmp_path / "inputs.json"
+    path.write_text(json.dumps({**_cost_inputs(), **extra}))
+    with pytest.raises(ValidationError) as exc:
+        load_cost_inputs(path)
+    assert exc.value.field == field
