@@ -75,17 +75,19 @@ _EXPORTS = {
         "practical_ops",
         "theoretical_bandwidth_gbps",
     ),
-    "trace": (
-        "ActivationSheet",
+    "routing": (
         "ExpectedDistinct",
-        "ForwardPassRecord",
         "RoutingDistribution",
         "activated_fraction",
         "expected_distinct_experts",
+        "simulate_routing",
+    ),
+    "trace": (
+        "ActivationSheet",
+        "ForwardPassRecord",
         "load_activation_sheet",
         "parse_activation_sheet",
         "serialize_activation_sheet",
-        "simulate_routing",
         "validate_sheet",
     ),
 }

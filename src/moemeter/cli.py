@@ -13,6 +13,9 @@ variable.
 Each subcommand imports the modules it runs inside its ``cmd_*`` function;
 at module level this file needs only what the parser does, so ``metrics``
 never loads the planner and ``simulate`` loads neither catalog nor metrics.
+Routing code is reached through ``trace.<name>``, which loads ``routing``
+on first use, so ``metrics`` and trace-mode ``plan`` never load it. The
+parser fills in only the arguments of the subcommand being run.
 """
 
 from __future__ import annotations
@@ -306,27 +309,22 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID, _error_doc("validation", message, field) + "\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(
-        prog="moemeter",
-        description="Analytical cost / accuracy / performance toolkit for MoE serving.",
+def _add_output_dir(p):
+    p.add_argument("--output-dir", default="out", help="directory for report files")
+
+
+def _add_catalog(p):
+    p.add_argument(
+        "--catalog",
+        default=os.environ.get(CATALOG_ENV_VAR),
+        help=f"hardware catalog JSON (default: ${CATALOG_ENV_VAR})",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--output-dir", default="out", help="directory for report files")
 
-    def add_catalog(p):
-        p.add_argument(
-            "--catalog",
-            default=os.environ.get(CATALOG_ENV_VAR),
-            help=f"hardware catalog JSON (default: ${CATALOG_ENV_VAR})",
-        )
-
-    p = sub.add_parser("metrics", help="per-pass and aggregate utilization metrics over a trace")
+def _metrics_arguments(p):
     p.add_argument("--model", required=True, help="model descriptor JSON")
     p.add_argument("--trace", required=True, help="activation trace file")
-    add_catalog(p)
+    _add_catalog(p)
     p.add_argument("--device", required=True, help="catalog device name")
     p.add_argument("--bytes-per-param", type=float, required=True, choices=[0.5, 1.0, 2.0, 4.0])
     p.add_argument("--flops-precision", default="fp16", help="key into the device's peak FLOPS map")
@@ -338,12 +336,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="enable the KV-cache byte fallback at this context length for passes recording no KV traffic",
     )
     p.add_argument("--exclude-embed", action="store_true", help="drop embedding/head bytes from accounting")
-    add_common(p)
-    p.set_defaults(func=cmd_metrics)
+    _add_output_dir(p)
 
-    p = sub.add_parser("plan", help="bandwidth/OPS requirements and device feasibility")
+
+def _plan_arguments(p):
     p.add_argument("--model", required=True)
-    add_catalog(p)
+    _add_catalog(p)
     p.add_argument("--bytes-per-param", type=float, default=1.0, choices=[0.5, 1.0, 2.0, 4.0])
     p.add_argument("--slo", type=float, default=models.DEFAULT_SLO_TPOT_S, help="TPOT target in s/token")
     p.add_argument(
@@ -369,10 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit bandwidth-vs-power map plot data (device points + batch-1/full-activation lines)",
     )
     p.add_argument("--sweep-batches", default=None, help="comma-separated batch sizes for a sweep CSV")
-    add_common(p)
-    p.set_defaults(func=cmd_plan)
+    _add_output_dir(p)
 
-    p = sub.add_parser("simulate", help="synthesize an activation trace by sampling routing")
+
+def _simulate_arguments(p):
     p.add_argument("--model", required=True)
     p.add_argument("--batch", type=int, required=True)
     p.add_argument("--dist", required=True, help="uniform | zipf:S | empirical:p1,p2,...")
@@ -381,27 +379,58 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phase", default="decode", choices=list(trace.PHASES))
     p.add_argument("--tokens-per-pass", type=int, default=None)
     p.add_argument("--out", required=True, help="output trace path")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("cost", help="purchase / energy / per-token cost report")
+
+def _cost_arguments(p):
     p.add_argument("--inputs", required=True, help="cost inputs JSON")
-    add_common(p)
-    p.set_defaults(func=cmd_cost)
+    _add_output_dir(p)
 
-    p = sub.add_parser("radar", help="normalize cost/accuracy/performance records and classify trade-offs")
+
+def _radar_arguments(p):
     p.add_argument("--records", required=True, help="cap records JSON")
-    add_common(p)
-    p.set_defaults(func=cmd_radar)
+    _add_output_dir(p)
 
-    p = sub.add_parser("recommend", help="query the deployment decision-rule table")
+
+def _recommend_arguments(p):
     p.add_argument("--rules", required=True, help="decision rules JSON")
     p.add_argument("--tier", required=True)
     p.add_argument("--batch", type=int, required=True)
     p.add_argument("--primary", required=True)
     p.add_argument("--secondary", required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_recommend)
+    _add_output_dir(p)
 
+
+# subcommand -> (help, arguments, command), in help order
+_SUBCOMMANDS = {
+    "metrics": ("per-pass and aggregate utilization metrics over a trace", _metrics_arguments, cmd_metrics),
+    "plan": ("bandwidth/OPS requirements and device feasibility", _plan_arguments, cmd_plan),
+    "simulate": ("synthesize an activation trace by sampling routing", _simulate_arguments, cmd_simulate),
+    "cost": ("purchase / energy / per-token cost report", _cost_arguments, cmd_cost),
+    "radar": (
+        "normalize cost/accuracy/performance records and classify trade-offs",
+        _radar_arguments,
+        cmd_radar,
+    ),
+    "recommend": ("query the deployment decision-rule table", _recommend_arguments, cmd_recommend),
+}
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The command-line parser. Every subcommand is registered with its
+    help; when ``argv`` starts with a subcommand, only that one gets its
+    arguments, which saves filling the other five on every run. With no
+    ``argv``, or one that names no subcommand, all of them are filled."""
+    parser = _ArgumentParser(
+        prog="moemeter",
+        description="Analytical cost / accuracy / performance toolkit for MoE serving.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    named = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    for name, (help_text, add_arguments, func) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if named in (None, name):
+            add_arguments(p)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -413,8 +442,9 @@ def _error_doc(kind: str, message: str, field: str | None = None) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     if getattr(args, "catalog", "unset") is None:
         print(
             _error_doc("validation", f"no catalog given and ${CATALOG_ENV_VAR} is not set", "catalog"),

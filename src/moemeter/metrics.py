@@ -151,9 +151,30 @@ def _warn_if_over_one(value: float, label: str) -> float:
     return value
 
 
+def _warn_passes_over_one(values: list[float], label: str) -> None:
+    """One warning for every per-pass value of a metric above 1.0, with
+    their count and the largest: one per value would flood stderr."""
+    over = [v for v in values if v > 1.0]
+    if over:
+        warnings.warn(
+            f"{label} = {max(over):.4f} exceeds 1.0, the largest of {len(over)} of {len(values)} "
+            f"per-pass values above 1.0; check peak figures and latencies",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+
 # --------------------------------------------------------------------------
 # Full per-trace report
 # --------------------------------------------------------------------------
+
+# (warning label, PassMetrics field) of each per-pass metric that warns above 1.0
+_PASS_LABELS = (
+    ("S-MBU", "s_mbu"),
+    ("vanilla MBU", "vanilla_mbu"),
+    ("S-MFU", "s_mfu"),
+    ("vanilla MFU", "vanilla_mfu"),
+)
 
 @dataclass(frozen=True)
 class PassMetrics:
@@ -228,10 +249,10 @@ def compute_metric_report(
     for rec in sheet.passes:
         act, kv = pass_bytes(rec, desc, prec, kv_seq_len=kv_seq_len, include_embed=include_embed)
         throughput = rec.tokens_processed / rec.latency_s
-        smbu = _warn_if_over_one((act + kv) / rec.latency_s / hw_peak_bandwidth, "S-MBU")
-        vmbu = _warn_if_over_one((s_model + kv) / rec.latency_s / hw_peak_bandwidth, "vanilla MBU")
-        smfu = _warn_if_over_one(throughput * sparse_flops / hw_peak_flops, "S-MFU")
-        vmfu = _warn_if_over_one(throughput * dense_flops / hw_peak_flops, "vanilla MFU")
+        smbu = (act + kv) / rec.latency_s / hw_peak_bandwidth
+        vmbu = (s_model + kv) / rec.latency_s / hw_peak_bandwidth
+        smfu = throughput * sparse_flops / hw_peak_flops
+        vmfu = throughput * dense_flops / hw_peak_flops
         passes.append(
             PassMetrics(
                 pass_id=rec.pass_id,
@@ -256,6 +277,8 @@ def compute_metric_report(
         total_vanilla_bytes += s_model + kv
         total_latency += rec.latency_s
         total_tokens += rec.tokens_processed
+    for label, name in _PASS_LABELS:
+        _warn_passes_over_one([getattr(p, name) for p in passes], label)
     agg_s_mbu = _warn_if_over_one(total_bytes / total_latency / hw_peak_bandwidth, "aggregate S-MBU")
     agg_v_mbu = _warn_if_over_one(total_vanilla_bytes / total_latency / hw_peak_bandwidth, "aggregate vanilla MBU")
     agg_throughput = total_tokens / total_latency

@@ -31,8 +31,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
+from . import trace
 from .catalog import HardwareSpec
 from .errors import ValidationError
 from .models import (
@@ -49,7 +50,10 @@ from .models import (
     total_params,
     sparse_flops_per_token,
 )
-from .trace import ActivationSheet, RoutingDistribution, _batch_hit_probs, expected_distinct_experts, validate_sheet
+from .trace import ActivationSheet, validate_sheet
+
+if TYPE_CHECKING:
+    from .routing import RoutingDistribution
 
 
 @dataclass(frozen=True)
@@ -226,10 +230,12 @@ def _expected_params(
     the batch hits it. With equal sizes that sum is the size times the
     expected distinct count, the expression used for them.
     """
-    distinct = expected_distinct_experts(desc.n_expert, desc.top_k, batch, dist).value
+    # looked up on ``trace`` at call time: routing loads on first use, and a
+    # wrapper set on the module (the benchmark's spans) sees the call
+    distinct = trace.expected_distinct_experts(desc.n_expert, desc.top_k, batch, dist).value
     sizes = desc.routed_expert_sizes()
     if desc.heterogeneous_experts:
-        hit = _batch_hit_probs(desc.n_expert, desc.top_k, batch, dist).tolist()
+        hit = trace._batch_hit_probs(desc.n_expert, desc.top_k, batch, dist).tolist()
         routed = sum(size * h for size, h in zip(sizes, hit))
     else:
         routed = distinct * sizes[0]

@@ -1,13 +1,12 @@
-"""Activation sheets: recorded or simulated per-pass expert routing.
+"""Activation sheets: the per-pass expert-activation record and its file format.
 
 An activation sheet is the runtime realization of the per-layer expert
 indicator: for every forward pass it records which routed experts each MoE
 layer touched, together with batch size, token count and wall time. Sheets
 come either from an external profiler (parsed here) or from the routing
-simulator below. Expected activation is exact, not sampled: a closed form
-under uniform routing and an exponential-race quadrature otherwise. The
-Monte-Carlo sampler ``_mc_distinct_counts`` survives only as an independent
-reference for the tests.
+simulator in ``routing``. This module holds only the sheet: its records,
+validation against a descriptor, and parse/load/serialize. It never loads
+numpy or ``routing``, so commands that only read traces stay light.
 
 Trace file format (line-delimited, UTF-8, ``#`` starts a comment line)::
 
@@ -24,42 +23,29 @@ code adds them analytically.
 In memory a pass holds the same numbers: one packed Python ``int`` per MoE
 layer, routed expert i at bit i. Parsing is ``int(hex, 16)``, validation is
 ``bit_length``/``bit_count``, and accounting is a popcount times the expert
-size (the sizes of the set bits when expert sizes differ). numpy is
-imported only by the functions that simulate routing or compute
-expectations.
+size (the sizes of the set bits when expert sizes differ). The integer
+fields and layer indices must be bare ASCII digits and the latency may
+hold no ``_`` or non-ASCII character: ``int`` and ``float`` alone would
+also read ``1_0`` as 10 and an Arabic-Indic ``٣`` as 3.
 
-Simulation determinism: pass ``i`` draws from
-``numpy.random.default_rng(SeedSequence(seed).spawn(n_passes)[i])``, so
-per-pass work can be parallelized without changing results. Within a pass,
-the uniforms u come in (token, layer, expert) C order, drawn in bounded
-token blocks that continue one stream, so a smaller batch consumes a prefix
-of a larger batch's stream and nested batches activate nested expert sets.
-Each token keeps the top_k experts with the earliest race times
--log(1 - u) / p: the same doubles numpy's Gumbel sampler turns into
-G = -log(-log(1 - u)), and the same choice as Gumbel-top-k of log p + G.
-The two forms agree in exact arithmetic; in floating point they could
-differ only on keys within a few ulps. Byte-identical output on 180 shapes
-and the pinned hashes in the tests are the evidence that they do not.
+The routing names that used to live here (``RoutingDistribution``,
+``simulate_routing``, ``expected_distinct_experts`` and the rest) still
+resolve as ``trace.<name>``: the module ``__getattr__`` at the end loads
+``routing`` on first access to one of them.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from .errors import ValidationError
-from .models import (
-    ModelDescriptor,
-    activated_params_from_sets,
-    expert_indices,
-    total_params,
-)
+from .models import ModelDescriptor, expert_indices
 
 PHASES = ("prefill", "decode")
 
@@ -178,6 +164,52 @@ def validate_sheet(sheet: ActivationSheet, desc: ModelDescriptor) -> None:
 
 # bare hex digits only: int(s, 16) alone would also take signs, 0x, _ and spaces
 _BARE_HEX = re.compile(r"[0-9a-fA-F]+")
+# a whole activation field, layer:hex entries joined by ';'; the layer is
+# ASCII digits, which int() alone would widen to signs, _ and other scripts
+_ACTIVATIONS = re.compile(r"(?:[0-9]+:[0-9a-fA-F]+;)*[0-9]+:[0-9a-fA-F]+")
+
+
+def _digits(text: str) -> int:
+    """A count field or layer index: bare ASCII digits."""
+    if text.isascii() and text.isdigit():
+        return int(text)
+    raise ValueError(f"expected bare decimal digits, got {text!r}")
+
+
+def _decimal(text: str) -> float:
+    """The latency field: float() less the _ and non-ASCII digits it takes."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"expected an ASCII decimal number, got {text!r}")
+    return float(text)
+
+
+def _parse_activations(text: str, pass_id: int) -> dict[int, int]:
+    """The layer -> bitmap dict of one activation field.
+
+    A well-formed field is checked by one pattern and split at once; any
+    other is read entry by entry, which names its first faulty entry."""
+    if _ACTIVATIONS.fullmatch(text):
+        tokens = iter(text.replace(";", ":").split(":"))
+        bitmaps = {int(layer): int(hexstr, 16) for layer, hexstr in zip(tokens, tokens)}
+        if len(bitmaps) == text.count(";") + 1:
+            return bitmaps
+    bitmaps = {}
+    for entry in text.split(";") if text else ():
+        layer_str, colon, hexstr = entry.partition(":")
+        if not colon:
+            raise ValidationError(f"pass {pass_id}: malformed layer entry {entry!r}", field="activated")
+        try:
+            layer = _digits(layer_str)
+        except ValueError:
+            raise ValidationError(
+                f"pass {pass_id}: malformed layer index {layer_str!r}", field="activated"
+            ) from None
+        if layer in bitmaps:
+            raise ValidationError(f"pass {pass_id}: duplicate layer {layer} in bitmap list", field="activated")
+        if not _BARE_HEX.fullmatch(hexstr):
+            raise ValidationError(f"pass {pass_id}: malformed bitmap {hexstr!r}", field="activated")
+        bitmaps[layer] = int(hexstr, 16)
+    return bitmaps
 
 
 def parse_activation_sheet(
@@ -217,35 +249,15 @@ def parse_activation_sheet(
                 field="record",
             )
         try:
-            pass_id = int(parts[0])
+            pass_id = _digits(parts[0])
             phase = parts[1]
-            batch_size = int(parts[2])
-            tokens = int(parts[3])
-            latency_s = float(parts[4])
-            kv_bytes = int(parts[5])
+            batch_size = _digits(parts[2])
+            tokens = _digits(parts[3])
+            latency_s = _decimal(parts[4])
+            kv_bytes = _digits(parts[5])
         except ValueError as exc:
             raise ValidationError(f"line {lineno}: malformed field ({exc})", field="record") from None
-        bitmaps: dict[int, int] = {}
-        if parts[6]:
-            for entry in parts[6].split(";"):
-                if ":" not in entry:
-                    raise ValidationError(
-                        f"pass {pass_id}: malformed layer entry {entry!r}", field="activated"
-                    )
-                layer_str, hexstr = entry.split(":", 1)
-                try:
-                    layer = int(layer_str)
-                except ValueError:
-                    raise ValidationError(
-                        f"pass {pass_id}: malformed layer index {layer_str!r}", field="activated"
-                    ) from None
-                if layer in bitmaps:
-                    raise ValidationError(
-                        f"pass {pass_id}: duplicate layer {layer} in bitmap list", field="activated"
-                    )
-                if not _BARE_HEX.fullmatch(hexstr):
-                    raise ValidationError(f"pass {pass_id}: malformed bitmap {hexstr!r}", field="activated")
-                bitmaps[layer] = int(hexstr, 16)
+        bitmaps = _parse_activations(parts[6], pass_id)
         passes.append(
             ForwardPassRecord(
                 pass_id=pass_id,
@@ -283,451 +295,15 @@ def serialize_activation_sheet(sheet: ActivationSheet, desc: ModelDescriptor) ->
     return "\n".join(out) + "\n"
 
 
-# --------------------------------------------------------------------------
-# Routing distributions
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RoutingDistribution:
-    """Per-token router behavior used by the simulator: each token draws
-    top_k distinct experts by sequential probability-proportional sampling
-    without replacement from these weights."""
-
-    kind: str
-    zipf_s: float = 0.0
-    weights: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("uniform", "zipf", "empirical"):
-            raise ValidationError(f"unknown distribution kind {self.kind!r}", field="kind")
-        if self.kind == "zipf" and not 0 <= self.zipf_s < math.inf:
-            raise ValidationError("zipf exponent must be finite and >= 0", field="zipf_s")
-        if self.kind == "empirical":
-            if self.weights is None:
-                raise ValidationError("empirical distribution requires weights", field="weights")
-            # a tuple keeps the distribution hashable, as the expectation cache needs
-            object.__setattr__(self, "weights", tuple(self.weights))
-            if any(w < 0 for w in self.weights):
-                raise ValidationError("empirical weights must be non-negative", field="weights")
-            s = sum(self.weights)
-            if not math.isclose(s, 1.0, rel_tol=1e-9, abs_tol=1e-12):
-                raise ValidationError(f"empirical weights must sum to 1, got {s}", field="weights")
-
-    @classmethod
-    def uniform(cls) -> "RoutingDistribution":
-        return cls(kind="uniform")
-
-    @classmethod
-    def zipf(cls, s: float) -> "RoutingDistribution":
-        return cls(kind="zipf", zipf_s=s)
-
-    @classmethod
-    def empirical(cls, weights: Sequence[float]) -> "RoutingDistribution":
-        return cls(kind="empirical", weights=tuple(float(w) for w in weights))
-
-    def probabilities(self, n_expert: int) -> np.ndarray:
-        import numpy as np
-
-        if self.kind == "uniform":
-            return np.full(n_expert, 1.0 / n_expert)
-        if self.kind == "zipf":
-            # a rank**s that overflows to inf gives the correctly rounded weight 0
-            with np.errstate(over="ignore"):
-                w = 1.0 / np.arange(1, n_expert + 1, dtype=float) ** self.zipf_s
-            return w / w.sum()
-        assert self.weights is not None
-        if len(self.weights) != n_expert:
-            raise ValidationError(
-                f"empirical weight vector has length {len(self.weights)}, expected {n_expert}",
-                field="weights",
-            )
-        w = np.asarray(self.weights, dtype=float)
-        return w / w.sum()
-
-
-def _parse_number(text: str, cast: type, field: str):
-    try:
-        return cast(text)
-    except ValueError:
-        raise ValidationError(f"malformed number {text!r} in {field}", field=field) from None
-
-
-def _parse_dist_spec(spec: str) -> RoutingDistribution:
-    """Parse a CLI-style distribution spec: 'uniform', 'zipf:S', 'empirical:p1,p2,...'."""
-    if spec == "uniform":
-        return RoutingDistribution.uniform()
-    if spec.startswith("zipf:"):
-        return RoutingDistribution.zipf(_parse_number(spec[len("zipf:"):], float, "dist"))
-    if spec.startswith("empirical:"):
-        return RoutingDistribution.empirical([_parse_number(x, float, "dist") for x in spec[len("empirical:"):].split(",")])
-    raise ValidationError(f"cannot parse distribution spec {spec!r}", field="dist")
-
-
-# --------------------------------------------------------------------------
-# Simulation
-# --------------------------------------------------------------------------
-
-def _check_support(p: np.ndarray, top_k: int) -> np.ndarray:
-    import numpy as np
-
-    if int((p > 0).sum()) < top_k:
-        raise ValidationError(
-            f"distribution has fewer than top_k={top_k} experts with positive weight",
-            field="weights",
-        )
-    with np.errstate(divide="ignore"):
-        return np.where(p > 0, np.log(p), -np.inf)
-
-
-# Uniform cells (tokens x layers x experts) drawn at a time: a pass's memory
-# stays bounded whatever its token count. A block and its partition copy
-# (1 MiB) fit a 2 MiB per-core L2 cache; on such a 2-core x86-64 host,
-# 2^18-cell blocks made the batch 1-64 mix ~1.6x slower.
-_ROUTE_BLOCK_CELLS = 1 << 16
-
-
-def _race_block(rng, shape: tuple[int, int, int], neg_inv_p: np.ndarray, k: int) -> np.ndarray | None:
-    """Draw one block of tokens and return the (layers, experts) mask of the
-    experts any of them selects: each token's k earliest race times
-    -log(1 - u) / p per layer. ``neg_inv_p`` is -1/p (-inf for zero
-    weights) up to a common positive factor. Returns None if the block drew
-    a zero uniform, which numpy's Gumbel sampler would have rejected."""
-    import numpy as np
-
-    t = rng.random(size=shape)
-    if t.min() == 0.0:
-        return None
-    np.log(np.subtract(1.0, t, out=t), out=t)
-    t *= neg_inv_p
-    won = t <= np.partition(t, k - 1, axis=-1)[..., k - 1 : k]
-    # every row admits at least k; an exact tie at the k-th time admits more
-    if np.count_nonzero(won) > k * (won.size // shape[-1]):
-        won[...] = False
-        np.put_along_axis(won, np.argpartition(t, k - 1, axis=-1)[..., :k], True, axis=-1)
-    return won.any(axis=0)
-
-
-def _gumbel_block(rng, shape: tuple[int, int, int], log_p: np.ndarray, k: int) -> np.ndarray:
-    """The same block through numpy's Gumbel sampler: each token's top-k
-    of log p + G per layer."""
-    import numpy as np
-
-    keys = log_p + rng.gumbel(size=shape)
-    won = np.zeros(shape, dtype=bool)
-    np.put_along_axis(won, np.argpartition(-keys, k - 1, axis=-1)[..., :k], True, axis=-1)
-    return won.any(axis=0)
-
-
-def _route_pass(make_rng, shape: tuple[int, int, int], log_p: np.ndarray, neg_inv_p: np.ndarray, k: int) -> np.ndarray:
-    """(layers, experts) mask of the experts a pass of ``shape`` = (tokens,
-    layers, experts) activates, drawn in token blocks from ``make_rng()``.
-    Consecutive draws continue one stream, so the blocking changes nothing.
-    A zero uniform replays the pass from a fresh generator through numpy's
-    Gumbel sampler, which rejects that draw and takes the next."""
-    import numpy as np
-
-    tokens, n_layers, n = shape
-    step = max(1, _ROUTE_BLOCK_CELLS // (n_layers * n))
-
-    def run(block):
-        rng = make_rng()
-        hit = np.zeros((n_layers, n), dtype=bool)
-        for start in range(0, tokens, step):
-            won = block(rng, (min(step, tokens - start), n_layers, n))
-            if won is None:
-                return None
-            hit |= won
-        return hit
-
-    hit = run(lambda rng, s: _race_block(rng, s, neg_inv_p, k))
-    if hit is None:
-        hit = run(lambda rng, s: _gumbel_block(rng, s, log_p, k))
-    return hit
-
-
-def simulate_routing(
-    desc: ModelDescriptor,
-    batch: int,
-    dist: RoutingDistribution,
-    n_passes: int,
-    seed: int,
-    phase: str = "decode",
-    tokens_per_pass: int | None = None,
-    latency_s: float = 1.0,
-) -> ActivationSheet:
-    """Synthesize an activation sheet by sampling per-token routing.
-
-    Each token independently selects top_k distinct routed experts per MoE
-    layer; a pass's activated set is the union over its tokens. Pass i draws
-    uniforms u from ``default_rng(SeedSequence(seed).spawn(n_passes)[i])``
-    in (token, layer, expert) C order, and each token keeps the k experts
-    with the earliest race times -log(1 - u) / p. These are the doubles
-    numpy's Gumbel sampler turns into G = -log(-log(1 - u)), and the
-    selection is Gumbel-top-k of log p + G, equivalent in distribution to
-    sequential weighted draws with renormalization. The two forms agree in
-    exact arithmetic; in floating point they could differ only on keys
-    within a few ulps (see the module docstring). Tokens are drawn in blocks
-    of about ``_ROUTE_BLOCK_CELLS`` uniforms, so memory does not grow with
-    tokens_per_pass. latency_s is a placeholder unless a latency model
-    supplies real values downstream.
-    """
-    import numpy as np
-
-    if batch < 1:
-        raise ValidationError("batch must be >= 1", field="batch")
-    if n_passes < 1:
-        raise ValidationError("n_passes must be >= 1", field="n_passes")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}", field="seed")
-    if phase not in PHASES:
-        raise ValidationError(f"phase must be one of {PHASES}", field="phase")
-    tokens = batch if phase == "decode" else (tokens_per_pass if tokens_per_pass is not None else batch)
-    if phase == "decode" and tokens_per_pass is not None and tokens_per_pass != batch:
-        raise ValidationError("decode passes process exactly one token per sequence", field="tokens_per_pass")
-    if tokens < batch:
-        raise ValidationError("tokens_per_pass must be >= batch", field="tokens_per_pass")
-
-    p = dist.probabilities(desc.n_expert)
-    log_p = _check_support(p, desc.top_k)
-    # 1/p up to the exact factor 2^-64, which keeps it finite for subnormal
-    # weights and never reorders race times
-    with np.errstate(divide="ignore"):
-        neg_inv_p = -1.0 / (p * 2.0**64)
-    moe_layers = desc.moe_layers
-    shape = (tokens, len(moe_layers), desc.n_expert)
-
-    children = np.random.SeedSequence(seed).spawn(n_passes)
-    passes = []
-    for pass_id, ss in enumerate(children):
-        if desc.top_k == desc.n_expert:
-            hit = np.ones(shape[1:], dtype=bool)
-        else:
-            make_rng = functools.partial(np.random.default_rng, ss)
-            hit = _route_pass(make_rng, shape, log_p, neg_inv_p, desc.top_k)
-        packed = np.packbits(hit, axis=-1, bitorder="little")
-        bitmaps = {layer: int.from_bytes(row.tobytes(), "little") for layer, row in zip(moe_layers, packed)}
-        passes.append(
-            ForwardPassRecord(
-                pass_id=pass_id,
-                phase=phase,
-                batch_size=batch,
-                tokens_processed=tokens,
-                latency_s=latency_s,
-                kv_bytes_read=0,
-                bitmaps=bitmaps,
-            )
-        )
-    return ActivationSheet(model_name=desc.name, passes=passes)
-
-
-# --------------------------------------------------------------------------
-# Expected distinct experts
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ExpectedDistinct:
-    """Expected distinct routed experts per MoE layer, and its exact method."""
-
-    value: float
-    method: str
-
-
-# Trapezoid step in s = ln t; the integrand is analytic, so the error falls
-# geometrically with the step (about 4e-13 at 0.25, rounding at 0.125).
-_RACE_STEP = 0.125
-# The grid is cut into node blocks so that (experts + 1) x counts x nodes
-# stays below this. The cut sets how each expert's sum over nodes is
-# grouped, so changing it changes the last bits of r_i.
-_RACE_BLOCK_CELLS = 1 << 20
-
-
-def _topk_inclusion_probs(p: np.ndarray, k: int) -> np.ndarray:
-    """r_i = P(expert i is among one token's k sequential weighted draws
-    without replacement); fewer than k positive weights are rejected.
-
-    Exponential race: expert i fires at an Exp(p_i) time and the k earliest
-    win, so r_i = integral over ln t of p_i t e^(-p_i t) P(at most k-1 others
-    fired by t). That count is Poisson-binomial in 1 - e^(-p_j t); the counts
-    among the experts before i (prefix) and after i (suffix), truncated at k,
-    give it for every i without division. All terms are positive, so tiny
-    r_i keep full precision.
-
-    Memory is O(sqrt(E) k nodes), not O(E k nodes). A forward sweep keeps
-    the prefix row only at the start of each segment of g = ceil(sqrt(E))
-    experts. A backward sweep, last segment first, rebuilds the segment's
-    prefix rows from its checkpoint and its suffix rows from the one row
-    carried down from the segment after it, then combines them. Every row
-    comes from the same recurrence as full tables would, so r_i is too.
-    """
-    import numpy as np
-
-    log_p = _check_support(p, k)
-    m = len(p)
-    g = math.isqrt(m - 1) + 1
-    # Outside this range every integrand is below e^-40 of its peak.
-    s = np.arange(-log_p.max() - 40.0, -log_p[p > 0].min() + 4.0, _RACE_STEP)
-    total = np.zeros(m)
-
-    def step(row, fired, idle, out=None):
-        # count row after one more expert: row[c] is P(exactly c fired), c < k
-        out = np.multiply(row, idle, out=out)
-        out[1:] += row[:-1] * fired
-        return out
-
-    for s_block in np.array_split(s, -(-len(s) * (m + 1) * k // _RACE_BLOCK_CELLS)):
-
-        def segment(lo):
-            # x = p t from log space, capped where e^-x is already 0 so it stays finite
-            log_x = log_p[lo : lo + g, None] + s_block
-            x = np.exp(np.minimum(log_x, 700.0))
-            return -np.expm1(-x), np.exp(-x), log_x - x
-
-        # prefix[j, c] (suffix[j, c]): P(exactly c of the experts before
-        # (from) lo + j fired), c < k; the suffix has one row more, for lo + n
-        prefix, suffix = np.zeros((g, k, len(s_block))), np.zeros((g + 1, k, len(s_block)))
-        row = np.zeros((k, len(s_block)))
-        row[0] = 1.0  # of no experts, none fired
-        checkpoints, carry = [row], row
-        for lo in range(0, m - g, g):
-            fired, idle, _ = segment(lo)
-            for j in range(g):
-                row = step(row, fired[j], idle[j])
-            checkpoints.append(row)
-        for lo in reversed(range(0, m, g)):
-            fired, idle, log_w = segment(lo)
-            n = len(fired)
-            prefix[0] = checkpoints.pop()
-            for j in range(n - 1):
-                step(prefix[j], fired[j], idle[j], out=prefix[j + 1])
-            suffix[n] = carry
-            for j in reversed(range(n)):
-                step(suffix[j + 1], fired[j], idle[j], out=suffix[j])
-            carry = suffix[0].copy()
-            # P(at most k-1 others) = sum_c prefix[i, c] * P(at most k-1-c of i+1.. fired).
-            # The cumulative sum over c overwrites suffix rows the next segment rewrites.
-            tail = suffix[1 : n + 1]
-            for c in range(1, k):
-                tail[:, c] += tail[:, c - 1]
-            others = np.einsum("ict,ict->it", prefix[:n], tail[:, ::-1])
-            total[lo : lo + n] += (np.exp(log_w) * others).sum(axis=1)
-    return np.minimum(_RACE_STEP * total, 1.0)
-
-
-@functools.lru_cache(maxsize=32)
-def _inclusion_probs(n_expert: int, top_k: int, dist: RoutingDistribution) -> np.ndarray:
-    """``_topk_inclusion_probs`` for one routing setting, computed once per
-    process: r_i does not depend on the batch, so a sweep pays for one
-    quadrature. Read-only, because every caller shares the array."""
-    r = _topk_inclusion_probs(dist.probabilities(n_expert), top_k)
-    r.flags.writeable = False
-    return r
-
-
-def _mc_distinct_counts(
-    p: np.ndarray, top_k: int, batch: int, n_passes: int, seed: int
-) -> np.ndarray:
-    """Vectorized Monte-Carlo draw of per-pass distinct expert counts.
-
-    Uses float32 Gumbel keys and selects each token's top-k by comparing
-    against its k-th largest key; exact float ties (~1e-7 per pair) can
-    admit an extra expert, which perturbs the estimate orders of magnitude
-    below the standard error at any practical pass count.
-    """
-    import numpy as np
-
-    log_p32 = _check_support(p, top_k).astype(np.float32)
-    n_expert = len(p)
-    if top_k == n_expert:
-        return np.full(n_passes, n_expert, dtype=np.int64)
-    rng = np.random.default_rng(seed)
-    counts = np.empty(n_passes, dtype=np.int64)
-    chunk = max(1, min(n_passes, int(4e7) // max(1, batch * n_expert)))
-    done = 0
-    while done < n_passes:
-        m = min(chunk, n_passes - done)
-        u = rng.random(size=(m, batch, n_expert), dtype=np.float32)
-        with np.errstate(divide="ignore"):
-            keys = -np.log(-np.log(u))
-        keys += log_p32
-        kth_largest = np.partition(keys, n_expert - top_k, axis=-1)[..., n_expert - top_k]
-        hit = (keys >= kth_largest[..., None]).any(axis=1)
-        counts[done : done + m] = hit.sum(axis=1)
-        done += m
-    return counts
-
-
-def expected_distinct_experts(
-    n_expert: int,
-    top_k: int,
-    batch: int,
-    dist: RoutingDistribution,
-) -> ExpectedDistinct:
-    """Expected number of distinct routed experts a batch activates in one
-    MoE layer.
-
-    Uniform routing: the closed form E * (1 - (1 - k/E)^batch) (``closed_form``).
-    Otherwise sum_i (1 - (1 - r_i)^batch), r_i being the probability that expert
-    i is in one token's top-k set, from the exact exponential-race quadrature
-    to about 1e-14 relative (``quadrature``). Fewer than top_k positive
-    weights are rejected.
-    """
-    if not 1 <= top_k <= n_expert:
-        raise ValidationError("need 1 <= top_k <= n_expert", field="top_k")
-    if batch < 1:
-        raise ValidationError("batch must be >= 1", field="batch")
-    if dist.kind == "uniform":
-        value = n_expert * (1.0 - (1.0 - top_k / n_expert) ** batch)
-        return ExpectedDistinct(value=value, method="closed_form")
-    return ExpectedDistinct(value=float(_batch_hit_probs(n_expert, top_k, batch, dist).sum()), method="quadrature")
-
-
-def _batch_hit_probs(n_expert: int, top_k: int, batch: int, dist: RoutingDistribution) -> np.ndarray:
-    """1 - (1 - r_i)^batch for each expert i: the probability that at least
-    one of ``batch`` independent tokens routes to it, r_i being its top-k
-    inclusion probability (exactly k/E under uniform routing)."""
-    import numpy as np
-
-    if dist.kind == "uniform":
-        r = np.full(n_expert, top_k / n_expert)
-    else:
-        r = _inclusion_probs(n_expert, top_k, dist)
-    with np.errstate(divide="ignore"):
-        return -np.expm1(batch * np.log1p(-r))
-
-
-# --------------------------------------------------------------------------
-# Activated-parameter fractions
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ActivatedFractionReport:
-    """Share of parameters a pass actually reads. ``per_pass`` counts every
-    always-read component (attention, routers, shared experts, embeddings,
-    dense layers); ``per_pass_expert_only`` restricts both numerator and
-    denominator to expert parameters."""
-
-    per_pass: tuple[float, ...]
-    mean: float
-    per_pass_expert_only: tuple[float, ...]
-    mean_expert_only: float
-
-
-def activated_fraction(sheet: ActivationSheet, desc: ModelDescriptor) -> ActivatedFractionReport:
-    validate_sheet(sheet, desc)
-    total = total_params(desc)
-    expert_total = len(desc.moe_layers) * (
-        sum(desc.routed_expert_sizes()) + desc.n_shared * desc.params_shared_expert
-    )
-    fracs = []
-    fracs_expert = []
-    for rec in sheet.passes:
-        act = activated_params_from_sets(desc, rec.bitmaps)
-        fracs.append(act / total)
-        # every pass reads all non-expert parameters, total - expert_total
-        fracs_expert.append((act - total + expert_total) / expert_total if expert_total > 0 else 1.0)
-    return ActivatedFractionReport(
-        per_pass=tuple(fracs),
-        mean=sum(fracs) / len(fracs),
-        per_pass_expert_only=tuple(fracs_expert),
-        mean_expert_only=sum(fracs_expert) / len(fracs_expert),
-    )
+def __getattr__(name: str):
+    """Resolve a name that moved to ``routing`` (PEP 562), loading it on
+    first use. Dunder names are not forwarded: ``from .trace import X``
+    probes ``__path__``, and forwarding that would load routing into every
+    command that reads a trace."""
+    if not name.startswith("__"):
+        from . import routing
+
+        if hasattr(routing, name):
+            value = globals()[name] = getattr(routing, name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

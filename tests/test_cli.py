@@ -380,31 +380,38 @@ _CLI_MODULES = {"moemeter", "moemeter.cli", "moemeter.errors", "moemeter.models"
         ("import moemeter", {"moemeter"}),
         ("from moemeter import load_catalog", {"moemeter", "moemeter.catalog", "moemeter.errors"}),
         ("import moemeter.cli", _CLI_MODULES),
-        ("simulate", _CLI_MODULES),
+        ("simulate", _CLI_MODULES | {"moemeter.routing", "numpy"}),
         ("metrics", _CLI_MODULES | {"moemeter.catalog", "moemeter.metrics"}),
-        ("plan", _CLI_MODULES | {"moemeter.catalog", "moemeter.planner"}),
+        ("plan", _CLI_MODULES | {"moemeter.catalog", "moemeter.planner", "moemeter.routing", "numpy"}),
         ("radar", _CLI_MODULES | {"moemeter.cap"}),
+        ("plan --mode trace", _CLI_MODULES | {"moemeter.catalog", "moemeter.planner"}),
+        ("plan --fig2", _CLI_MODULES | {"moemeter.catalog", "moemeter.planner"}),
     ],
 )
 def test_each_command_loads_only_its_modules(tmp_path, command, loaded):
+    plan = ["plan", "--model", MODELS / "mixtral-8x7b.json", "--catalog", CATALOG, "--output-dir", tmp_path]
     argv = {
         "simulate": ["simulate", "--model", MODELS / "toy-4x2.json", "--batch", 4, "--dist", "zipf:1.1",
                      "--passes", 2, "--seed", 1, "--out", tmp_path / "sim.trace"],
         "metrics": ["metrics", "--model", MODELS / "toy-4x2.json", "--trace", TRACES / "sample_decode.trace",
                     "--catalog", CATALOG, "--device", "H100-SXM", "--bytes-per-param", "1.0",
                     "--output-dir", tmp_path],
-        "plan": ["plan", "--model", MODELS / "mixtral-8x7b.json", "--catalog", CATALOG, "--mode", "expected",
-                 "--batch", 4, "--dist", "zipf:1.1", "--sweep-batches", "1,2", "--fig2", "--output-dir", tmp_path],
+        "plan": [*plan, "--mode", "expected", "--batch", 4, "--dist", "zipf:1.1", "--sweep-batches", "1,2",
+                 "--fig2"],
         "radar": ["radar", "--records", BUNDLES / "radar_serving_systems.json", "--output-dir", tmp_path],
+        "plan --mode trace": ["plan", "--model", MODELS / "toy-4x2.json", "--catalog", CATALOG, "--mode", "trace",
+                              "--trace", TRACES / "sample_decode.trace", "--with-ops", "--output-dir", tmp_path],
+        "plan --fig2": [*plan, "--fig2"],
     }.get(command)
     if argv is None:
         run = command
     else:
         run = f"import moemeter.cli\nassert moemeter.cli.main({[str(a) for a in argv]!r}) == 0"
+    # numpy is listed by its top-level module only
     code = f"""
 import json, sys
 {run}
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "moemeter")))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "moemeter" or m == "numpy")))
 """
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=REPO_ROOT)
     assert result.returncode == 0, result.stderr
@@ -530,6 +537,11 @@ def test_each_command_validates_its_trace_once(tmp_path, monkeypatch, command):
     [
         ("model=other-model\n0,decode,1,1,0.004,0,0:3;1:3\n", "model_name"),
         ("model=toy-4x2\n0,decode,1,1,0.004,0,0:0;1:3\n", "activated"),  # a layer with 0 experts
+        # int() and float() alone would read these as batch 10, batch 3, layer 0 and 0.004 s
+        ("model=toy-4x2\n0,decode,1_0,1_0,0.004,0,0:a;1:7\n", "record"),
+        ("model=toy-4x2\n0,decode,\u0663,\u0663,0.004,0,0:a;1:7\n", "record"),
+        ("model=toy-4x2\n0,decode,2,2,0.004,0,\u0660:3;1:3\n", "activated"),
+        ("model=toy-4x2\n0,decode,2,2,0.00_4,0,0:3;1:3\n", "record"),
     ],
 )
 def test_invalid_trace_exits_2_on_every_command(tmp_path, capsys, command, records, field):

@@ -19,7 +19,8 @@ from moemeter.metrics import (
     vanilla_mfu,
 )
 from moemeter.models import ModelDescriptor, Precision, total_param_bytes
-from moemeter.trace import ActivationSheet, ForwardPassRecord, simulate_routing, RoutingDistribution
+from moemeter.routing import RoutingDistribution, simulate_routing
+from moemeter.trace import ActivationSheet, ForwardPassRecord
 
 from conftest import make_desc
 
@@ -338,6 +339,29 @@ def test_report_warns_on_every_mbu_above_one(toy_desc):
     labels = {str(w.message).split(" = ")[0] for w in caught}
     assert labels == {"S-MBU", "vanilla MBU", "aggregate S-MBU", "aggregate vanilla MBU"}
     assert report.passes[0].s_mbu == report.aggregate_s_mbu > 1.0
+
+
+def test_report_folds_per_pass_warnings_into_one_per_label(r1_desc, catalog_path):
+    from moemeter.catalog import get_device, load_catalog
+
+    h100 = get_device(load_catalog(catalog_path), "H100-SXM")
+    # 1 ms passes: every per-pass and aggregate figure is far above 1
+    sheet = simulate_routing(r1_desc, 16, RoutingDistribution.zipf(1.1), 6, seed=0, latency_s=1e-3)
+    with pytest.warns(RuntimeWarning) as caught:
+        report = compute_metric_report(
+            sheet, r1_desc, Precision(2.0), h100.peak_bandwidth_gbps * 1e9, h100.peak_flops_by_precision["fp16"]
+        )
+    messages = [str(w.message) for w in caught]
+    per_pass = [m for m in messages if "per-pass" in m]
+    assert sorted(m.split(" = ")[0] for m in per_pass) == sorted(["S-MBU", "vanilla MBU", "S-MFU", "vanilla MFU"])
+    folded = {m.split(" = ")[0]: m for m in per_pass}
+    for label, field in [("S-MBU", "s_mbu"), ("vanilla MBU", "vanilla_mbu"), ("S-MFU", "s_mfu"),
+                         ("vanilla MFU", "vanilla_mfu")]:
+        worst = max(getattr(p, field) for p in report.passes)
+        assert folded[label].startswith(f"{label} = {worst:.4f} exceeds 1.0, the largest of 6 of 6 ")
+    # the aggregate warnings are unchanged: one each
+    aggregates = [m.split(" = ")[0] for m in messages if "per-pass" not in m]
+    assert sorted(aggregates) == sorted(["aggregate S-MBU", "aggregate vanilla MBU", "S-MFU", "vanilla MFU"])
 
 
 @pytest.mark.parametrize("kv_seq_len", [0, -3])

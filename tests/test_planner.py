@@ -21,13 +21,8 @@ from moemeter.planner import (
     sweep_to_csv,
     theoretical_bandwidth_gbps,
 )
-from moemeter.trace import (
-    ActivationSheet,
-    ForwardPassRecord,
-    RoutingDistribution,
-    load_activation_sheet,
-    simulate_routing,
-)
+from moemeter.routing import RoutingDistribution, simulate_routing
+from moemeter.trace import ActivationSheet, ForwardPassRecord, load_activation_sheet
 
 from conftest import REPO_ROOT, make_desc
 
@@ -378,29 +373,29 @@ def test_sweep_csv_rows_round_trip(r1_desc, shipped_catalog):
 
 
 def test_zipf_sweep_runs_the_quadrature_once(r1_desc, monkeypatch):
-    import moemeter.trace as trace
+    import moemeter.routing as routing
 
     dist = RoutingDistribution.zipf(1.1)
     batches = [1, 2, 4, 8, 16, 32, 64]
     uncached = []
     for batch in batches:
-        trace._inclusion_probs.cache_clear()
-        uncached.append(trace.expected_distinct_experts(r1_desc.n_expert, r1_desc.top_k, batch, dist).value)
+        routing._inclusion_probs.cache_clear()
+        uncached.append(routing.expected_distinct_experts(r1_desc.n_expert, r1_desc.top_k, batch, dist).value)
 
-    quadrature = trace._topk_inclusion_probs
+    quadrature = routing._topk_inclusion_probs
     calls = []
 
     def counted(p, k):
         calls.append(k)
         return quadrature(p, k)
 
-    monkeypatch.setattr(trace, "_topk_inclusion_probs", counted)
-    trace._inclusion_probs.cache_clear()
+    monkeypatch.setattr(routing, "_topk_inclusion_probs", counted)
+    routing._inclusion_probs.cache_clear()
     try:
         points = batch_sweep(r1_desc, dist, batches, SLO, INT8)
-        r = trace._inclusion_probs(r1_desc.n_expert, r1_desc.top_k, dist)
+        r = routing._inclusion_probs(r1_desc.n_expert, r1_desc.top_k, dist)
     finally:
-        trace._inclusion_probs.cache_clear()
+        routing._inclusion_probs.cache_clear()
     assert calls == [r1_desc.top_k]
     assert [p.expected_distinct_per_layer for p in points] == uncached
     with pytest.raises(ValueError, match="read-only"):

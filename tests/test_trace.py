@@ -10,23 +10,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from moemeter.errors import ValidationError
-from moemeter.trace import (
-    ActivationSheet,
-    ForwardPassRecord,
+from moemeter.routing import (
     RoutingDistribution,
     activated_fraction,
     expected_distinct_experts,
-    load_activation_sheet,
-    parse_activation_sheet,
-    serialize_activation_sheet,
     simulate_routing,
-    validate_sheet,
     _mc_distinct_counts,
     _gumbel_block,
     _parse_dist_spec,
     _race_block,
     _route_pass,
     _topk_inclusion_probs,
+)
+from moemeter.trace import (
+    ActivationSheet,
+    ForwardPassRecord,
+    load_activation_sheet,
+    parse_activation_sheet,
+    serialize_activation_sheet,
+    validate_sheet,
 )
 
 from conftest import make_desc
@@ -74,6 +76,41 @@ def test_commented_trace_parses_to_same_sheet(traces_dir, toy_desc):
 def test_parse_malformed_line_names_line():
     with pytest.raises(ValidationError, match="line 2"):
         parse_activation_sheet("model=m\n0,decode,not-a-number,1,0.01,0,0:1\n")
+
+
+@pytest.mark.parametrize(
+    "activations, message",
+    [
+        ("0:3;0:3", "duplicate layer 0"),
+        ("0:3;0:zz", "duplicate layer 0"),  # entries are checked in order, layer before bitmap
+        ("0:3;1", "malformed layer entry '1'"),
+        ("0:3;", "malformed layer entry ''"),
+        ("0:3;x:3", "malformed layer index 'x'"),
+        ("0:3;-1:3", "malformed layer index '-1'"),
+        ("0:3; 1:3", "malformed layer index ' 1'"),
+        ("\u0660:3;1:3", "malformed layer index '\u0660'"),
+        ("0:3;1:0x3", "malformed bitmap '0x3'"),
+        ("0:3;1:3:3", "malformed bitmap '3:3'"),
+    ],
+)
+def test_parse_names_the_first_faulty_activation_entry(activations, message):
+    with pytest.raises(ValidationError, match=f"pass 0: {message}") as exc:
+        parse_activation_sheet(f"model=m\n0,decode,2,2,0.01,0,{activations}\n")
+    assert exc.value.field == "activated"
+
+
+def test_trace_forwards_the_names_that_moved_to_routing():
+    import moemeter.routing as routing
+    import moemeter.trace as trace
+
+    for name in ("RoutingDistribution", "simulate_routing", "expected_distinct_experts", "_batch_hit_probs",
+                 "_parse_dist_spec", "activated_fraction"):
+        assert getattr(trace, name) is getattr(routing, name)
+    # dunder probes are not forwarded: ``from .trace import X`` looks up __path__
+    with pytest.raises(AttributeError):
+        trace.__path__  # noqa: B018
+    with pytest.raises(AttributeError, match="no_such_name"):
+        trace.no_such_name  # noqa: B018
 
 
 def test_parse_nonpositive_latency_rejected():
@@ -362,9 +399,9 @@ def test_race_block_breaks_exact_ties_to_exactly_k():
 
 
 def test_zero_uniform_replays_the_pass_through_the_gumbel_sampler(r1_desc, monkeypatch):
-    import moemeter.trace as trace
+    import moemeter.routing as routing
 
-    monkeypatch.setattr(trace, "_ROUTE_BLOCK_CELLS", 1)  # one token per block
+    monkeypatch.setattr(routing, "_ROUTE_BLOCK_CELLS", 1)  # one token per block
     dist = RoutingDistribution.zipf(1.1)
     p = dist.probabilities(r1_desc.n_expert)
     shape = (5, len(r1_desc.moe_layers), r1_desc.n_expert)
