@@ -10,6 +10,12 @@ dense / fully-activated cases.
 All functions are pure; peak bandwidth is in bytes/s and peak compute in
 FLOP/s. Values above 1.0 are reported (with a RuntimeWarning), never
 clamped, since they signal inconsistent inputs rather than physics.
+
+The report, the aggregate and per-pass S-MBU, and planner trace mode are
+views over one fold, :func:`models.fold_passes`: it charges each pass by
+:func:`models.pass_bytes` and sums bytes, latency and tokens. Every MBU is
+bytes / seconds / peak (``_mbu``) and every MFU tokens/s * FLOPs / peak
+(``_mfu``), whether standalone, per pass or aggregate.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from .models import (
     Precision,
     activated_bytes_for_pass,  # noqa: F401  (re-exported: metrics.activated_bytes_for_pass)
     dense_flops_per_token,
-    pass_bytes,
+    fold_passes,
     sparse_flops_per_token,
     total_param_bytes,
 )
@@ -49,7 +55,7 @@ def vanilla_mbu(
     if not 0 <= kv_bytes < math.inf:
         raise ValidationError("kv_bytes must be finite and >= 0", field="kv_bytes")
     s_model = total_param_bytes(desc, prec, include_embed=include_embed)
-    return _warn_if_over_one((s_model + kv_bytes) / tpot_s / hw_peak_bandwidth, "vanilla MBU")
+    return _warn_if_over_one(_mbu(s_model + kv_bytes, tpot_s, hw_peak_bandwidth), "vanilla MBU")
 
 
 def s_mbu_per_pass(
@@ -63,9 +69,8 @@ def s_mbu_per_pass(
     """Sparsity-aware MBU for one pass: only the activated parameter bytes
     (plus KV) count toward achieved bandwidth."""
     _check_peak(hw_peak_bandwidth, "hw_peak_bandwidth")
-    _check_kv_seq_len(kv_seq_len)
-    act, kv = pass_bytes(rec, desc, prec, kv_seq_len=kv_seq_len, include_embed=include_embed)
-    return _warn_if_over_one((act + kv) / rec.latency_s / hw_peak_bandwidth, "S-MBU")
+    _, pass_total, latency, _ = fold_passes([rec], desc, prec, kv_seq_len, include_embed=include_embed)
+    return _warn_if_over_one(_mbu(pass_total, latency, hw_peak_bandwidth), "S-MBU")
 
 
 def s_mbu_aggregate(
@@ -80,16 +85,9 @@ def s_mbu_aggregate(
     total wall time, over peak bandwidth (latency-weighted, not the mean of
     per-pass values)."""
     _check_peak(hw_peak_bandwidth, "hw_peak_bandwidth")
-    _check_kv_seq_len(kv_seq_len)
     validate_sheet(sheet, desc)
-    total_bytes = 0.0
-    total_latency = 0.0
-    for rec in sheet.passes:
-        act, kv = pass_bytes(rec, desc, prec, kv_seq_len=kv_seq_len, include_embed=include_embed)
-        total_bytes += act
-        total_bytes += kv
-        total_latency += rec.latency_s
-    return _warn_if_over_one(total_bytes / total_latency / hw_peak_bandwidth, "aggregate S-MBU")
+    _, total_bytes, total_latency, _ = fold_passes(sheet.passes, desc, prec, kv_seq_len, include_embed=include_embed)
+    return _warn_if_over_one(_mbu(total_bytes, total_latency, hw_peak_bandwidth), "aggregate S-MBU")
 
 
 def s_mfu(
@@ -104,7 +102,7 @@ def s_mfu(
         raise ValidationError("throughput must be > 0", field="throughput_tokens_per_s")
     _check_peak(hw_peak_flops, "hw_peak_flops")
     return _warn_if_over_one(
-        throughput_tokens_per_s * sparse_flops_per_token(desc, seq_len) / hw_peak_flops, "S-MFU"
+        _mfu(throughput_tokens_per_s, sparse_flops_per_token(desc, seq_len), hw_peak_flops), "S-MFU"
     )
 
 
@@ -119,7 +117,7 @@ def vanilla_mfu(
         raise ValidationError("throughput must be > 0", field="throughput_tokens_per_s")
     _check_peak(hw_peak_flops, "hw_peak_flops")
     return _warn_if_over_one(
-        throughput_tokens_per_s * dense_flops_per_token(desc, seq_len) / hw_peak_flops, "vanilla MFU"
+        _mfu(throughput_tokens_per_s, dense_flops_per_token(desc, seq_len), hw_peak_flops), "vanilla MFU"
     )
 
 
@@ -130,15 +128,19 @@ def overestimation(vanilla: float, sparse: float) -> float:
     return vanilla / sparse
 
 
+def _mbu(bytes_moved: float, seconds: float, peak_bandwidth: float) -> float:
+    """Bandwidth utilization, unwarned: the one expression every MBU is."""
+    return bytes_moved / seconds / peak_bandwidth
+
+
+def _mfu(tokens_per_s: float, flops_per_token: float, peak_flops: float) -> float:
+    """Compute utilization, unwarned: the one expression every MFU is."""
+    return tokens_per_s * flops_per_token / peak_flops
+
+
 def _check_peak(value: float, field: str) -> None:
     if not 0 < value < math.inf:
         raise ValidationError(f"{field} must be finite and > 0, got {value!r}", field=field)
-
-
-def _check_kv_seq_len(kv_seq_len: int | None) -> None:
-    # checked before any pass is charged: a pass that recorded KV never reads it
-    if kv_seq_len is not None and kv_seq_len < 1:
-        raise ValidationError(f"kv_seq_len must be >= 1, got {kv_seq_len}", field="kv_seq_len")
 
 
 def _warn_if_over_one(value: float, label: str) -> float:
@@ -235,24 +237,21 @@ def compute_metric_report(
     validate_sheet(sheet, desc)
     _check_peak(hw_peak_bandwidth, "hw_peak_bandwidth")
     _check_peak(hw_peak_flops, "hw_peak_flops")
-    _check_kv_seq_len(kv_seq_len)
+    per_pass, total_bytes, total_latency, total_tokens = fold_passes(
+        sheet.passes, desc, prec, kv_seq_len, include_embed=include_embed
+    )
     s_model = total_param_bytes(desc, prec, include_embed=include_embed)
-    # per-token FLOPs depend only on (desc, seq_len): derive them once, and
-    # form each MFU with the same expression as s_mfu / vanilla_mfu
+    # per-token FLOPs depend only on (desc, seq_len): derive them once
     sparse_flops = sparse_flops_per_token(desc, seq_len)
     dense_flops = dense_flops_per_token(desc, seq_len)
     passes = []
-    total_bytes = 0.0
     total_vanilla_bytes = 0.0
-    total_latency = 0.0
-    total_tokens = 0
-    for rec in sheet.passes:
-        act, kv = pass_bytes(rec, desc, prec, kv_seq_len=kv_seq_len, include_embed=include_embed)
+    for rec, (act, kv) in zip(sheet.passes, per_pass):
         throughput = rec.tokens_processed / rec.latency_s
-        smbu = (act + kv) / rec.latency_s / hw_peak_bandwidth
-        vmbu = (s_model + kv) / rec.latency_s / hw_peak_bandwidth
-        smfu = throughput * sparse_flops / hw_peak_flops
-        vmfu = throughput * dense_flops / hw_peak_flops
+        smbu = _mbu(act + kv, rec.latency_s, hw_peak_bandwidth)
+        vmbu = _mbu(s_model + kv, rec.latency_s, hw_peak_bandwidth)
+        smfu = _mfu(throughput, sparse_flops, hw_peak_flops)
+        vmfu = _mfu(throughput, dense_flops, hw_peak_flops)
         passes.append(
             PassMetrics(
                 pass_id=rec.pass_id,
@@ -273,17 +272,14 @@ def compute_metric_report(
                 overestimation_mfu=overestimation(vmfu, smfu),
             )
         )
-        total_bytes += act + kv
         total_vanilla_bytes += s_model + kv
-        total_latency += rec.latency_s
-        total_tokens += rec.tokens_processed
     for label, name in _PASS_LABELS:
         _warn_passes_over_one([getattr(p, name) for p in passes], label)
-    agg_s_mbu = _warn_if_over_one(total_bytes / total_latency / hw_peak_bandwidth, "aggregate S-MBU")
-    agg_v_mbu = _warn_if_over_one(total_vanilla_bytes / total_latency / hw_peak_bandwidth, "aggregate vanilla MBU")
+    agg_s_mbu = _warn_if_over_one(_mbu(total_bytes, total_latency, hw_peak_bandwidth), "aggregate S-MBU")
+    agg_v_mbu = _warn_if_over_one(_mbu(total_vanilla_bytes, total_latency, hw_peak_bandwidth), "aggregate vanilla MBU")
     agg_throughput = total_tokens / total_latency
-    agg_s_mfu = _warn_if_over_one(agg_throughput * sparse_flops / hw_peak_flops, "S-MFU")
-    agg_v_mfu = _warn_if_over_one(agg_throughput * dense_flops / hw_peak_flops, "vanilla MFU")
+    agg_s_mfu = _warn_if_over_one(_mfu(agg_throughput, sparse_flops, hw_peak_flops), "S-MFU")
+    agg_v_mfu = _warn_if_over_one(_mfu(agg_throughput, dense_flops, hw_peak_flops), "vanilla MFU")
     return MetricReport(
         model_name=sheet.model_name,
         peak_bandwidth_bytes_per_s=hw_peak_bandwidth,
@@ -316,54 +312,29 @@ def report_to_dict(report: MetricReport) -> dict:
     return doc
 
 
-_CSV_COLUMNS = (
-    "row",
-    "pass_id",
-    "phase",
-    "batch_size",
-    "tokens_processed",
-    "latency_s",
-    "activated_bytes",
-    "kv_bytes",
-    "achieved_bandwidth",
-    "token_throughput",
-    "s_mbu",
-    "vanilla_mbu",
-    "s_mfu",
-    "vanilla_mfu",
-    "overestimation_mbu",
-    "overestimation_mfu",
-)
+# one column per PassMetrics field but tpot_s, which repeats latency_s
+_CSV_COLUMNS = ("row", *(name for name in _PASS_FIELDS if name != "tpot_s"))
 
 
 def report_to_csv(report: MetricReport, header_comment: str | None = None) -> str:
-    """Flat CSV: one row per pass plus a final aggregate row."""
+    """Flat CSV: one row per pass plus a final aggregate row, which holds the
+    totals and each metric's ``aggregate_<column>`` field."""
     buf = io.StringIO()
     if header_comment:
         buf.write(f"# {header_comment}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
     for p in report.passes:
-        values = (getattr(p, column) for column in _CSV_COLUMNS[1:])
-        writer.writerow(["pass", *(repr(v) if isinstance(v, float) else v for v in values)])
-    writer.writerow(
-        [
-            "aggregate",
-            "",
-            "",
-            "",
-            report.total_tokens,
-            repr(report.total_latency_s),
-            "",
-            "",
-            "",
-            repr(report.total_tokens / report.total_latency_s),
-            repr(report.aggregate_s_mbu),
-            repr(report.aggregate_vanilla_mbu),
-            repr(report.aggregate_s_mfu),
-            repr(report.aggregate_vanilla_mfu),
-            repr(report.aggregate_overestimation_mbu),
-            repr(report.aggregate_overestimation_mfu),
-        ]
-    )
+        writer.writerow(["pass", *(_csv_cell(getattr(p, column)) for column in _CSV_COLUMNS[1:])])
+    totals = {
+        "tokens_processed": report.total_tokens,
+        "latency_s": report.total_latency_s,
+        "token_throughput": report.total_tokens / report.total_latency_s,
+    }
+    cells = (totals.get(column, getattr(report, f"aggregate_{column}", "")) for column in _CSV_COLUMNS[1:])
+    writer.writerow(["aggregate", *map(_csv_cell, cells)])
     return buf.getvalue()
+
+
+def _csv_cell(value):
+    return repr(value) if isinstance(value, float) else value

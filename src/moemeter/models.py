@@ -30,10 +30,11 @@ Accounting conventions (documented here once, relied on everywhere):
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields as _dc_fields
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .errors import ValidationError, load_json, record_from_json
 
@@ -293,6 +294,39 @@ def pass_bytes(
     if kv_seq_len is not None:
         return act, kv_cache_bytes(desc, kv_seq_len, rec.batch_size, prec)
     return act, kv_bytes
+
+
+def fold_passes(
+    records: Iterable["ForwardPassRecord"],
+    desc: ModelDescriptor,
+    prec: Precision,
+    kv_seq_len: int | None = None,
+    kv_bytes: float = 0.0,
+    include_embed: bool = True,
+) -> tuple[list[tuple[float, float]], float, float, int]:
+    """The one sum over passes: ``(per_pass, bytes, latency, tokens)``.
+
+    ``per_pass`` lists each validated record's ``(act, kv)`` by :func:`pass_bytes`,
+    so its length is the pass count; the totals add ``act + kv``, latency and
+    tokens left to right. An overflowing latency total is rejected: every rate
+    over it would read 0.
+    """
+    # checked before any pass is charged: a pass that recorded KV never reads it
+    if kv_seq_len is not None and kv_seq_len < 1:
+        raise ValidationError(f"kv_seq_len must be >= 1, got {kv_seq_len}", field="kv_seq_len")
+    per_pass = []
+    total_bytes = 0.0
+    total_latency = 0.0
+    total_tokens = 0
+    for rec in records:
+        act, kv = pass_bytes(rec, desc, prec, kv_seq_len, kv_bytes, include_embed)
+        per_pass.append((act, kv))
+        total_bytes += act + kv
+        total_latency += rec.latency_s
+        total_tokens += rec.tokens_processed
+    if total_latency == math.inf:
+        raise ValidationError("the passes' latencies sum to more than a double holds", field="latency_s")
+    return per_pass, total_bytes, total_latency, total_tokens
 
 
 def activated_bytes_for_pass(

@@ -12,7 +12,9 @@ Activation modes:
 * ``full_activation`` - every expert in every layer is read (large-batch bound).
 * ``trace`` - the mean decode pass of a recorded activation sheet: its
   bytes by :func:`models.pass_bytes` (recorded KV, else ``kv_bytes``) and,
-  for OPS, its tokens. Prefill passes are left out.
+  for OPS, its tokens. Prefill passes are left out. The sums are
+  :func:`models.fold_passes` over the decode passes, the same fold the
+  metrics report and the aggregate S-MBU are views over.
 * ``expected`` - the expected parameters a batch of independent tokens
   reads under a routing distribution: each routed expert's size times the
   probability that the batch hits it, 1 - (1 - r_i)^batch with r_i its top-k
@@ -45,7 +47,7 @@ from .models import (
     Precision,
     _params_read,
     active_param_bytes_analytic,
-    pass_bytes,
+    fold_passes,
     total_param_bytes,
     total_params,
     sparse_flops_per_token,
@@ -158,19 +160,14 @@ def plan_requirement(
             raise ValidationError("trace mode requires an activation sheet", field="sheet")
         validate_sheet(sheet, desc)
         # the requirement is per decode step, so prefill passes are left out
-        per_pass = []
-        per_pass_kv = []
-        tokens = 0
-        for rec in sheet.passes:
-            if rec.phase == "decode":
-                act, kv = pass_bytes(rec, desc, prec, kv_bytes=kv_bytes, include_embed=include_embed)
-                per_pass.append(act + kv)
-                per_pass_kv.append(kv)
-                tokens += rec.tokens_processed
+        decode = (rec for rec in sheet.passes if rec.phase == "decode")
+        per_pass, total_bytes, _, tokens = fold_passes(
+            decode, desc, prec, kv_bytes=kv_bytes, include_embed=include_embed
+        )
         if not per_pass:
             raise ValidationError("trace mode requires at least one decode pass", field="sheet")
-        step_bytes = sum(per_pass) / len(per_pass)
-        kv_bytes = sum(per_pass_kv) / len(per_pass)
+        step_bytes = total_bytes / len(per_pass)
+        kv_bytes = sum(kv for _, kv in per_pass) / len(per_pass)
         tokens /= len(per_pass)
     else:
         if activation_mode == "batch1_analytic":

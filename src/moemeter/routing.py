@@ -212,9 +212,11 @@ def simulate_routing(
     Each token independently selects top_k distinct routed experts per MoE
     layer; a pass's activated set is the union over its tokens. Pass i draws
     uniforms u from ``default_rng(SeedSequence(seed).spawn(n_passes)[i])``
-    in (token, layer, expert) C order, and each token keeps the k experts
-    with the earliest race times -log(1 - u) / p. These are the doubles
-    numpy's Gumbel sampler turns into G = -log(-log(1 - u)), and the
+    in (token, layer, expert) C order. That child is
+    ``SeedSequence(seed, spawn_key=(i,))``, which each pass builds alone,
+    so the n_passes children are never held at once. Each token keeps the
+    k experts with the earliest race times -log(1 - u) / p. These are the
+    doubles numpy's Gumbel sampler turns into G = -log(-log(1 - u)), and the
     selection is Gumbel-top-k of log p + G, equivalent in distribution to
     sequential weighted draws with renormalization. The two forms agree in
     exact arithmetic; in floating point they could differ only on keys
@@ -248,12 +250,12 @@ def simulate_routing(
     moe_layers = desc.moe_layers
     shape = (tokens, len(moe_layers), desc.n_expert)
 
-    children = np.random.SeedSequence(seed).spawn(n_passes)
     passes = []
-    for pass_id, ss in enumerate(children):
+    for pass_id in range(n_passes):
         if desc.top_k == desc.n_expert:
             hit = np.ones(shape[1:], dtype=bool)
         else:
+            ss = np.random.SeedSequence(seed, spawn_key=(pass_id,))
             make_rng = functools.partial(np.random.default_rng, ss)
             hit = _route_pass(make_rng, shape, log_p, neg_inv_p, desc.top_k)
         packed = np.packbits(hit, axis=-1, bitorder="little")

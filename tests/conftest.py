@@ -86,3 +86,25 @@ def make_desc(**overrides) -> ModelDescriptor:
     )
     base.update(overrides)
     return ModelDescriptor(**base)
+
+
+@pytest.fixture(scope="session", params=["sample_decode", "r1"])
+def view_case(request, models_dir, traces_dir):
+    """(descriptor, sheet) pairs on which the metrics report, the aggregate
+    and trace-mode planning must agree exactly with the standalone metrics:
+    the shipped toy trace, and a small r1 sheet with unequal latencies, KV
+    recorded on some passes and one prefill pass."""
+    from moemeter.routing import RoutingDistribution, simulate_routing
+    from moemeter.trace import ActivationSheet, ForwardPassRecord, load_activation_sheet
+
+    if request.param == "sample_decode":
+        desc = load_model_descriptor(models_dir / "toy-4x2.json")
+        return desc, load_activation_sheet(traces_dir / "sample_decode.trace")
+    desc = load_model_descriptor(models_dir / "deepseek-r1.json")
+    drawn = simulate_routing(desc, 4, RoutingDistribution.zipf(1.1), 5, seed=11).passes
+    passes = [
+        ForwardPassRecord(i, "decode", 4, 4, 0.031 + 0.0173 * i, (i % 2) * 3_000_000 * (i + 1), rec.bitmaps)
+        for i, rec in enumerate(drawn)
+    ]
+    passes.insert(2, ForwardPassRecord(5, "prefill", 4, 512, 0.29, 0, drawn[0].bitmaps))
+    return desc, ActivationSheet(desc.name, passes)

@@ -651,3 +651,117 @@ def test_help_still_prints_usage(capsys):
         main(["plan", "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: moemeter plan")
+
+
+# prefill and decode passes, with and without recorded KV, on toy-4x2
+MIXED_TOY_TRACE = """model=toy-4x2
+0,prefill,2,64,0.031,0,0:f;1:f
+1,decode,2,2,0.0043,0,0:a;1:7
+2,decode,1,1,0.0021,4096,0:5;1:a
+3,prefill,1,32,0.017,2048,0:3;1:e
+4,decode,4,4,0.0057,8192,0:f;1:d
+"""
+
+_METRICS = ["metrics", "--model", "toy-4x2.json", "--catalog", "catalog.json", "--device", "A100-PCIe-80G",
+            "--bytes-per-param", "2.0", "--output-dir", "out"]
+_PLAN = ["plan", "--model", "toy-4x2.json", "--catalog", "catalog.json", "--mode", "trace", "--output-dir", "out"]
+
+
+@pytest.mark.parametrize(
+    "argv, digests",
+    [
+        pytest.param(
+            [*_METRICS, "--trace", "sample_decode.trace"],
+            {
+                "metrics_report.json": "ddd9d76b9e9ed8f3b7c589bef897c07df850835f3a77c57e21f8a2cf82855b1e",
+                "metrics_report.csv": "bcd3f7b7d3a4cf54a0b3e1cb15c02b28aff80501cfd1cdc203c6dac21ce2d921",
+            },
+            id="metrics-sample",
+        ),
+        pytest.param(
+            [*_METRICS, "--trace", "sample_with_comments.trace"],
+            {
+                "metrics_report.json": "04214d2ce56c4b096516393f123ccc2a669d8ed642b0a1acbbf132f5859a8c79",
+                "metrics_report.csv": "320f645eb11c57396b7f8f41ac49af7d3e8db5282ffa57b34846876bd9a8e054",
+            },
+            id="metrics-comments",
+        ),
+        pytest.param(
+            [*_METRICS, "--trace", "mixed.trace"],
+            {
+                "metrics_report.json": "efde7a4fccbd1e866dcc07e9b2f2d9f56558f93c7dfe9d9207ae42f9b49b2ffb",
+                "metrics_report.csv": "944eb87d9da7f58c390c36fac59e2735d7181aa50c68fb1331b50c627cf3be9f",
+            },
+            id="metrics-mixed",
+        ),
+        pytest.param(
+            [*_METRICS, "--trace", "mixed.trace", "--kv-seq-len", "128", "--seq-len", "64", "--exclude-embed"],
+            {
+                "metrics_report.json": "28761c3c911c0bd80d09fab867d5ab0949cf96ce7e607212266cc82a578c388f",
+                "metrics_report.csv": "66aab74f125eaed3e67b1ebc8d24f06e92f913db99b6fa65c058f0da0ab3a25e",
+            },
+            id="metrics-mixed-kv-seq-len-exclude-embed",
+        ),
+        pytest.param(
+            [*_PLAN, "--trace", "sample_decode.trace"],
+            {
+                "plan_report.json": "41980d384f6fb2c7e590cb0d69f81c535793b52fa2a7661a892b4a03e873e5e0",
+            },
+            id="plan-sample",
+        ),
+        pytest.param(
+            [*_PLAN, "--trace", "sample_with_comments.trace"],
+            {
+                "plan_report.json": "8d3e45481c2140f79100cc7476d1b5335db8b5b5ed7842c981bd12b920e87585",
+            },
+            id="plan-comments",
+        ),
+        pytest.param(
+            [*_PLAN, "--trace", "mixed.trace", "--with-ops"],
+            {
+                "plan_report.json": "4445c546b776706aa0015dd83ad68e9be887cdbdbfb41de1cb1b95f3d675bb44",
+            },
+            id="plan-mixed",
+        ),
+        pytest.param(
+            [*_PLAN, "--trace", "mixed.trace", "--kv-bytes", "1500000", "--exclude-embed", "--bytes-per-param", "0.5"],
+            {
+                "plan_report.json": "0872e77da4d02783a66abc39f647cd2254b26cb4f3b1e2b6c33a49c698e9e126",
+            },
+            id="plan-mixed-kv-bytes-exclude-embed",
+        ),
+    ],
+)
+def test_trace_reports_are_byte_stable(tmp_path, monkeypatch, capsys, argv, digests):
+    import hashlib
+    import shutil
+
+    from moemeter.cli import main
+
+    # relative paths, so the digests in the reports do not depend on tmp_path
+    shutil.copy(MODELS / "toy-4x2.json", tmp_path / "toy-4x2.json")
+    shutil.copy(CATALOG, tmp_path / "catalog.json")
+    for name in ("sample_decode.trace", "sample_with_comments.trace"):
+        shutil.copy(TRACES / name, tmp_path / name)
+    (tmp_path / "mixed.trace").write_text(MIXED_TOY_TRACE)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0, capsys.readouterr().err
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in (tmp_path / "out").iterdir()}
+    assert written == digests
+
+
+def test_metrics_names_an_overflowing_latency_total(tmp_path, capsys):
+    from moemeter.cli import main
+
+    lines = (TRACES / "sample_decode.trace").read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    text = "\n".join([lines[0], *(",".join([*row[:4], "1e308", *row[5:]]) for row in rows)]) + "\n"
+    trace = tmp_path / "slow.trace"
+    trace.write_text(text)
+    argv = ["metrics", "--model", MODELS / "toy-4x2.json", "--trace", trace, "--catalog", CATALOG,
+            "--device", "A100-PCIe-80G", "--bytes-per-param", "2.0", "--output-dir", tmp_path / "out"]
+    assert main([str(a) for a in argv]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"]["field"] == "latency_s"
+    assert not (tmp_path / "out").exists()

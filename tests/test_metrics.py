@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -489,3 +490,60 @@ def test_report_derives_per_token_flops_once(toy_desc, monkeypatch):
         throughput = rec.tokens_processed / rec.latency_s
         assert p.s_mfu == s_mfu(throughput, toy_desc, 64, 1e15)
         assert p.vanilla_mfu == vanilla_mfu(throughput, toy_desc, 64, 1e15)
+
+
+# ---------------------------------------------------------------------------
+# The report, the aggregate and the standalone metrics are one computation
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kv_seq_len", [None, 256])
+@pytest.mark.parametrize("bpp", [0.5, 2.0])
+def test_report_equals_standalone_metrics_exactly(view_case, bpp, kv_seq_len):
+    desc, sheet = view_case
+    prec, peak_bw, peak_flops, seq_len = Precision(bpp), 3.35e12, 9.89e14, 64
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        report = compute_metric_report(
+            sheet, desc, prec, peak_bw, peak_flops, seq_len=seq_len, kv_seq_len=kv_seq_len
+        )
+        assert report.aggregate_s_mbu == s_mbu_aggregate(sheet, desc, prec, peak_bw, kv_seq_len=kv_seq_len)
+        for rec, p in zip(sheet.passes, report.passes, strict=True):
+            throughput = rec.tokens_processed / rec.latency_s
+            assert p.s_mbu == s_mbu_per_pass(rec, desc, prec, peak_bw, kv_seq_len=kv_seq_len)
+            assert p.vanilla_mbu == vanilla_mbu(desc, prec, peak_bw, rec.latency_s, kv_bytes=p.kv_bytes)
+            assert p.s_mfu == s_mfu(throughput, desc, seq_len, peak_flops)
+            assert p.vanilla_mfu == vanilla_mfu(throughput, desc, seq_len, peak_flops)
+
+
+def test_report_of_heterogeneous_descriptor_is_pinned():
+    import hashlib
+    import json
+
+    desc = make_desc(n_expert=4, params_expert=100_000, params_expert_by_index=(100_000, 250_000, 400_000, 50_000))
+    passes = [
+        ForwardPassRecord(0, "prefill", 2, 48, 0.02, 0, {0: frozenset({0, 1, 2, 3}), 1: frozenset({1, 2, 3})}),
+        ForwardPassRecord(1, "decode", 2, 2, 0.003, 0, {0: frozenset({0, 2}), 1: frozenset({1, 2, 3})}),
+        ForwardPassRecord(2, "decode", 1, 1, 0.0021, 8192, {0: frozenset({1, 3}), 1: frozenset({0, 2})}),
+    ]
+    sheet = ActivationSheet(desc.name, passes)
+    report = compute_metric_report(sheet, desc, Precision(2.0), 1e12, 1e15, seq_len=32, kv_seq_len=128)
+    text = json.dumps(report_to_dict(report), sort_keys=True, allow_nan=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == "8953e190c04d56ae8800d08e6ab197f1e4ac2fa43954a71df3d0fe4116f99ef4"
+
+
+def test_overflowing_latency_total_is_named():
+    from moemeter.planner import SloSpec, plan_requirement
+
+    desc = make_desc()
+    sets = {0: frozenset({0, 1}), 1: frozenset({2, 3})}
+    passes = [ForwardPassRecord(i, "decode", 1, 1, 1e308, 0, sets) for i in range(3)]
+    sheet = ActivationSheet(desc.name, passes)
+    # trace mode reads no latency, but folds the same passes
+    for compute in (
+        lambda: s_mbu_aggregate(sheet, desc, INT8, 1e12),
+        lambda: compute_metric_report(sheet, desc, INT8, 1e12, 1e15),
+        lambda: plan_requirement(desc, INT8, SloSpec(0.1), "trace", sheet=sheet),
+    ):
+        with pytest.raises(ValidationError) as info:
+            compute()
+        assert info.value.field == "latency_s"

@@ -493,3 +493,15 @@ def test_bandwidth_power_map_shape(r1_desc, shipped_catalog):
     assert doc["assumptions"]["efficiency_mbu"] == pytest.approx(0.3558)
     for dev in doc["devices"]:
         assert {"name", "tdp_watts", "peak_bandwidth_gbps"} <= set(dev)
+
+
+@pytest.mark.parametrize("kv_bytes", [0.0, 1.5e6])
+@pytest.mark.parametrize("bpp", [0.5, 2.0])
+def test_trace_mode_charges_the_decode_mean_of_pass_bytes(view_case, bpp, kv_bytes):
+    from moemeter.models import pass_bytes
+
+    desc, sheet = view_case
+    prec = Precision(bpp)
+    req = plan_requirement(desc, prec, SLO, "trace", kv_bytes=kv_bytes, sheet=sheet)
+    kv = [pass_bytes(rec, desc, prec, kv_bytes=kv_bytes)[1] for rec in sheet.passes if rec.phase == "decode"]
+    assert req.kv_bytes == sum(kv) / len(kv)
