@@ -765,3 +765,95 @@ def test_metrics_names_an_overflowing_latency_total(tmp_path, capsys):
     assert len(err) == 1
     assert json.loads(err[0])["error"]["field"] == "latency_s"
     assert not (tmp_path / "out").exists()
+
+
+COST_INPUTS_TEXT = """{
+  "bill_of_materials": {"gpu_usd": 8000, "cpu_usd": 1000, "motherboard_usd": 500, "dram_usd": 300, "ssd_usd": 200},
+  "power_profile": {"gpu_watts": 400, "cpu_watts": 100},
+  "economics": {"runtime_hours": 8760, "energy_price_usd_per_kwh": 0.1, "token_throughput_tps": 1000}
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, digests",
+    [
+        pytest.param(
+            ["plan", "--model", "deepseek-r1.json", "--catalog", "catalog.json", "--mode", "expected",
+             "batch1_analytic", "--batch", "8", "--dist", "zipf:1.1", "--with-ops",
+             "--sweep-batches", "1,2,4,8,16,32,64", "--fig2", "--output-dir", "out"],
+            {
+                "plan_report.json": "b4aaa86271820db90941325fbfbd398dd05307aa52383341bf3a947272c3a696",
+                "bandwidth_power_map.json": "518dd20baa4fe887f0b5d23fb3167f4f0ff8130a59d7851d7b64ee579a1fb45a",
+                "batch_sweep.csv": "93910a1335c671efefadd5e9c6fe7b2ceaf6fffc2dba90b34af3440973c955f1",
+                "stdout": "856c14bb0581ef7e7281ebb1569e922d1270be2be7ea9b03159658ca0e1bb81d",
+            },
+            id="plan-expected-sweep-fig2",
+        ),
+        pytest.param(
+            ["metrics", "--model", "toy-4x2.json", "--trace", "sample_decode.trace", "--catalog", "catalog.json",
+             "--device", "A100-PCIe-80G", "--bytes-per-param", "2.0", "--output-dir", "out"],
+            {
+                "metrics_report.json": "ddd9d76b9e9ed8f3b7c589bef897c07df850835f3a77c57e21f8a2cf82855b1e",
+                "metrics_report.csv": "bcd3f7b7d3a4cf54a0b3e1cb15c02b28aff80501cfd1cdc203c6dac21ce2d921",
+                "stdout": "55c3ad7a1f696c312a0285d63a231b143949704de13aaf0284a8b4f066d89536",
+            },
+            id="metrics",
+        ),
+        pytest.param(
+            ["radar", "--records", "radar_serving_systems.json", "--output-dir", "out"],
+            {
+                "radar_report.json": "09491c1ab104fe503dc63a42b8331b1d9a3a2819384f5bd7e80d13abcb1c8e75",
+                "radar_report.csv": "35c2a648e9673c49d95f84b9a9c910e9affde2c1f72042cda90a2cfd6c524d38",
+                "stdout": "d9c7ea0dc4f2d966bc577ce1e5e797f9c15497984f893b82c8dc3c78f445512d",
+            },
+            id="radar",
+        ),
+        pytest.param(
+            ["cost", "--inputs", "cost_inputs.json", "--output-dir", "out"],
+            {
+                "cost_report.json": "34a6143ed4725175ed45ca3804c397d183e1b6d5b0501d939b8f877d563a351b",
+                "stdout": "4e82c1ef0affb9727e474a7abb570f0f12b187b5f310aa863b14a4cd04dcf3c2",
+            },
+            id="cost",
+        ),
+        pytest.param(
+            ["recommend", "--rules", "decision_matrix.json", "--tier", "workstation_gpu_a5000", "--batch", "4",
+             "--primary", "cost", "--secondary", "latency", "--output-dir", "out"],
+            {
+                "recommendation.json": "91816c0238f97beec93b1833f5b3899e7c820ce82d56678cd32f6bafd58c45b3",
+                "stdout": "1d8c2f38d08d5e1fed30e7608819ea1c7a428c5c31340442b90bdedfcf8472b6",
+            },
+            id="recommend",
+        ),
+        pytest.param(
+            ["simulate", "--model", "deepseek-r1.json", "--batch", "8", "--dist", "zipf:1.1", "--passes", "3",
+             "--seed", "11", "--out", "out/r1.trace"],
+            {
+                "r1.trace": "f5ce69b4f8d3bd441bb567d7d33994fa45f3a68b5b07f822ded4f46b38e86b9b",
+                "stdout": "5f1c9423a149a3f9ebbca6be4f8b0a3cfd39db11409185b9e4a73b2335e63b47",
+            },
+            id="simulate",
+        ),
+    ],
+)
+def test_every_command_output_is_byte_stable(tmp_path, monkeypatch, capsys, argv, digests):
+    import hashlib
+    import shutil
+
+    from moemeter.cli import main
+
+    # relative paths, so neither the digests in the reports nor stdout depend on tmp_path
+    sources = (MODELS / "deepseek-r1.json", MODELS / "toy-4x2.json", TRACES / "sample_decode.trace",
+               BUNDLES / "radar_serving_systems.json", RULES)
+    for source in sources:
+        shutil.copy(source, tmp_path / source.name)
+    shutil.copy(CATALOG, tmp_path / "catalog.json")
+    (tmp_path / "cost_inputs.json").write_text(COST_INPUTS_TEXT)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in (tmp_path / "out").iterdir()}
+    written["stdout"] = hashlib.sha256(captured.out.encode()).hexdigest()
+    assert written == digests
