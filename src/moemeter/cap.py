@@ -22,7 +22,7 @@ from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import ValidationError, load_json, record_from_json
+from .errors import ValidationError, csv_text, load_json, record_from_json
 
 AXES = ("cost", "accuracy", "performance")
 
@@ -201,6 +201,16 @@ def radar_to_dict(dataset: RadarDataset, labels: Mapping[str, str] | None = None
         ],
     }
     return doc
+
+
+def radar_to_csv(dataset: RadarDataset, labels: Mapping[str, str], header_comment: str | None = None) -> str:
+    """Flat CSV: one row per system, its raw and normalized axes and its label."""
+    columns = ("system", *(f"{axis}_raw" for axis in AXES), *(f"{axis}_norm" for axis in AXES), "label")
+    rows = (
+        (name, *(dataset.raw[name][a] for a in AXES), *(dataset.normalized[name][a] for a in AXES), labels[name])
+        for name in dataset.systems
+    )
+    return csv_text(columns, rows, header_comment)
 
 
 # --------------------------------------------------------------------------

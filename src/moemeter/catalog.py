@@ -35,6 +35,8 @@ class HardwareSpec:
     source_note: str = ""
 
     def __post_init__(self):
+        if "|" in self.name:  # the batch sweep CSV joins feasible device names with it
+            raise ValidationError(f"device {self.name!r}: name must not contain '|'", field="name")
         if self.device_class not in DEVICE_CLASSES:
             raise ValidationError(
                 f"device {self.name!r}: device_class must be one of {DEVICE_CLASSES}",

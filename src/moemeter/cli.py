@@ -10,6 +10,12 @@ Validation failures print a machine-readable JSON error document to stderr.
 The default catalog path can be set via the MOEMETER_CATALOG environment
 variable.
 
+Writing is one stage, in :func:`main`. A ``cmd_*`` function returns an
+ordered mapping of output path to document: a dict for a JSON report, a str
+for text (a CSV, a simulated trace). ``main`` renders every document first,
+so every check runs before any file exists and a run that exits 2 leaves
+nothing behind; then it writes the files and prints their paths in order.
+
 Each subcommand imports the modules it runs inside its ``cmd_*`` function;
 at module level this file needs only what the parser does, so ``metrics``
 never loads the planner and ``simulate`` loads neither catalog nor metrics.
@@ -28,7 +34,7 @@ import sys
 from pathlib import Path
 
 from . import models, trace
-from .errors import ValidationError
+from .errors import ValidationError, json_text
 
 CATALOG_ENV_VAR = "MOEMETER_CATALOG"
 
@@ -55,23 +61,6 @@ def _input_digests(**paths: str | None) -> dict:
     return out
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    try:
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError:
-        # inputs are finite, but extreme ones can still overflow a derived figure
-        raise ValidationError(
-            f"{path.name} would hold a non-finite number; an input is out of range", field="report"
-        ) from None
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text + "\n", encoding="utf-8")
-
-
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
-
-
 def _digest_comment(digests: dict) -> str:
     parts = [f"{role}={info['sha256']}" for role, info in sorted(digests.items())]
     return "inputs " + " ".join(parts)
@@ -81,7 +70,7 @@ def _digest_comment(digests: dict) -> str:
 # Subcommands
 # --------------------------------------------------------------------------
 
-def cmd_metrics(args: argparse.Namespace) -> int:
+def cmd_metrics(args: argparse.Namespace) -> dict:
     from . import catalog, metrics
 
     desc = models.load_model_descriptor(args.model)
@@ -113,17 +102,13 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         "report": metrics.report_to_dict(report),
     }
     out_dir = Path(args.output_dir)
-    _write_json(out_dir / "metrics_report.json", doc)
-    _write_text(
-        out_dir / "metrics_report.csv",
-        metrics.report_to_csv(report, header_comment=_digest_comment(digests)),
-    )
-    print(out_dir / "metrics_report.json")
-    print(out_dir / "metrics_report.csv")
-    return EXIT_OK
+    return {
+        out_dir / "metrics_report.json": doc,
+        out_dir / "metrics_report.csv": metrics.report_to_csv(report, header_comment=_digest_comment(digests)),
+    }
 
 
-def cmd_plan(args: argparse.Namespace) -> int:
+def cmd_plan(args: argparse.Namespace) -> dict:
     from . import catalog, planner
 
     desc = models.load_model_descriptor(args.model)
@@ -163,8 +148,18 @@ def cmd_plan(args: argparse.Namespace) -> int:
         verdicts = planner.feasibility(req, specs, use_offload=args.use_offload, margin=args.margin)
         feasibility_docs[mode] = planner.verdicts_to_dicts(verdicts)
 
-    # the sweep is computed before any report is written, so an invalid
-    # batch list leaves no partial output behind
+    digests = _input_digests(model=args.model, catalog=args.catalog, trace=args.trace or None)
+    out_dir = Path(args.output_dir)
+    doc = {"inputs": digests, "requirements": requirements, "feasibility": feasibility_docs}
+    outputs = {out_dir / "plan_report.json": doc}
+    if args.fig2:
+        plot = planner.bandwidth_power_map(
+            desc, prec, slo, specs,
+            efficiency_mbu=args.efficiency_mbu,
+            include_embed=not args.exclude_embed,
+        )
+        plot["inputs"] = digests
+        outputs[out_dir / "bandwidth_power_map.json"] = plot
     if batches:
         points = planner.batch_sweep(
             desc,
@@ -178,34 +173,11 @@ def cmd_plan(args: argparse.Namespace) -> int:
             margin=args.margin,
             include_embed=not args.exclude_embed,
         )
-
-    digests = _input_digests(model=args.model, catalog=args.catalog, trace=args.trace or None)
-    doc = {
-        "inputs": digests,
-        "requirements": requirements,
-        "feasibility": feasibility_docs,
-    }
-    out_dir = Path(args.output_dir)
-    _write_json(out_dir / "plan_report.json", doc)
-    print(out_dir / "plan_report.json")
-
-    if args.fig2:
-        plot = planner.bandwidth_power_map(
-            desc, prec, slo, specs,
-            efficiency_mbu=args.efficiency_mbu,
-            include_embed=not args.exclude_embed,
-        )
-        plot["inputs"] = digests
-        _write_json(out_dir / "bandwidth_power_map.json", plot)
-        print(out_dir / "bandwidth_power_map.json")
-
-    if batches:
-        _write_text(out_dir / "batch_sweep.csv", planner.sweep_to_csv(points, _digest_comment(digests)))
-        print(out_dir / "batch_sweep.csv")
-    return EXIT_OK
+        outputs[out_dir / "batch_sweep.csv"] = planner.sweep_to_csv(points, _digest_comment(digests))
+    return outputs
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace) -> dict:
     desc = models.load_model_descriptor(args.model)
     dist = trace._parse_dist_spec(args.dist)
     sheet = trace.simulate_routing(
@@ -217,52 +189,32 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         phase=args.phase,
         tokens_per_pass=args.tokens_per_pass,
     )
-    out = Path(args.out)
-    _write_text(out, trace.serialize_activation_sheet(sheet, desc))
-    print(out)
-    return EXIT_OK
+    return {Path(args.out): trace.serialize_activation_sheet(sheet, desc)}
 
 
-def cmd_cost(args: argparse.Namespace) -> int:
+def cmd_cost(args: argparse.Namespace) -> dict:
     from . import costing
 
     bom, power, econ = costing.load_cost_inputs(args.inputs)
-    doc = {
-        "inputs": _input_digests(cost_inputs=args.inputs),
-        "report": costing.cost_report(bom, power, econ),
-    }
-    out_dir = Path(args.output_dir)
-    _write_json(out_dir / "cost_report.json", doc)
-    print(out_dir / "cost_report.json")
-    return EXIT_OK
+    doc = {"inputs": _input_digests(cost_inputs=args.inputs), "report": costing.cost_report(bom, power, econ)}
+    return {Path(args.output_dir) / "cost_report.json": doc}
 
 
-def cmd_radar(args: argparse.Namespace) -> int:
+def cmd_radar(args: argparse.Namespace) -> dict:
     from . import cap
 
     records = cap.load_cap_records(args.records)
     dataset = cap.normalize_radar(records)
     labels = cap.classify_tradeoff(dataset)
     digests = _input_digests(records=args.records)
-    doc = {"inputs": digests, "radar": cap.radar_to_dict(dataset, labels)}
     out_dir = Path(args.output_dir)
-    _write_json(out_dir / "radar_report.json", doc)
-    lines = [f"# {_digest_comment(digests)}"]
-    lines.append("system,cost_raw,accuracy_raw,performance_raw,cost_norm,accuracy_norm,performance_norm,label")
-    for name in dataset.systems:
-        raw = dataset.raw[name]
-        norm = dataset.normalized[name]
-        lines.append(
-            f"{name},{raw['cost']!r},{raw['accuracy']!r},{raw['performance']!r},"
-            f"{norm['cost']!r},{norm['accuracy']!r},{norm['performance']!r},{labels[name]}"
-        )
-    _write_text(out_dir / "radar_report.csv", "\n".join(lines) + "\n")
-    print(out_dir / "radar_report.json")
-    print(out_dir / "radar_report.csv")
-    return EXIT_OK
+    return {
+        out_dir / "radar_report.json": {"inputs": digests, "radar": cap.radar_to_dict(dataset, labels)},
+        out_dir / "radar_report.csv": cap.radar_to_csv(dataset, labels, _digest_comment(digests)),
+    }
 
 
-def cmd_recommend(args: argparse.Namespace) -> int:
+def cmd_recommend(args: argparse.Namespace) -> dict:
     from . import cap
 
     rules = cap.load_decision_rules(args.rules)
@@ -278,10 +230,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         "matched": cap.rule_to_dict(result.matched) if result.matched else None,
         "nearest": [cap.rule_to_dict(r) for r in result.nearest],
     }
-    out_dir = Path(args.output_dir)
-    _write_json(out_dir / "recommendation.json", doc)
-    print(out_dir / "recommendation.json")
-    return EXIT_OK
+    return {Path(args.output_dir) / "recommendation.json": doc}
 
 
 # --------------------------------------------------------------------------
@@ -452,7 +401,14 @@ def main(argv: list[str] | None = None) -> int:
         )
         return EXIT_INVALID
     try:
-        return args.func(args)
+        texts = {
+            path: doc if isinstance(doc, str) else json_text(doc, path.name) for path, doc in args.func(args).items()
+        }
+        for path, text in texts.items():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text, encoding="utf-8")
+            print(path)
+        return EXIT_OK
     except ValidationError as exc:
         print(_error_doc("validation", str(exc), exc.field), file=sys.stderr)
         return EXIT_INVALID
@@ -460,7 +416,7 @@ def main(argv: list[str] | None = None) -> int:
         print(_error_doc("input", str(exc)), file=sys.stderr)
         return EXIT_INVALID
     except OverflowError:
-        # finite inputs can still overflow a derived figure, as _write_json notes
+        # finite inputs can still overflow a derived figure before it reaches a renderer
         message = "a figure derived from the inputs overflows a double; an input is out of range"
         print(_error_doc("validation", message, "report"), file=sys.stderr)
         return EXIT_INVALID

@@ -1,5 +1,6 @@
-"""Shared exception types, the strict JSON reader, and the one reader that
-turns a JSON object into a record dataclass."""
+"""Shared exception types and the package's strict edges: the JSON reader,
+the one reader that turns a JSON object into a record dataclass, and the
+report renderers, which refuse a non-finite number naming ``report``."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 
 class ValidationError(ValueError):
@@ -50,6 +51,37 @@ def load_json(path: str | Path) -> Any:
             return json.load(fh, parse_constant=reject_constant, parse_float=finite_float, parse_int=finite_int)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: invalid JSON ({exc})", field="document") from None
+
+
+def json_text(doc: Any, name: str) -> str:
+    """``doc`` as the text of the JSON report file ``name``: indented, keys
+    sorted, newline-terminated, with no NaN or Infinity."""
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        # inputs are finite, but extreme ones can still overflow a derived figure
+        raise ValidationError(
+            f"{name} would hold a non-finite number; an input is out of range", field="report"
+        ) from None
+
+
+def csv_text(columns: Sequence[str], rows: Iterable[Sequence[Any]], header_comment: str | None = None) -> str:
+    """An RFC 4180 CSV report: an optional ``# header_comment`` line, the
+    ``columns`` header, then ``rows``, each cell quoted where it needs it and
+    each float written by ``repr``. A non-finite float is refused."""
+    import csv
+    import io
+
+    buf = io.StringIO()
+    buf.write(f"# {header_comment}\n" if header_comment else "")
+    writer = csv.writer(buf, lineterminator="\n")  # which writes a float by its repr
+    writer.writerow(columns)
+    for row in rows:
+        for column, value in zip(columns, row):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValidationError(f"column {column} would hold a non-finite number", field="report")
+        writer.writerow(row)
+    return buf.getvalue()
 
 
 def _is_int(value) -> bool:

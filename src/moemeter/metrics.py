@@ -20,13 +20,11 @@ bytes / seconds / peak (``_mbu``) and every MFU tokens/s * FLOPs / peak
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass, fields
 
-from .errors import ValidationError
+from .errors import ValidationError, csv_text
 from .models import (
     ModelDescriptor,
     Precision,
@@ -319,22 +317,13 @@ _CSV_COLUMNS = ("row", *(name for name in _PASS_FIELDS if name != "tpot_s"))
 def report_to_csv(report: MetricReport, header_comment: str | None = None) -> str:
     """Flat CSV: one row per pass plus a final aggregate row, which holds the
     totals and each metric's ``aggregate_<column>`` field."""
-    buf = io.StringIO()
-    if header_comment:
-        buf.write(f"# {header_comment}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
-    for p in report.passes:
-        writer.writerow(["pass", *(_csv_cell(getattr(p, column)) for column in _CSV_COLUMNS[1:])])
+    rows = [["pass", *(getattr(p, column) for column in _CSV_COLUMNS[1:])] for p in report.passes]
     totals = {
         "tokens_processed": report.total_tokens,
         "latency_s": report.total_latency_s,
         "token_throughput": report.total_tokens / report.total_latency_s,
     }
-    cells = (totals.get(column, getattr(report, f"aggregate_{column}", "")) for column in _CSV_COLUMNS[1:])
-    writer.writerow(["aggregate", *map(_csv_cell, cells)])
-    return buf.getvalue()
-
-
-def _csv_cell(value):
-    return repr(value) if isinstance(value, float) else value
+    rows.append(
+        ["aggregate", *(totals.get(column, getattr(report, f"aggregate_{column}", "")) for column in _CSV_COLUMNS[1:])]
+    )
+    return csv_text(_CSV_COLUMNS, rows, header_comment)

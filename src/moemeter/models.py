@@ -309,7 +309,7 @@ def fold_passes(
     ``per_pass`` lists each validated record's ``(act, kv)`` by :func:`pass_bytes`,
     so its length is the pass count; the totals add ``act + kv``, latency and
     tokens left to right. An overflowing latency total is rejected: every rate
-    over it would read 0.
+    over it would read 0. So is an overflowing byte total.
     """
     # checked before any pass is charged: a pass that recorded KV never reads it
     if kv_seq_len is not None and kv_seq_len < 1:
@@ -326,6 +326,10 @@ def fold_passes(
         total_tokens += rec.tokens_processed
     if total_latency == math.inf:
         raise ValidationError("the passes' latencies sum to more than a double holds", field="latency_s")
+    if total_bytes == math.inf:
+        # named by the KV counts unless the parameter bytes overflow on their own
+        field = "report" if sum(act for act, _ in per_pass) == math.inf else "kv_bytes_read"
+        raise ValidationError("the passes' bytes sum to more than a double holds", field=field)
     return per_pass, total_bytes, total_latency, total_tokens
 
 

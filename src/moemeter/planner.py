@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from . import trace
 from .catalog import HardwareSpec
-from .errors import ValidationError
+from .errors import ValidationError, csv_text
 from .models import (
     ACTIVATION_MODES,
     DEFAULT_EFFICIENCY_MBU,
@@ -360,14 +360,14 @@ def batch_sweep(
 
 def sweep_to_csv(points: Sequence[SweepPoint], header_comment: str | None = None) -> str:
     """Flat CSV: one row per sweep point; feasible devices joined by '|'."""
-    rows = [f"# {header_comment}"] if header_comment else []
-    rows.append("batch,expected_distinct_per_layer,expected_activated_fraction,theoretical_gbps,practical_gbps,feasible_devices")
-    rows += [
-        f"{p.batch},{p.expected_distinct_per_layer!r},{p.expected_activated_fraction!r},"
-        f"{p.theoretical_bandwidth_gbps!r},{p.practical_bandwidth_gbps!r},{'|'.join(p.feasible_devices)}"
+    columns = ("batch", "expected_distinct_per_layer", "expected_activated_fraction", "theoretical_gbps",
+               "practical_gbps", "feasible_devices")
+    rows = (
+        (p.batch, p.expected_distinct_per_layer, p.expected_activated_fraction, p.theoretical_bandwidth_gbps,
+         p.practical_bandwidth_gbps, "|".join(p.feasible_devices))
         for p in points
-    ]
-    return "\n".join(rows) + "\n"
+    )
+    return csv_text(columns, rows, header_comment)
 
 
 # --------------------------------------------------------------------------

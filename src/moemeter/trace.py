@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
@@ -78,8 +79,10 @@ class ForwardPassRecord:
             raise ValidationError(f"pass {self.pass_id}: batch_size must be >= 1", field="batch_size")
         if not 0 < self.latency_s < math.inf:
             raise ValidationError(f"pass {self.pass_id}: latency_s must be finite and > 0", field="latency_s")
-        if self.kv_bytes_read < 0:
-            raise ValidationError(f"pass {self.pass_id}: kv_bytes_read must be >= 0", field="kv_bytes_read")
+        if not 0 <= self.kv_bytes_read <= sys.float_info.max:
+            raise ValidationError(
+                f"pass {self.pass_id}: kv_bytes_read must be >= 0 and fit a double", field="kv_bytes_read"
+            )
         if self.phase == "decode" and self.tokens_processed != self.batch_size:
             raise ValidationError(
                 f"pass {self.pass_id}: decode pass must have tokens_processed == batch_size",

@@ -68,6 +68,13 @@ def test_offload_cannot_exceed_peak():
         )
 
 
+def test_pipe_in_device_name_rejected():
+    # the batch sweep CSV joins feasible device names with '|'
+    with pytest.raises(ValidationError) as info:
+        HardwareSpec(name="H100|SXM", device_class="datacenter", peak_bandwidth_gbps=1, tdp_watts=1, price_usd=1)
+    assert info.value.field == "name"
+
+
 def test_unknown_class_rejected():
     with pytest.raises(ValidationError, match="device_class"):
         HardwareSpec(name="x", device_class="mainframe", peak_bandwidth_gbps=1, tdp_watts=1, price_usd=1)

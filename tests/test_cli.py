@@ -857,3 +857,77 @@ def test_every_command_output_is_byte_stable(tmp_path, monkeypatch, capsys, argv
     written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in (tmp_path / "out").iterdir()}
     written["stdout"] = hashlib.sha256(captured.out.encode()).hexdigest()
     assert written == digests
+
+
+def test_plan_sweep_overflow_exits_2_without_output(tmp_path, capsys):
+    from moemeter.cli import main
+
+    # a 1e-297 s/token target overflows the batch-64 bandwidth, though the plan report stays finite
+    out = tmp_path / "out"
+    argv = ["plan", "--model", MODELS / "deepseek-r1.json", "--catalog", CATALOG, "--slo", "1e-297",
+            "--sweep-batches", "1,64", "--output-dir", out]
+    assert main([str(a) for a in argv]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"]["field"] == "report"
+    assert not out.exists()
+
+
+def _csv_table(path):
+    """The header and data rows of a CSV report, past its ``#`` comment line."""
+    import csv
+    import io
+
+    comment, header, *rows = csv.reader(io.StringIO(path.read_text(encoding="utf-8")))
+    assert comment[0].startswith("# inputs ")
+    for row in rows:
+        assert len(row) == len(header), row
+    return header, rows
+
+
+def test_radar_csv_quotes_a_system_name_with_commas_and_quotes(tmp_path, capsys):
+    from moemeter.cli import main
+
+    name = 'vllm, fp8 "tuned"'
+    records = json.loads((BUNDLES / "radar_serving_systems.json").read_text())
+    records[0]["system_name"] = name
+    path = tmp_path / "records.json"
+    path.write_text(json.dumps(records))
+    assert main(["radar", "--records", str(path), "--output-dir", str(tmp_path / "out")]) == 0
+    header, rows = _csv_table(tmp_path / "out" / "radar_report.csv")
+    assert len(header) == 8
+    assert [row[0] for row in rows] == [r["system_name"] for r in records]
+
+
+def test_sweep_csv_quotes_a_device_name_with_a_comma(tmp_path, capsys):
+    from moemeter.cli import main
+
+    devices = json.loads(CATALOG.read_text())
+    for device in devices:
+        if device["name"] == "H100-SXM":
+            device["name"] = "H100, SXM"
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps(devices))
+    argv = ["plan", "--model", MODELS / "toy-4x2.json", "--catalog", catalog, "--sweep-batches", "1,2",
+            "--output-dir", tmp_path / "out"]
+    assert main([str(a) for a in argv]) == 0
+    header, rows = _csv_table(tmp_path / "out" / "batch_sweep.csv")
+    assert len(header) == 6
+    assert all("H100, SXM" in row[-1].split("|") for row in rows)
+
+
+@pytest.mark.parametrize("command", ["metrics", "plan-trace"])
+def test_kv_count_beyond_a_double_exits_2_naming_it(tmp_path, capsys, command):
+    from moemeter.cli import main
+
+    lines = (TRACES / "sample_decode.trace").read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    rows[1][5] = str(10**400)
+    trace = tmp_path / "huge_kv.trace"
+    trace.write_text("\n".join([lines[0], *map(",".join, rows)]) + "\n")
+    out = tmp_path / "out"
+    assert main([str(a) for a in _trace_commands(trace, out)[command]]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"]["field"] == "kv_bytes_read"
+    assert not out.exists()

@@ -9,12 +9,17 @@ one input document or to the arguments: it drops keys, adds keys, swaps a
 value for one of another JSON type, nests a value, rewrites trace lines, and
 drops, rewrites, repeats or adds arguments. Numbers stay small, so that no
 example asks for a large simulation; huge numbers have their own tests.
+
+What a run leaves behind is checked too: a run that exits 2 writes no file,
+and on exit 0 every CSV report parses into rows as wide as its header with
+no non-finite cell, and every JSON report is strict JSON.
 """
 
 from __future__ import annotations
 
 import contextlib
 import copy
+import csv
 import io
 import json
 import os
@@ -74,6 +79,7 @@ TOKENS = st.one_of(
     ]),
     st.text(st.characters(blacklist_characters="\x00"), max_size=5),  # argv cannot hold NUL
 )
+NON_FINITE = {"inf", "infinity", "nan"}
 STRAYS = st.sampled_from(["--frob", "-x", "stray", "--batch", "--mode", "--catalog=", "-h"])
 
 
@@ -182,7 +188,14 @@ def test_no_input_reaches_an_internal_error(data):
             Path(paths[name]).write_text(json.dumps(doc), encoding="utf-8")
         for name, path in paths.items():
             argv = [a.replace("{" + name + "}", path) for a in argv]
+        inputs = set(Path(tmp).rglob("*"))
         code, err = _run(argv, tmp)
+        written = sorted(set(Path(tmp).rglob("*")) - inputs)
+        reports = {
+            path.name: path.read_text(encoding="utf-8")
+            for path in written
+            if path.suffix in (".csv", ".json") and path.is_file()
+        }
     assert code in (0, 2), err
     if code == 2:
         lines = err.splitlines()
@@ -191,3 +204,25 @@ def test_no_input_reaches_an_internal_error(data):
         assert list(doc) == ["error"] and doc["error"]["type"] in ("validation", "input"), err
     else:
         assert err == ""
+    if code == 2:
+        assert not written, (err, [str(path) for path in written])
+    for name, text in reports.items():
+        _check_report(name, text)
+
+
+def _check_report(name: str, text: str):
+    """A CSV report's rows are as wide as its header, past its ``#`` comment
+    line, with no inf or nan cell; a JSON report holds no NaN or Infinity."""
+    if name.endswith(".csv"):
+        rows = list(csv.reader(io.StringIO(text)))
+        if rows and rows[0] and rows[0][0].startswith("#"):
+            rows = rows[1:]
+        for row in rows:
+            assert len(row) == len(rows[0]), (name, row)
+            assert not NON_FINITE & {cell.lower().lstrip("+-") for cell in row}, (name, row)
+    else:
+
+        def reject_constant(literal):
+            raise AssertionError(f"{name} holds {literal}")
+
+        json.loads(text, parse_constant=reject_constant)

@@ -1,10 +1,14 @@
 """The one reader of JSON input documents, ``errors.record_from_json``, and
-the documents it turns away at the command line."""
+the documents it turns away at the command line; the strict renderers of
+reports, ``errors.json_text`` and ``errors.csv_text``."""
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import json
+import math
 
 import pytest
 
@@ -12,7 +16,7 @@ from conftest import REPO_ROOT
 from moemeter.cap import CapRecord, DecisionRule
 from moemeter.catalog import HardwareSpec
 from moemeter.costing import BillOfMaterials, DeploymentEconomics, PowerProfile
-from moemeter.errors import JSON_TYPES, ValidationError, load_json, record_from_json
+from moemeter.errors import JSON_TYPES, ValidationError, csv_text, json_text, load_json, record_from_json
 from moemeter.models import ModelDescriptor
 
 RECORD_CLASSES = (
@@ -154,3 +158,26 @@ def test_cost_inputs_sections_are_exact(tmp_path, extra, field):
     with pytest.raises(ValidationError) as exc:
         load_cost_inputs(path)
     assert exc.value.field == field
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_renderers_refuse_non_finite_numbers(value):
+    with pytest.raises(ValidationError) as info:
+        json_text({"x": [1.0, value]}, "report.json")
+    assert info.value.field == "report" and "report.json" in str(info.value)
+    with pytest.raises(ValidationError) as info:
+        csv_text(("name", "x"), [("a", 1.0), ("b", value)], "inputs z")
+    assert info.value.field == "report" and "column x" in str(info.value)
+
+
+def test_json_text_sorts_indents_and_ends_with_a_newline():
+    assert json_text({"b": 0.1, "a": [1]}, "r.json") == '{\n  "a": [\n    1\n  ],\n  "b": 0.1\n}\n'
+
+
+def test_csv_text_quotes_cells_and_writes_floats_by_repr():
+    rows = [('vllm, fp8 "tuned"', 0.1, 3, ""), ("line\nbreak", 1e-300, 10**20, "a|b")]
+    text = csv_text(("name", "x", "n", "devices"), rows, "inputs z")
+    assert text.splitlines()[:3] == ["# inputs z", "name,x,n,devices", '"vllm, fp8 ""tuned""",0.1,3,']
+    comment, header, *parsed = csv.reader(io.StringIO(text))
+    assert parsed == [[str(cell) for cell in row] for row in rows]  # str(float) is its repr
+    assert csv_text(("name",), [], None) == "name\n"

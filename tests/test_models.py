@@ -15,6 +15,7 @@ from moemeter.models import (
     dense_flops_per_token,
     descriptor_from_dict,
     descriptor_to_dict,
+    fold_passes,
     kv_cache_bytes,
     load_model_descriptor,
     serialize_model_descriptor,
@@ -381,3 +382,26 @@ def test_kv_bytes_per_param_must_be_an_allowed_number(bad):
     with pytest.raises(ValidationError) as exc:
         make_desc(kv_bytes_per_param=bad)
     assert exc.value.field == "kv_bytes_per_param"
+
+
+def test_fold_rejects_kv_counts_summing_past_a_double(toy_desc, fp16):
+    from moemeter.trace import ForwardPassRecord
+
+    # each count fits a double; their sum does not
+    kv = int(1e308)
+    records = [ForwardPassRecord(i, "decode", 1, 1, 0.01, kv, {0: 0b11, 1: 0b11}) for i in range(2)]
+    assert fold_passes(records[:1], toy_desc, fp16)[1] == pytest.approx(1e308)
+    with pytest.raises(ValidationError) as info:
+        fold_passes(records, toy_desc, fp16)
+    assert info.value.field == "kv_bytes_read"
+
+
+def test_fold_does_not_blame_kv_for_parameter_bytes_past_a_double(fp16):
+    from moemeter.trace import ForwardPassRecord
+
+    # each pass reads about 1.6e308 parameter bytes and no KV
+    desc = make_desc(params_expert=2 * 10**307)
+    records = [ForwardPassRecord(i, "decode", 1, 1, 0.01, 0, {0: 0b11, 1: 0b11}) for i in range(2)]
+    with pytest.raises(ValidationError) as info:
+        fold_passes(records, desc, fp16)
+    assert info.value.field == "report"

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -175,6 +176,18 @@ def test_record_rejects_bad_expert_indices(idxs):
     with pytest.raises(ValidationError) as info:
         ForwardPassRecord(0, "decode", 1, 1, 0.01, 0, {0: idxs})
     assert info.value.field == "activated"
+
+
+@pytest.mark.parametrize("kv", [-1, 2**1024, 10**400], ids=["negative", "2**1024", "10**400"])
+def test_record_rejects_a_kv_count_that_is_negative_or_beyond_a_double(kv):
+    with pytest.raises(ValidationError) as info:
+        ForwardPassRecord(0, "decode", 1, 1, 0.01, kv, {0: 1})
+    assert info.value.field == "kv_bytes_read"
+
+
+def test_record_accepts_the_largest_double_as_a_kv_count():
+    kv = int(sys.float_info.max)
+    assert ForwardPassRecord(0, "decode", 1, 1, 0.01, kv, {0: 1}).kv_bytes_read == kv
 
 
 def test_record_packs_index_sets_into_bitmaps():
