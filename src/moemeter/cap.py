@@ -44,6 +44,9 @@ DEFAULT_DIRECTIONS = {
     "s_mfu": "higher_better",
 }
 
+# Axis -> prefix of the record fields that describe it (perf_value, perf_kind, ...).
+_FIELD_PREFIX = {"cost": "cost", "accuracy": "accuracy", "performance": "perf"}
+
 # Sacrificed axis -> label naming the two axes the system favors.
 LABEL_BY_SACRIFICED = {"cost": "PA", "accuracy": "PC", "performance": "CA"}
 
@@ -78,20 +81,16 @@ class CapRecord:
                 f"accuracy_value must be in [0, 1] for kind {self.accuracy_kind!r}",
                 field="accuracy_value",
             )
-        for axis in AXES:
-            direction = getattr(self, f"{_axis_field(axis)}_direction")
+        for prefix in _FIELD_PREFIX.values():
+            direction = getattr(self, f"{prefix}_direction")
             if direction is None:
-                kind = getattr(self, f"{_axis_field(axis)}_kind")
-                object.__setattr__(self, f"{_axis_field(axis)}_direction", DEFAULT_DIRECTIONS[kind])
+                kind = getattr(self, f"{prefix}_kind")
+                object.__setattr__(self, f"{prefix}_direction", DEFAULT_DIRECTIONS[kind])
             elif direction not in ("higher_better", "lower_better"):
                 raise ValidationError(
-                    f"direction must be higher_better or lower_better, got {direction!r}",
-                    field=f"{axis}_direction",
+                    f"{prefix}_direction must be higher_better or lower_better, got {direction!r}",
+                    field=f"{prefix}_direction",
                 )
-
-
-def _axis_field(axis: str) -> str:
-    return {"cost": "cost", "accuracy": "accuracy", "performance": "perf"}[axis]
 
 
 @dataclass(frozen=True)
@@ -116,23 +115,23 @@ def normalize_radar(records: Sequence[CapRecord]) -> RadarDataset:
         raise ValidationError("duplicate system names in radar records", field="system_name")
     axis_kinds: dict[str, str] = {}
     axis_directions: dict[str, str] = {}
-    for axis in AXES:
-        kinds = {getattr(r, f"{_axis_field(axis)}_kind") for r in records}
+    for axis, prefix in _FIELD_PREFIX.items():
+        kinds = {getattr(r, f"{prefix}_kind") for r in records}
         if len(kinds) != 1:
             raise ValidationError(
-                f"all records must share one kind on the {axis} axis, got {sorted(kinds)}",
-                field=f"{axis}_kind",
+                f"all records must share one {prefix}_kind on the {axis} axis, got {sorted(kinds)}",
+                field=f"{prefix}_kind",
             )
-        directions = {getattr(r, f"{_axis_field(axis)}_direction") for r in records}
+        directions = {getattr(r, f"{prefix}_direction") for r in records}
         if len(directions) != 1:
             raise ValidationError(
-                f"all records must share one direction on the {axis} axis", field=f"{axis}_direction"
+                f"all records must share one {prefix}_direction on the {axis} axis", field=f"{prefix}_direction"
             )
         axis_kinds[axis] = kinds.pop()
         axis_directions[axis] = directions.pop()
 
     raw = {
-        r.system_name: {axis: float(getattr(r, f"{_axis_field(axis)}_value")) for axis in AXES}
+        r.system_name: {axis: float(getattr(r, f"{prefix}_value")) for axis, prefix in _FIELD_PREFIX.items()}
         for r in records
     }
     bounds = {}

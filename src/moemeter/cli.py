@@ -126,24 +126,19 @@ def cmd_plan(args: argparse.Namespace) -> dict:
     sweep = args.sweep_batches.split(",") if args.sweep_batches else []
     batches = [trace._parse_number(b, int, "sweep_batches") for b in sweep]
 
+    # one set of plan settings for the modes, the map and the sweep alike
+    plan = dict(
+        efficiency_mbu=args.efficiency_mbu,
+        kv_bytes=args.kv_bytes,
+        include_ops=args.with_ops,
+        efficiency_mfu=args.efficiency_mfu,
+        seq_len=args.seq_len,
+        include_embed=not args.exclude_embed,
+    )
     requirements = []
     feasibility_docs = {}
     for mode in modes:
-        req = planner.plan_requirement(
-            desc,
-            prec,
-            slo,
-            mode,
-            efficiency_mbu=args.efficiency_mbu,
-            kv_bytes=args.kv_bytes,
-            sheet=sheet,
-            batch=args.batch,
-            dist=dist,
-            include_ops=args.with_ops,
-            efficiency_mfu=args.efficiency_mfu,
-            seq_len=args.seq_len,
-            include_embed=not args.exclude_embed,
-        )
+        req = planner.plan_requirement(desc, prec, slo, mode, sheet=sheet, batch=args.batch, dist=dist, **plan)
         requirements.append(planner.requirement_to_dict(req))
         verdicts = planner.feasibility(req, specs, use_offload=args.use_offload, margin=args.margin)
         feasibility_docs[mode] = planner.verdicts_to_dicts(verdicts)
@@ -153,11 +148,7 @@ def cmd_plan(args: argparse.Namespace) -> dict:
     doc = {"inputs": digests, "requirements": requirements, "feasibility": feasibility_docs}
     outputs = {out_dir / "plan_report.json": doc}
     if args.fig2:
-        plot = planner.bandwidth_power_map(
-            desc, prec, slo, specs,
-            efficiency_mbu=args.efficiency_mbu,
-            include_embed=not args.exclude_embed,
-        )
+        plot = planner.bandwidth_power_map(desc, prec, slo, specs, **plan)
         plot["inputs"] = digests
         outputs[out_dir / "bandwidth_power_map.json"] = plot
     if batches:
@@ -167,11 +158,10 @@ def cmd_plan(args: argparse.Namespace) -> dict:
             batches,
             slo,
             prec,
-            efficiency_mbu=args.efficiency_mbu,
             catalog=specs,
             use_offload=args.use_offload,
             margin=args.margin,
-            include_embed=not args.exclude_embed,
+            **plan,
         )
         outputs[out_dir / "batch_sweep.csv"] = planner.sweep_to_csv(points, _digest_comment(digests))
     return outputs
@@ -275,7 +265,7 @@ def _metrics_arguments(p):
     p.add_argument("--trace", required=True, help="activation trace file")
     _add_catalog(p)
     p.add_argument("--device", required=True, help="catalog device name")
-    p.add_argument("--bytes-per-param", type=float, required=True, choices=[0.5, 1.0, 2.0, 4.0])
+    p.add_argument("--bytes-per-param", type=float, required=True, choices=models.ALLOWED_BYTES_PER_PARAM)
     p.add_argument("--flops-precision", default="fp16", help="key into the device's peak FLOPS map")
     p.add_argument("--seq-len", type=int, default=1, help="context length for attention FLOPs")
     p.add_argument(
@@ -291,7 +281,7 @@ def _metrics_arguments(p):
 def _plan_arguments(p):
     p.add_argument("--model", required=True)
     _add_catalog(p)
-    p.add_argument("--bytes-per-param", type=float, default=1.0, choices=[0.5, 1.0, 2.0, 4.0])
+    p.add_argument("--bytes-per-param", type=float, default=1.0, choices=models.ALLOWED_BYTES_PER_PARAM)
     p.add_argument("--slo", type=float, default=models.DEFAULT_SLO_TPOT_S, help="TPOT target in s/token")
     p.add_argument(
         "--mode",

@@ -309,26 +309,38 @@ def fold_passes(
     ``per_pass`` lists each validated record's ``(act, kv)`` by :func:`pass_bytes`,
     so its length is the pass count; the totals add ``act + kv``, latency and
     tokens left to right. An overflowing latency total is rejected: every rate
-    over it would read 0. So is an overflowing byte total.
+    over it would read 0. So is an overflowing byte total, named by the input
+    at fault: ``report`` for parameter bytes, ``kv_bytes_read`` for recorded
+    KV, else the fallback in use (``kv_seq_len`` or ``kv_bytes``).
     """
     # checked before any pass is charged: a pass that recorded KV never reads it
     if kv_seq_len is not None and kv_seq_len < 1:
         raise ValidationError(f"kv_seq_len must be >= 1, got {kv_seq_len}", field="kv_seq_len")
     per_pass = []
     total_bytes = 0.0
+    recorded_kv = 0.0
     total_latency = 0.0
     total_tokens = 0
     for rec in records:
         act, kv = pass_bytes(rec, desc, prec, kv_seq_len, kv_bytes, include_embed)
         per_pass.append((act, kv))
         total_bytes += act + kv
+        if rec.kv_bytes_read > 0:
+            recorded_kv += kv
         total_latency += rec.latency_s
         total_tokens += rec.tokens_processed
     if total_latency == math.inf:
         raise ValidationError("the passes' latencies sum to more than a double holds", field="latency_s")
     if total_bytes == math.inf:
-        # named by the KV counts unless the parameter bytes overflow on their own
-        field = "report" if sum(act for act, _ in per_pass) == math.inf else "kv_bytes_read"
+        # named by the first input that overflows: the parameter bytes on their
+        # own, then with the recorded KV counts, else the caller's KV fallback
+        act_total = sum(act for act, _ in per_pass)
+        if act_total == math.inf:
+            field = "report"
+        elif act_total + recorded_kv == math.inf:
+            field = "kv_bytes_read"
+        else:
+            field = "kv_bytes" if kv_seq_len is None else "kv_seq_len"
         raise ValidationError("the passes' bytes sum to more than a double holds", field=field)
     return per_pass, total_bytes, total_latency, total_tokens
 

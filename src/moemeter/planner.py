@@ -6,6 +6,15 @@ step must move divided by the TPOT target; the practical requirement
 divides by an achievable-utilization efficiency (a fraction in (0, 1]),
 since real systems never sustain a device's peak.
 
+Every requirement is built by :func:`plan_requirement`, and the other
+functions are views over it under the same plan settings (``efficiency_mbu``,
+``kv_bytes``, ``include_ops``, ``efficiency_mfu``, ``seq_len``,
+``include_embed``), whose defaults live in its signature alone:
+:func:`theoretical_bandwidth_gbps` reads its bandwidth; a :func:`batch_sweep`
+point is the ``expected`` requirement at its batch, with the devices
+:func:`feasibility` satisfies; the :func:`bandwidth_power_map` lines are the
+``batch1_analytic`` and ``full_activation`` requirements.
+
 Activation modes:
 
 * ``batch1_analytic`` - one token activates exactly top_k + shared experts.
@@ -89,30 +98,11 @@ class DeploymentRequirement:
 
 
 def theoretical_bandwidth_gbps(
-    desc: ModelDescriptor,
-    prec: Precision,
-    slo: SloSpec,
-    activation_mode: str,
-    kv_bytes: float = 0.0,
-    sheet: ActivationSheet | None = None,
-    batch: int | None = None,
-    dist: RoutingDistribution | None = None,
-    include_embed: bool = True,
+    desc: ModelDescriptor, prec: Precision, slo: SloSpec, activation_mode: str, **plan
 ) -> float:
     """Minimum bandwidth (GB/s) to move one decode step's bytes within the
-    TPOT target, under the chosen activation assumption (see
-    :func:`plan_requirement`)."""
-    return plan_requirement(
-        desc,
-        prec,
-        slo,
-        activation_mode,
-        kv_bytes=kv_bytes,
-        sheet=sheet,
-        batch=batch,
-        dist=dist,
-        include_embed=include_embed,
-    ).theoretical_bandwidth_gbps
+    TPOT target: that of :func:`plan_requirement` under the same arguments."""
+    return plan_requirement(desc, prec, slo, activation_mode, **plan).theoretical_bandwidth_gbps
 
 
 def practical_bandwidth(theoretical_gbps: float, s_mbu_efficiency: float) -> float:
@@ -180,28 +170,12 @@ def plan_requirement(
             param_bytes = _expected_params(desc, batch, dist, include_embed)[1] * prec.bytes_per_param
         step_bytes = param_bytes + kv_bytes
         tokens = batch if batch else 1
-    theo_ops = eff_mfu = None
+    theoretical = step_bytes / slo.tpot_s / GB
+    theo_ops = prac_ops = eff_mfu = None
     if include_ops:
         eff_mfu = efficiency_mfu if efficiency_mfu is not None else efficiency_mbu
         theo_ops = sparse_flops_per_token(desc, seq_len) * tokens / slo.tpot_s
-    return _requirement(desc, prec, slo, activation_mode, step_bytes, kv_bytes, efficiency_mbu, theo_ops, eff_mfu)
-
-
-def _requirement(
-    desc: ModelDescriptor,
-    prec: Precision,
-    slo: SloSpec,
-    activation_mode: str,
-    step_bytes: float,
-    kv_bytes: float,
-    efficiency_mbu: float,
-    theo_ops: float | None = None,
-    efficiency_mfu: float | None = None,
-) -> DeploymentRequirement:
-    """The requirement of a decode step that moves ``step_bytes`` (and, when
-    given, performs ``theo_ops`` FLOP/s at the TPOT target)."""
-    theoretical = step_bytes / slo.tpot_s / GB
-    prac_ops = None if theo_ops is None else practical_ops(theo_ops, efficiency_mfu)
+        prac_ops = practical_ops(theo_ops, eff_mfu)
     return DeploymentRequirement(
         model_name=desc.name,
         activation_mode=activation_mode,
@@ -213,7 +187,7 @@ def _requirement(
         efficiency_mbu=efficiency_mbu,
         theoretical_ops=theo_ops,
         practical_ops=prac_ops,
-        efficiency_mfu=efficiency_mfu,
+        efficiency_mfu=eff_mfu,
     )
 
 
@@ -321,16 +295,19 @@ def batch_sweep(
     batches: Sequence[int],
     slo: SloSpec,
     prec: Precision,
-    efficiency_mbu: float = DEFAULT_EFFICIENCY_MBU,
     catalog: Sequence[HardwareSpec] | None = None,
     use_offload: bool = False,
     margin: float = 0.0,
     include_embed: bool = True,
+    **plan,
 ) -> list[SweepPoint]:
     """Expected-activation requirement and feasibility per batch size.
 
-    The bandwidth column is non-decreasing in batch and bounded by the
-    full-activation requirement; with equal expert sizes it is also bounded
+    Each point is the ``expected`` mode :func:`plan_requirement` at its
+    batch under ``plan`` (efficiency, KV bytes, OPS settings), and its
+    devices are those :func:`feasibility` satisfies. The bandwidth column is
+    non-decreasing in batch and bounded by the full-activation requirement
+    under the same settings; with equal expert sizes it is also bounded
     below by the batch-1 analytic one.
     """
     if list(batches) != sorted(batches):
@@ -339,12 +316,12 @@ def batch_sweep(
     points = []
     for batch in batches:
         distinct, act_params = _expected_params(desc, batch, dist, include_embed)
-        req = _requirement(desc, prec, slo, "expected", act_params * prec.bytes_per_param, 0.0, efficiency_mbu)
+        req = plan_requirement(
+            desc, prec, slo, "expected", batch=batch, dist=dist, include_embed=include_embed, **plan
+        )
         feas: tuple[str, ...] = ()
         if catalog:
-            feas = tuple(
-                v.name for v in feasibility(req, catalog, use_offload=use_offload, margin=margin) if v.satisfied
-            )
+            feas = tuple(v.name for v in feasibility(req, catalog, use_offload, margin) if v.satisfied)
         points.append(
             SweepPoint(
                 batch=batch,
@@ -379,24 +356,25 @@ def bandwidth_power_map(
     prec: Precision,
     slo: SloSpec,
     catalog: Sequence[HardwareSpec],
-    efficiency_mbu: float = DEFAULT_EFFICIENCY_MBU,
     include_embed: bool = True,
+    **plan,
 ) -> dict:
     """Plot data for the bandwidth-vs-power map: one point per device (TDP,
     peak and offload bandwidth) and two horizontal requirement lines for the
-    model (batch-1 activation and full activation)."""
-    lines = []
-    for mode in ("batch1_analytic", "full_activation"):
-        req = plan_requirement(
-            desc, prec, slo, mode, efficiency_mbu=efficiency_mbu, include_embed=include_embed
-        )
-        lines.append(
-            {
-                "activation_mode": mode,
-                "theoretical_bandwidth_gbps": req.theoretical_bandwidth_gbps,
-                "practical_bandwidth_gbps": req.practical_bandwidth_gbps,
-            }
-        )
+    model, the batch-1 analytic and full-activation :func:`plan_requirement`
+    under ``plan``."""
+    reqs = [
+        plan_requirement(desc, prec, slo, mode, include_embed=include_embed, **plan)
+        for mode in ("batch1_analytic", "full_activation")
+    ]
+    lines = [
+        {
+            "activation_mode": req.activation_mode,
+            "theoretical_bandwidth_gbps": req.theoretical_bandwidth_gbps,
+            "practical_bandwidth_gbps": req.practical_bandwidth_gbps,
+        }
+        for req in reqs
+    ]
     devices = [
         {
             "name": s.name,
@@ -413,7 +391,7 @@ def bandwidth_power_map(
         "assumptions": {
             "bytes_per_param": prec.bytes_per_param,
             "tpot_slo_s": slo.tpot_s,
-            "efficiency_mbu": efficiency_mbu,
+            "efficiency_mbu": reqs[0].efficiency_mbu,
             "include_embed": include_embed,
         },
         "requirement_lines": lines,

@@ -931,3 +931,160 @@ def test_kv_count_beyond_a_double_exits_2_naming_it(tmp_path, capsys, command):
     assert len(err) == 1
     assert json.loads(err[0])["error"]["field"] == "kv_bytes_read"
     assert not out.exists()
+
+
+# plan flags, and the settings that plan_requirement receives for them
+_AGREEMENT_CASES = [
+    pytest.param(
+        ["--mode", "expected", "--batch", "8", "--dist", "uniform",
+         "--kv-bytes", "1e9", "--sweep-batches", "8"],
+        dict(model="mixtral-8x7b.json", bpp=1.0, slo=0.1, dist=("uniform",), plan=dict(kv_bytes=1e9)),
+        id="mixtral-kv-bytes-sweep",
+    ),
+    pytest.param(
+        ["--mode", "expected", "--batch", "64", "--dist", "uniform", "--with-ops",
+         "--bytes-per-param", "0.5", "--slo", "0.02", "--sweep-batches", "64"],
+        dict(model="mixtral-8x7b.json", bpp=0.5, slo=0.02, dist=("uniform",), plan=dict(include_ops=True)),
+        id="mixtral-with-ops-sweep",
+    ),
+    pytest.param(
+        ["--fig2", "--kv-bytes", "2e9"],
+        dict(model="deepseek-r1.json", bpp=1.0, slo=0.1, dist=None, plan=dict(kv_bytes=2e9)),
+        id="r1-kv-bytes-fig2",
+    ),
+    pytest.param(
+        ["--mode", "expected", "--batch", "8", "--dist", "zipf:1.1", "--with-ops",
+         "--efficiency-mfu", "0.2", "--seq-len", "4096", "--kv-bytes", "5e8", "--sweep-batches", "1,8,64"],
+        dict(model="deepseek-r1.json", bpp=1.0, slo=0.1, dist=("zipf", 1.1),
+             plan=dict(kv_bytes=5e8, include_ops=True, efficiency_mfu=0.2, seq_len=4096)),
+        id="r1-zipf-ops-kv-sweep",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, settings", _AGREEMENT_CASES)
+def test_sweep_rows_and_fig2_lines_agree_with_the_plan(tmp_path, capsys, argv, settings):
+    from moemeter.catalog import load_catalog
+    from moemeter.cli import main
+    from moemeter.models import Precision, load_model_descriptor
+    from moemeter.planner import SloSpec, feasibility, plan_requirement
+    from moemeter.routing import RoutingDistribution
+
+    out = tmp_path / "out"
+    argv = ["plan", "--model", MODELS / settings["model"], *argv, "--catalog", CATALOG, "--output-dir", out]
+    assert main([str(a) for a in argv]) == 0, capsys.readouterr().err
+    plan = json.loads((out / "plan_report.json").read_text())
+    requirements = {req["activation_mode"]: req for req in plan["requirements"]}
+
+    if (out / "batch_sweep.csv").exists():
+        desc = load_model_descriptor(MODELS / settings["model"])
+        catalog = load_catalog(CATALOG)
+        kind, *params = settings["dist"]
+        dist = getattr(RoutingDistribution, kind)(*params)
+        header, rows = _csv_table(out / "batch_sweep.csv")
+        for row in rows:
+            point = dict(zip(header, row))
+            batch = int(point["batch"])
+            devices = point["feasible_devices"].split("|") if point["feasible_devices"] else []
+            req = plan_requirement(desc, Precision(settings["bpp"]), SloSpec(settings["slo"]), "expected",
+                                   batch=batch, dist=dist, **settings["plan"])
+            feasible = [v.name for v in feasibility(req, catalog) if v.satisfied]
+            assert float(point["theoretical_gbps"]) == req.theoretical_bandwidth_gbps
+            assert float(point["practical_gbps"]) == req.practical_bandwidth_gbps
+            assert devices == feasible
+            if batch == int(argv[argv.index("--batch") + 1]):
+                # the row is the expected-mode plan of this very run
+                planned = requirements["expected"]
+                assert float(point["theoretical_gbps"]) == planned["theoretical_bandwidth_gbps"]
+                assert float(point["practical_gbps"]) == planned["practical_bandwidth_gbps"]
+                verdicts = plan["feasibility"]["expected"]
+                assert devices == [v["name"] for v in verdicts if v["satisfied"]]
+
+    if (out / "bandwidth_power_map.json").exists():
+        lines = json.loads((out / "bandwidth_power_map.json").read_text())["requirement_lines"]
+        assert [line["activation_mode"] for line in lines] == ["batch1_analytic", "full_activation"]
+        for line in lines:
+            planned = requirements[line["activation_mode"]]
+            assert line["theoretical_bandwidth_gbps"] == planned["theoretical_bandwidth_gbps"]
+            assert line["practical_bandwidth_gbps"] == planned["practical_bandwidth_gbps"]
+
+
+@pytest.mark.parametrize(
+    "command, kv_counts, extra, params_expert, field",
+    [
+        # toy-4x2 records no KV here, so the fallback is at fault
+        pytest.param("plan", [0, 0, 0], ["--kv-bytes", "1e308"], None, "kv_bytes", id="plan-kv-bytes-fallback"),
+        pytest.param("metrics", [0, 0, 0], ["--kv-seq-len", str(10**306)], None, "kv_seq_len", id="metrics-kv-seq-len"),
+        # recorded counts that each fit a double, beside an innocent fallback
+        pytest.param("plan", [10**308, 10**308, 0], ["--kv-bytes", "1e3"], None, "kv_bytes_read", id="plan-recorded-kv"),
+        # each pass reads 8e307 expert parameters: they overflow on their own, beside an innocent fallback
+        pytest.param("metrics", [0, 0, 0], ["--kv-seq-len", "1"], 2 * 10**307, "report", id="metrics-params"),
+    ],
+)
+def test_byte_overflow_names_the_input_at_fault(tmp_path, capsys, command, kv_counts, extra, params_expert, field):
+    from moemeter.cli import main
+
+    model = MODELS / "toy-4x2.json"
+    if params_expert is not None:
+        doc = json.loads(model.read_text())
+        doc["params_expert"] = params_expert
+        model = tmp_path / "toy-4x2.json"
+        model.write_text(json.dumps(doc))
+    trace = tmp_path / "toy.trace"
+    rows = [f"{i},decode,2,2,0.01,{kv},0:3;1:3" for i, kv in enumerate(kv_counts)]
+    trace.write_text("\n".join(["model=toy-4x2", *rows]) + "\n")
+    out = tmp_path / "out"
+    argv = {
+        "plan": ["plan", "--mode", "trace"],
+        "metrics": ["metrics", "--device", "H100-SXM", "--bytes-per-param", "1.0"],
+    }[command]
+    argv += ["--model", model, "--trace", trace, "--catalog", CATALOG, *extra, "--output-dir", out]
+    assert main([str(a) for a in argv]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    error = json.loads(err[0])["error"]
+    assert (error["field"], error["message"]) == (field, "the passes' bytes sum to more than a double holds")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, field",
+    [
+        ("perf_direction", "sideways", "perf_direction"),
+        # a tpot_s cohort with one throughput record
+        ("perf_kind", "throughput_tps", "perf_kind"),
+    ],
+)
+def test_radar_error_names_the_records_own_key(tmp_path, capsys, key, value, field):
+    from moemeter.cli import main
+
+    records = json.loads((BUNDLES / "radar_serving_systems.json").read_text())
+    records[0][key] = value
+    path = tmp_path / "records.json"
+    path.write_text(json.dumps(records))
+    out = tmp_path / "out"
+    assert main(["radar", "--records", str(path), "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    error = json.loads(err[0])["error"]
+    assert error["field"] == field and field in error["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["metrics", "plan"])
+def test_unlisted_precision_exits_2_listing_the_allowed_ones(tmp_path, capsys, command):
+    from moemeter.cli import main
+
+    argv = {
+        "metrics": ["metrics", "--trace", TRACES / "sample_decode.trace", "--device", "H100-SXM"],
+        "plan": ["plan"],
+    }[command]
+    argv += ["--model", MODELS / "toy-4x2.json", "--catalog", CATALOG, "--bytes-per-param", "3",
+             "--output-dir", tmp_path / "out"]
+    with pytest.raises(SystemExit) as exc:
+        main([str(a) for a in argv])
+    assert exc.value.code == 2
+    message = "argument --bytes-per-param: invalid choice: 3.0 (choose from 0.5, 1.0, 2.0, 4.0)"
+    error = {"error": {"field": "bytes_per_param", "message": message, "type": "validation"}}
+    assert capsys.readouterr().err == json.dumps(error, sort_keys=True) + "\n"
+    assert not (tmp_path / "out").exists()

@@ -8,7 +8,7 @@ import pytest
 
 from moemeter.catalog import load_catalog
 from moemeter.errors import ValidationError
-from moemeter.models import Precision, active_param_bytes_analytic, total_param_bytes
+from moemeter.models import Precision, active_param_bytes_analytic, load_model_descriptor, total_param_bytes
 from moemeter.planner import (
     DeploymentRequirement,
     SloSpec,
@@ -400,6 +400,24 @@ def test_zipf_sweep_runs_the_quadrature_once(r1_desc, monkeypatch):
     assert [p.expected_distinct_per_layer for p in points] == uncached
     with pytest.raises(ValueError, match="read-only"):
         r[0] = 0.0
+
+
+@pytest.mark.parametrize("dist", [RoutingDistribution.uniform(), RoutingDistribution.zipf(1.1)])
+def test_sweep_points_are_the_expected_mode_plan(shipped_catalog, dist):
+    desc = load_model_descriptor(REPO_ROOT / "models" / "mixtral-8x7b.json")
+    prec, slo = Precision(0.5), SloSpec(0.02)
+    plan = dict(efficiency_mbu=0.5, kv_bytes=5e8, include_ops=True, efficiency_mfu=0.2, seq_len=4096)
+    batches = [1, 8, 64]
+    points = batch_sweep(desc, dist, batches, slo, prec, catalog=shipped_catalog, margin=0.1, **plan)
+    assert [p.batch for p in points] == batches
+    for point in points:
+        req = plan_requirement(desc, prec, slo, "expected", batch=point.batch, dist=dist, **plan)
+        assert point.theoretical_bandwidth_gbps == req.theoretical_bandwidth_gbps
+        assert point.practical_bandwidth_gbps == req.practical_bandwidth_gbps
+        verdicts = feasibility(req, shipped_catalog, margin=0.1)
+        assert point.feasible_devices == tuple(v.name for v in verdicts if v.satisfied)
+    # at batch 64 the OPS requirement leaves out a device whose bandwidth suffices
+    assert any(v.bandwidth_ok and not v.satisfied for v in verdicts)
 
 
 def test_sweep_requires_sorted_batches(toy_desc):
