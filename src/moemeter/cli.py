@@ -115,9 +115,11 @@ def cmd_plan(args: argparse.Namespace) -> dict:
     specs = catalog.load_catalog(args.catalog)
     prec = models.Precision(args.bytes_per_param)
     slo = planner.SloSpec(args.slo)
-    modes = ["batch1_analytic", "full_activation"] if args.fig2 else args.mode
-    if len(set(modes)) != len(modes):
-        raise ValidationError(f"--mode names a mode more than once: {' '.join(modes)}", field="mode")
+    if len(set(args.mode)) != len(args.mode):
+        raise ValidationError(f"--mode names a mode more than once: {' '.join(args.mode)}", field="mode")
+    # the map's modes come first, so its lines are the plan's first requirements
+    fig2_modes = list(planner.FIG2_MODES) if args.fig2 else []
+    modes = fig2_modes + [mode for mode in args.mode if mode not in fig2_modes]
     sheet = None
     if args.trace:
         # trace mode validates the sheet it plans from; an unused one is checked here
@@ -135,10 +137,11 @@ def cmd_plan(args: argparse.Namespace) -> dict:
         seq_len=args.seq_len,
         include_embed=not args.exclude_embed,
     )
-    requirements = []
+    reqs, requirements = [], []
     feasibility_docs = {}
     for mode in modes:
         req = planner.plan_requirement(desc, prec, slo, mode, sheet=sheet, batch=args.batch, dist=dist, **plan)
+        reqs.append(req)
         requirements.append(planner.requirement_to_dict(req))
         verdicts = planner.feasibility(req, specs, use_offload=args.use_offload, margin=args.margin)
         feasibility_docs[mode] = planner.verdicts_to_dicts(verdicts)
@@ -148,7 +151,7 @@ def cmd_plan(args: argparse.Namespace) -> dict:
     doc = {"inputs": digests, "requirements": requirements, "feasibility": feasibility_docs}
     outputs = {out_dir / "plan_report.json": doc}
     if args.fig2:
-        plot = planner.bandwidth_power_map(desc, prec, slo, specs, **plan)
+        plot = planner.bandwidth_power_map(reqs[: len(fig2_modes)], specs, include_embed=plan["include_embed"])
         plot["inputs"] = digests
         outputs[out_dir / "bandwidth_power_map.json"] = plot
     if batches:
@@ -303,7 +306,8 @@ def _plan_arguments(p):
     p.add_argument(
         "--fig2",
         action="store_true",
-        help="emit bandwidth-vs-power map plot data (device points + batch-1/full-activation lines)",
+        help="also plan batch1_analytic and full_activation, ahead of --mode, and emit bandwidth-vs-power "
+        "map plot data (device points + those two requirement lines)",
     )
     p.add_argument("--sweep-batches", default=None, help="comma-separated batch sizes for a sweep CSV")
     _add_output_dir(p)

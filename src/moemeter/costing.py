@@ -8,8 +8,9 @@ motherboard).
 
 Unit discipline: runtime is stored in hours everywhere. Energy math wants
 hours (kWh), token math wants seconds; the conversion happens in exactly
-one place (:func:`cost_per_token`) so changing the stored unit cannot
-silently skew results.
+one place (:func:`cost_report`, which derives the energy dollars, the token
+count and the per-token cost once; :func:`cost_per_token` is a view over
+it) so changing the stored unit cannot silently skew results.
 """
 
 from __future__ import annotations
@@ -124,10 +125,9 @@ def cost_per_token(
     bom: BillOfMaterials, power: PowerProfile, econ: DeploymentEconomics
 ) -> float:
     """Dollars per generated token: (hardware + energy dollars) amortized
-    over every token produced during the deployment runtime."""
-    energy_usd = energy_cost_kwh(power, econ.runtime_hours) * econ.energy_price_usd_per_kwh
-    tokens = econ.token_throughput_tps * econ.runtime_hours * SECONDS_PER_HOUR
-    return (purchase_cost(bom) + energy_usd) / tokens
+    over every token produced during the deployment runtime; the
+    ``cost_per_token_usd`` of :func:`cost_report`."""
+    return cost_report(bom, power, econ)["cost_per_token_usd"]
 
 
 def power_profile_from_tdp(
@@ -173,11 +173,12 @@ def load_cost_inputs(path: str | Path) -> tuple[BillOfMaterials, PowerProfile, D
 
 def cost_report(bom: BillOfMaterials, power: PowerProfile, econ: DeploymentEconomics) -> dict:
     """Totals plus per-term breakdown for all three cost quantities."""
+    purchase_usd = purchase_cost(bom)
     kwh = energy_cost_kwh(power, econ.runtime_hours)
     energy_usd = kwh * econ.energy_price_usd_per_kwh
     tokens = econ.token_throughput_tps * econ.runtime_hours * SECONDS_PER_HOUR
     return {
-        "purchase_usd": purchase_cost(bom),
+        "purchase_usd": purchase_usd,
         "purchase_breakdown_usd": {
             "gpu": bom.gpu_usd,
             "cpu": bom.cpu_usd,
@@ -205,5 +206,5 @@ def cost_report(bom: BillOfMaterials, power: PowerProfile, econ: DeploymentEcono
         "energy_price_usd_per_kwh": econ.energy_price_usd_per_kwh,
         "token_throughput_tps": econ.token_throughput_tps,
         "tokens_total": tokens,
-        "cost_per_token_usd": cost_per_token(bom, power, econ),
+        "cost_per_token_usd": (purchase_usd + energy_usd) / tokens,
     }

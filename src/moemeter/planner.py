@@ -13,7 +13,8 @@ functions are views over it under the same plan settings (``efficiency_mbu``,
 :func:`theoretical_bandwidth_gbps` reads its bandwidth; a :func:`batch_sweep`
 point is the ``expected`` requirement at its batch, with the devices
 :func:`feasibility` satisfies; the :func:`bandwidth_power_map` lines are the
-``batch1_analytic`` and ``full_activation`` requirements.
+plan's own ``batch1_analytic`` and ``full_activation`` requirements
+(:data:`FIG2_MODES`), which the map draws without building them again.
 
 Activation modes:
 
@@ -166,7 +167,8 @@ def plan_requirement(
             param_bytes = total_param_bytes(desc, prec, include_embed=include_embed)
         else:  # expected
             if batch is None or dist is None:
-                raise ValidationError("expected mode requires batch and dist", field="batch")
+                missing = "batch" if batch is None else "dist"
+                raise ValidationError("expected mode requires batch and dist", field=missing)
             param_bytes = _expected_params(desc, batch, dist, include_embed)[1] * prec.bytes_per_param
         step_bytes = param_bytes + kv_bytes
         tokens = batch if batch else 1
@@ -351,30 +353,27 @@ def sweep_to_csv(points: Sequence[SweepPoint], header_comment: str | None = None
 # Bandwidth-vs-power map (plot data)
 # --------------------------------------------------------------------------
 
+# The modes whose requirements are the map's horizontal lines.
+FIG2_MODES = ("batch1_analytic", "full_activation")
+
+
 def bandwidth_power_map(
-    desc: ModelDescriptor,
-    prec: Precision,
-    slo: SloSpec,
+    lines: Sequence[DeploymentRequirement],
     catalog: Sequence[HardwareSpec],
     include_embed: bool = True,
-    **plan,
 ) -> dict:
     """Plot data for the bandwidth-vs-power map: one point per device (TDP,
-    peak and offload bandwidth) and two horizontal requirement lines for the
-    model, the batch-1 analytic and full-activation :func:`plan_requirement`
-    under ``plan``."""
-    reqs = [
-        plan_requirement(desc, prec, slo, mode, include_embed=include_embed, **plan)
-        for mode in ("batch1_analytic", "full_activation")
-    ]
-    lines = [
-        {
-            "activation_mode": req.activation_mode,
-            "theoretical_bandwidth_gbps": req.theoretical_bandwidth_gbps,
-            "practical_bandwidth_gbps": req.practical_bandwidth_gbps,
-        }
-        for req in reqs
-    ]
+    peak and offload bandwidth) and one horizontal line per requirement in
+    ``lines``, those a plan built for :data:`FIG2_MODES` under
+    ``include_embed``. The lines must share one model, precision, TPOT
+    target and efficiency, which the map's assumptions state."""
+    settings = {(req.model_name, req.bytes_per_param, req.tpot_s, req.efficiency_mbu) for req in lines}
+    if len(settings) != 1:
+        raise ValidationError(
+            "requirement lines must share one model, precision, target and efficiency",
+            field="requirement_lines",
+        )
+    ((model, bytes_per_param, tpot_s, efficiency_mbu),) = settings
     devices = [
         {
             "name": s.name,
@@ -387,14 +386,21 @@ def bandwidth_power_map(
         for s in catalog
     ]
     return {
-        "model": desc.name,
+        "model": model,
         "assumptions": {
-            "bytes_per_param": prec.bytes_per_param,
-            "tpot_slo_s": slo.tpot_s,
-            "efficiency_mbu": reqs[0].efficiency_mbu,
+            "bytes_per_param": bytes_per_param,
+            "tpot_slo_s": tpot_s,
+            "efficiency_mbu": efficiency_mbu,
             "include_embed": include_embed,
         },
-        "requirement_lines": lines,
+        "requirement_lines": [
+            {
+                "activation_mode": req.activation_mode,
+                "theoretical_bandwidth_gbps": req.theoretical_bandwidth_gbps,
+                "practical_bandwidth_gbps": req.practical_bandwidth_gbps,
+            }
+            for req in lines
+        ],
         "devices": devices,
     }
 

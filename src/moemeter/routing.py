@@ -19,9 +19,11 @@ of a larger batch's stream and nested batches activate nested expert sets.
 Each token keeps the top_k experts with the earliest race times
 -log(1 - u) / p: the same doubles numpy's Gumbel sampler turns into
 G = -log(-log(1 - u)), and the same choice as Gumbel-top-k of log p + G.
-The two forms agree in exact arithmetic; in floating point they could
-differ only on keys within a few ulps. Byte-identical output on 180 shapes
-and the pinned hashes in the tests are the evidence that they do not.
+Like that sampler, the race drops a uniform of exactly 0.0 and gives every
+later cell the next draw, so the two read one stream. The two forms agree
+in exact arithmetic; in floating point they could differ only on keys
+within a few ulps. Byte-identical output on 180 shapes and the pinned
+hashes in the tests are the evidence that they do not.
 """
 
 from __future__ import annotations
@@ -138,17 +140,18 @@ def _check_support(p: np.ndarray, top_k: int) -> np.ndarray:
 _ROUTE_BLOCK_CELLS = 1 << 16
 
 
-def _race_block(rng, shape: tuple[int, int, int], neg_inv_p: np.ndarray, k: int) -> np.ndarray | None:
+def _race_block(rng, shape: tuple[int, int, int], neg_inv_p: np.ndarray, k: int) -> np.ndarray:
     """Draw one block of tokens and return the (layers, experts) mask of the
     experts any of them selects: each token's k earliest race times
     -log(1 - u) / p per layer. ``neg_inv_p`` is -1/p (-inf for zero
-    weights) up to a common positive factor. Returns None if the block drew
-    a zero uniform, which numpy's Gumbel sampler would have rejected."""
+    weights) up to a common positive factor. A zero uniform is dropped and
+    every later cell takes the next draw, as numpy's Gumbel sampler does."""
     import numpy as np
 
     t = rng.random(size=shape)
-    if t.min() == 0.0:
-        return None
+    while t.min() == 0.0:
+        kept = t[t != 0.0]
+        t = np.concatenate((kept, rng.random(size=t.size - kept.size))).reshape(shape)
     np.log(np.subtract(1.0, t, out=t), out=t)
     t *= neg_inv_p
     won = t <= np.partition(t, k - 1, axis=-1)[..., k - 1 : k]
@@ -159,41 +162,19 @@ def _race_block(rng, shape: tuple[int, int, int], neg_inv_p: np.ndarray, k: int)
     return won.any(axis=0)
 
 
-def _gumbel_block(rng, shape: tuple[int, int, int], log_p: np.ndarray, k: int) -> np.ndarray:
-    """The same block through numpy's Gumbel sampler: each token's top-k
-    of log p + G per layer."""
-    import numpy as np
-
-    keys = log_p + rng.gumbel(size=shape)
-    won = np.zeros(shape, dtype=bool)
-    np.put_along_axis(won, np.argpartition(-keys, k - 1, axis=-1)[..., :k], True, axis=-1)
-    return won.any(axis=0)
-
-
-def _route_pass(make_rng, shape: tuple[int, int, int], log_p: np.ndarray, neg_inv_p: np.ndarray, k: int) -> np.ndarray:
+def _route_pass(rng, shape: tuple[int, int, int], neg_inv_p: np.ndarray, k: int) -> np.ndarray:
     """(layers, experts) mask of the experts a pass of ``shape`` = (tokens,
-    layers, experts) activates, drawn in token blocks from ``make_rng()``.
-    Consecutive draws continue one stream, so the blocking changes nothing.
-    A zero uniform replays the pass from a fresh generator through numpy's
-    Gumbel sampler, which rejects that draw and takes the next."""
+    layers, experts) activates, drawn in token blocks from ``rng``.
+    Consecutive draws continue one stream, so the blocking changes nothing."""
     import numpy as np
 
     tokens, n_layers, n = shape
     step = max(1, _ROUTE_BLOCK_CELLS // (n_layers * n))
-
-    def run(block):
-        rng = make_rng()
-        hit = np.zeros((n_layers, n), dtype=bool)
-        for start in range(0, tokens, step):
-            won = block(rng, (min(step, tokens - start), n_layers, n))
-            if won is None:
-                return None
-            hit |= won
-        return hit
-
-    hit = run(lambda rng, s: _race_block(rng, s, neg_inv_p, k))
-    if hit is None:
-        hit = run(lambda rng, s: _gumbel_block(rng, s, log_p, k))
+    hit = np.zeros((n_layers, n), dtype=bool)
+    for start in range(0, tokens, step):
+        # bound before the union: freeing each mask at once let the heap trim and refault every block
+        won = _race_block(rng, (min(step, tokens - start), n_layers, n), neg_inv_p, k)
+        hit |= won
     return hit
 
 
@@ -218,7 +199,9 @@ def simulate_routing(
     k experts with the earliest race times -log(1 - u) / p. These are the
     doubles numpy's Gumbel sampler turns into G = -log(-log(1 - u)), and the
     selection is Gumbel-top-k of log p + G, equivalent in distribution to
-    sequential weighted draws with renormalization. The two forms agree in
+    sequential weighted draws with renormalization. A zero uniform is skipped
+    in the stream, as that sampler skips it. top_k == n_expert needs no
+    special case: every expert then wins. The two forms agree in
     exact arithmetic; in floating point they could differ only on keys
     within a few ulps (see the module docstring). Tokens are drawn in blocks
     of about ``_ROUTE_BLOCK_CELLS`` uniforms, so memory does not grow with
@@ -242,7 +225,7 @@ def simulate_routing(
         raise ValidationError("tokens_per_pass must be >= batch", field="tokens_per_pass")
 
     p = dist.probabilities(desc.n_expert)
-    log_p = _check_support(p, desc.top_k)
+    _check_support(p, desc.top_k)
     # 1/p up to the exact factor 2^-64, which keeps it finite for subnormal
     # weights and never reorders race times
     with np.errstate(divide="ignore"):
@@ -252,12 +235,8 @@ def simulate_routing(
 
     passes = []
     for pass_id in range(n_passes):
-        if desc.top_k == desc.n_expert:
-            hit = np.ones(shape[1:], dtype=bool)
-        else:
-            ss = np.random.SeedSequence(seed, spawn_key=(pass_id,))
-            make_rng = functools.partial(np.random.default_rng, ss)
-            hit = _route_pass(make_rng, shape, log_p, neg_inv_p, desc.top_k)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(pass_id,)))
+        hit = _route_pass(rng, shape, neg_inv_p, desc.top_k)
         packed = np.packbits(hit, axis=-1, bitorder="little")
         bitmaps = {layer: int.from_bytes(row.tobytes(), "little") for layer, row in zip(moe_layers, packed)}
         passes.append(

@@ -44,6 +44,8 @@ def test_traced_commands_record_the_routing_spans_and_uninstall_restores(tmp_pat
          "--seed", 0, "--out", tmp_path / "sim.trace"],
         ["plan", "--model", MODELS / "mixtral-8x7b.json", "--catalog", REPO_ROOT / "catalog" / "default.json",
          "--mode", "expected", "--batch", 4, "--dist", "zipf:1.1", "--output-dir", tmp_path],
+        ["plan", "--model", MODELS / "deepseek-r1.json", "--catalog", REPO_ROOT / "catalog" / "default.json",
+         "--fig2", "--output-dir", tmp_path / "fig2"],
     ]
     tracer.install()
     try:
@@ -54,5 +56,9 @@ def test_traced_commands_record_the_routing_spans_and_uninstall_restores(tmp_pat
         tracer.uninstall()
     assert tracer.command_summary(0)["calls"]["trace.simulate_routing"] == 1
     assert tracer.command_summary(1)["calls"]["trace.expected_distinct_experts"] >= 1
+    # the map draws the plan's own two requirements rather than building them again
+    fig2 = tracer.command_summary(2)["calls"]
+    assert fig2["planner.bandwidth_power_map"] == 1
+    assert fig2["planner.plan_requirement"] == 2
     for (module, attr), original in bound.items():
         assert getattr(module, attr) is original, f"{module.__name__}.{attr}"

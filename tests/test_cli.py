@@ -288,6 +288,10 @@ def test_recommend_match(tmp_path):
         ("plan", ["--slo", "inf"]),
         ("plan", ["--kv-bytes", "nan"]),
         ("plan", ["--kv-bytes", "inf"]),
+        # expected mode without its batch or its distribution, --fig2 or not
+        ("plan", ["--mode", "expected", "--batch", 4]),
+        ("plan", ["--mode", "expected", "--dist", "uniform"]),
+        ("plan", ["--fig2", "--mode", "expected", "--dist", "uniform"]),
     ],
 )
 def test_malformed_routing_arguments_exit_2(tmp_path, command, extra):
@@ -298,6 +302,10 @@ def test_malformed_routing_arguments_exit_2(tmp_path, command, extra):
     (line,) = result.stderr.splitlines()
     err = json.loads(line)
     assert err["error"]["type"] == "validation"
+    if "expected" in extra and "--batch" not in extra:
+        assert err["error"]["field"] == "batch"
+    elif "expected" in extra and "--dist" not in extra:
+        assert err["error"]["field"] == "dist"
     assert not list(tmp_path.iterdir())
 
 
@@ -587,6 +595,38 @@ def test_repeated_mode_exits_2_without_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_fig2_keeps_the_modes_asked_for(tmp_path, capsys):
+    from moemeter.cli import main
+
+    out = tmp_path / "out"
+    argv = [*_trace_commands(TRACES / "sample_decode.trace", out)["plan-trace"], "--fig2"]
+    assert main([str(a) for a in argv]) == 0, capsys.readouterr().err
+    plan = json.loads((out / "plan_report.json").read_text())
+    modes = ["batch1_analytic", "full_activation", "trace"]
+    assert [req["activation_mode"] for req in plan["requirements"]] == modes
+    assert sorted(plan["feasibility"]) == modes
+    lines = json.loads((out / "bandwidth_power_map.json").read_text())["requirement_lines"]
+    assert [line["activation_mode"] for line in lines] == modes[:2]
+
+
+def test_fig2_builds_each_requirement_once(tmp_path, monkeypatch):
+    from moemeter import planner
+    from moemeter.cli import main
+
+    built = []
+    plan_requirement = planner.plan_requirement
+
+    def counted(*args, **kwargs):
+        built.append(args[3])
+        return plan_requirement(*args, **kwargs)
+
+    monkeypatch.setattr(planner, "plan_requirement", counted)
+    argv = ["plan", "--model", MODELS / "deepseek-r1.json", "--catalog", CATALOG, "--fig2",
+            "--output-dir", tmp_path / "out"]
+    assert main([str(a) for a in argv]) == 0
+    assert built == ["batch1_analytic", "full_activation"]
+
+
 @pytest.mark.parametrize("every_pass_records_kv", [False, True])
 def test_metrics_kv_seq_len_below_one_exits_2(tmp_path, capsys, every_pass_records_kv):
     from moemeter.cli import main
@@ -783,7 +823,7 @@ COST_INPUTS_TEXT = """{
              "batch1_analytic", "--batch", "8", "--dist", "zipf:1.1", "--with-ops",
              "--sweep-batches", "1,2,4,8,16,32,64", "--fig2", "--output-dir", "out"],
             {
-                "plan_report.json": "b4aaa86271820db90941325fbfbd398dd05307aa52383341bf3a947272c3a696",
+                "plan_report.json": "95232c778e4cc1e933627856d6714c1dc20aef086222bc75af294f1757d3473e",
                 "bandwidth_power_map.json": "518dd20baa4fe887f0b5d23fb3167f4f0ff8130a59d7851d7b64ee579a1fb45a",
                 "batch_sweep.csv": "93910a1335c671efefadd5e9c6fe7b2ceaf6fffc2dba90b34af3440973c955f1",
                 "stdout": "856c14bb0581ef7e7281ebb1569e922d1270be2be7ea9b03159658ca0e1bb81d",

@@ -10,6 +10,7 @@ from moemeter.catalog import load_catalog
 from moemeter.errors import ValidationError
 from moemeter.models import Precision, active_param_bytes_analytic, load_model_descriptor, total_param_bytes
 from moemeter.planner import (
+    FIG2_MODES,
     DeploymentRequirement,
     SloSpec,
     bandwidth_power_map,
@@ -503,7 +504,8 @@ def test_sweep_feasible_devices_with_catalog(toy_desc, shipped_catalog):
 # ---------------------------------------------------------------------------
 
 def test_bandwidth_power_map_shape(r1_desc, shipped_catalog):
-    doc = bandwidth_power_map(r1_desc, INT8, SLO, shipped_catalog)
+    lines = [plan_requirement(r1_desc, INT8, SLO, mode) for mode in FIG2_MODES]
+    doc = bandwidth_power_map(lines, shipped_catalog)
     assert doc["model"] == "deepseek-r1"
     modes = {line["activation_mode"] for line in doc["requirement_lines"]}
     assert modes == {"batch1_analytic", "full_activation"}
@@ -511,6 +513,24 @@ def test_bandwidth_power_map_shape(r1_desc, shipped_catalog):
     assert doc["assumptions"]["efficiency_mbu"] == pytest.approx(0.3558)
     for dev in doc["devices"]:
         assert {"name", "tdp_watts", "peak_bandwidth_gbps"} <= set(dev)
+
+
+@pytest.mark.parametrize(
+    "model, bpp, tpot_s, efficiency",
+    [("toy", 1.0, 0.1, None), ("r1", 2.0, 0.1, None), ("r1", 1.0, 0.05, None), ("r1", 1.0, 0.1, 0.5)],
+    ids=["model", "precision", "target", "efficiency"],
+)
+def test_bandwidth_power_map_rejects_lines_of_different_plans(
+    r1_desc, toy_desc, shipped_catalog, model, bpp, tpot_s, efficiency
+):
+    first = plan_requirement(r1_desc, INT8, SLO, "batch1_analytic")
+    desc = toy_desc if model == "toy" else r1_desc
+    plan = {} if efficiency is None else dict(efficiency_mbu=efficiency)
+    other = plan_requirement(desc, Precision(bpp), SloSpec(tpot_s), "full_activation", **plan)
+    for lines in ([first, other], []):
+        with pytest.raises(ValidationError, match="share one model") as exc:
+            bandwidth_power_map(lines, shipped_catalog)
+        assert exc.value.field == "requirement_lines"
 
 
 @pytest.mark.parametrize("kv_bytes", [0.0, 1.5e6])

@@ -17,7 +17,6 @@ from moemeter.routing import (
     expected_distinct_experts,
     simulate_routing,
     _mc_distinct_counts,
-    _gumbel_block,
     _parse_dist_spec,
     _race_block,
     _route_pass,
@@ -381,16 +380,13 @@ def test_simulate_top_k_equal_to_n_expert_matches_oracle():
 
 
 class _StubRng:
-    """Generator stand-in that hands out fixed uniform and Gumbel blocks."""
+    """Generator stand-in that hands out fixed uniform blocks."""
 
-    def __init__(self, uniforms=(), gumbels=()):
-        self.uniforms, self.gumbels = list(uniforms), list(gumbels)
+    def __init__(self, uniforms):
+        self.uniforms = list(uniforms)
 
     def random(self, size):
         return np.array(self.uniforms.pop(0), dtype=float).reshape(size)
-
-    def gumbel(self, size):
-        return np.array(self.gumbels.pop(0), dtype=float).reshape(size)
 
 
 def test_race_block_selects_earliest_times_and_rejects_zero_uniforms():
@@ -401,7 +397,13 @@ def test_race_block_selects_earliest_times_and_rejects_zero_uniforms():
     u = [[[0.5, 0.5, 0.01, 0.9, 0.999]], [[0.9, 0.1, 0.9, 0.9, 0.001]]]
     hit = _race_block(_StubRng([u]), (2, 1, 5), neg_inv_p, 2)
     assert hit.tolist() == [[True, True, True, False, False]]
-    assert _race_block(_StubRng([[[[0.5, 0.0, 0.2, 0.3, 0.4]]]]), (1, 1, 5), neg_inv_p, 2) is None
+    # each zero is dropped, the later cells move up and the next non-zero draw
+    # fills the last: u = (0.5, 0.2, 0.3, 0.9, 0.999) picks experts 0 and 1,
+    # where refilling the zero's own cell would pick 0 and 2
+    rng = _StubRng([[[[0.5, 0.0, 0.2, 0.3, 0.9]]], [0.0], [0.999]])
+    hit = _race_block(rng, (1, 1, 5), neg_inv_p, 2)
+    assert hit.tolist() == [[True, True, False, False, False]]
+    assert rng.uniforms == []
 
 
 def test_race_block_breaks_exact_ties_to_exactly_k():
@@ -411,37 +413,43 @@ def test_race_block_breaks_exact_ties_to_exactly_k():
     assert hit.sum() == 2 and hit[0, 1] and hit[0, 0] != hit[0, 2]
 
 
-def test_zero_uniform_replays_the_pass_through_the_gumbel_sampler(r1_desc, monkeypatch):
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_with_zero_after(draws, inc):
+    """A numpy Generator whose uniform after ``draws`` others is exactly 0.0.
+    PCG64 steps its 128-bit LCG state, then outputs hi ^ lo rotated; a
+    stepped state with equal 64-bit halves outputs 0, so that state is
+    stepped back ``draws + 1`` times through the multiplier's inverse."""
+    half = 0x9E3779B97F4A7C15
+    state, inverse = (half << 64) | half, pow(_PCG64_MULTIPLIER, -1, 1 << 128)
+    for _ in range(draws + 1):
+        state = (state - inc) * inverse % (1 << 128)
+    bit_generator = np.random.PCG64()
+    bit_generator.state = {
+        "bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0,
+    }
+    return np.random.Generator(bit_generator)
+
+
+def test_zero_uniform_is_dropped_as_numpys_gumbel_sampler_drops_it(r1_desc, monkeypatch):
     import moemeter.routing as routing
 
     monkeypatch.setattr(routing, "_ROUTE_BLOCK_CELLS", 1)  # one token per block
-    dist = RoutingDistribution.zipf(1.1)
-    p = dist.probabilities(r1_desc.n_expert)
     shape = (5, len(r1_desc.moe_layers), r1_desc.n_expert)
-    ss = np.random.SeedSequence(8).spawn(1)[0]
-    made = []
+    k = r1_desc.top_k
+    # the third token's block, layer 7, expert 100
+    draws = 2 * shape[1] * shape[2] + 7 * shape[2] + 100
+    inc = np.random.default_rng(8).bit_generator.state["state"]["inc"]
+    u = _pcg64_with_zero_after(draws, inc).random(size=draws + 2)
+    assert u[draws] == 0.0 and np.count_nonzero(u == 0.0) == 1
 
-    class ZeroOnThirdBlock:
-        """The pass's real stream, with a zero uniform in the third block."""
-
-        def __init__(self):
-            self.rng, self.calls = np.random.default_rng(ss), 0
-            made.append(self)
-
-        def random(self, size):
-            self.calls += 1
-            u = self.rng.random(size=size)
-            if self.calls == 3:
-                u[0, 7, 100] = 0.0
-            return u
-
-        def gumbel(self, size):
-            return self.rng.gumbel(size=size)
-
-    hit = _route_pass(ZeroOnThirdBlock, shape, np.log(p), -1.0 / p, r1_desc.top_k)
-    assert len(made) == 2 and made[1].calls == 0  # the replay drew through gumbel only
-    bitmaps = {layer: sum(1 << int(i) for i in np.flatnonzero(row)) for layer, row in zip(r1_desc.moe_layers, hit)}
-    assert bitmaps == _gumbel_topk_oracle(r1_desc, dist, 1, 8, 5)[0]
+    p = RoutingDistribution.zipf(1.1).probabilities(r1_desc.n_expert)
+    hit = _route_pass(_pcg64_with_zero_after(draws, inc), shape, -1.0 / p, k)
+    keys = np.log(p) + _pcg64_with_zero_after(draws, inc).gumbel(size=shape)
+    won = np.zeros(shape, dtype=bool)
+    np.put_along_axis(won, np.argpartition(-keys, k - 1, axis=-1)[..., :k], True, axis=-1)
+    assert np.array_equal(hit, won.any(axis=0))
 
 
 def test_long_prefill_pass_memory_is_bounded(r1_desc):
