@@ -40,8 +40,10 @@ _EXPORTS = {
     ),
     "errors": ("ValidationError",),
     "metrics": (
+        "ActivatedFractionReport",
         "MetricReport",
         "PassMetrics",
+        "activated_fraction",
         "compute_metric_report",
         "overestimation",
         "s_mbu_aggregate",
@@ -78,7 +80,6 @@ _EXPORTS = {
     "routing": (
         "ExpectedDistinct",
         "RoutingDistribution",
-        "activated_fraction",
         "expected_distinct_experts",
         "simulate_routing",
     ),

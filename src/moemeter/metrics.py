@@ -11,8 +11,9 @@ All functions are pure; peak bandwidth is in bytes/s and peak compute in
 FLOP/s. Values above 1.0 are reported (with a RuntimeWarning), never
 clamped, since they signal inconsistent inputs rather than physics.
 
-The report, the aggregate and per-pass S-MBU, and planner trace mode are
-views over one fold, :func:`models.fold_passes`: it charges each pass by
+The report, the aggregate and per-pass S-MBU, the activated-parameter
+fraction and planner trace mode are views over one fold,
+:func:`models.fold_passes`: it charges each pass by
 :func:`models.pass_bytes` and sums bytes, latency and tokens. Every MBU is
 bytes / seconds / peak (``_mbu``) and every MFU tokens/s * FLOPs / peak
 (``_mfu``), whether standalone, per pass or aggregate.
@@ -33,6 +34,7 @@ from .models import (
     fold_passes,
     sparse_flops_per_token,
     total_param_bytes,
+    total_params,
 )
 from .trace import ActivationSheet, ForwardPassRecord, validate_sheet
 
@@ -86,6 +88,32 @@ def s_mbu_aggregate(
     validate_sheet(sheet, desc)
     _, total_bytes, total_latency, _ = fold_passes(sheet.passes, desc, prec, kv_seq_len, include_embed=include_embed)
     return _warn_if_over_one(_mbu(total_bytes, total_latency, hw_peak_bandwidth), "aggregate S-MBU")
+
+
+@dataclass(frozen=True)
+class ActivatedFractionReport:
+    """Share of parameters a pass actually reads. ``per_pass`` counts every
+    always-read component (attention, routers, shared experts, embeddings,
+    dense layers); ``per_pass_expert_only`` restricts both numerator and
+    denominator to expert parameters."""
+
+    per_pass: tuple[float, ...]
+    mean: float
+    per_pass_expert_only: tuple[float, ...]
+    mean_expert_only: float
+
+
+def activated_fraction(sheet: ActivationSheet, desc: ModelDescriptor) -> ActivatedFractionReport:
+    """Each pass's parameters read over the model's: the fold's activated
+    bytes at one byte per parameter, over :func:`models.total_params`."""
+    validate_sheet(sheet, desc)
+    per_pass, *_ = fold_passes(sheet.passes, desc, Precision(1.0))
+    total = total_params(desc)
+    expert_total = len(desc.moe_layers) * (sum(desc.routed_expert_sizes()) + desc.n_shared * desc.params_shared_expert)
+    fracs = tuple(act / total for act, _ in per_pass)
+    # every pass reads all non-expert parameters, total - expert_total
+    experts = tuple((act - total + expert_total) / expert_total if expert_total > 0 else 1.0 for act, _ in per_pass)
+    return ActivatedFractionReport(fracs, sum(fracs) / len(fracs), experts, sum(experts) / len(experts))
 
 
 def s_mfu(
@@ -186,7 +214,6 @@ class PassMetrics:
     activated_bytes: float
     kv_bytes: float
     achieved_bandwidth: float
-    tpot_s: float
     token_throughput: float
     s_mbu: float
     vanilla_mbu: float
@@ -260,7 +287,6 @@ def compute_metric_report(
                 activated_bytes=act,
                 kv_bytes=kv,
                 achieved_bandwidth=(act + kv) / rec.latency_s,
-                tpot_s=rec.latency_s,
                 token_throughput=throughput,
                 s_mbu=smbu,
                 vanilla_mbu=vmbu,
@@ -310,8 +336,7 @@ def report_to_dict(report: MetricReport) -> dict:
     return doc
 
 
-# one column per PassMetrics field but tpot_s, which repeats latency_s
-_CSV_COLUMNS = ("row", *(name for name in _PASS_FIELDS if name != "tpot_s"))
+_CSV_COLUMNS = ("row", *_PASS_FIELDS)
 
 
 def report_to_csv(report: MetricReport, header_comment: str | None = None) -> str:

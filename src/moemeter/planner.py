@@ -11,9 +11,10 @@ functions are views over it under the same plan settings (``efficiency_mbu``,
 ``kv_bytes``, ``include_ops``, ``efficiency_mfu``, ``seq_len``,
 ``include_embed``), whose defaults live in its signature alone:
 :func:`theoretical_bandwidth_gbps` reads its bandwidth; a :func:`batch_sweep`
-point is the ``expected`` requirement at its batch, with the devices
-:func:`feasibility` satisfies; the :func:`bandwidth_power_map` lines are the
-plan's own ``batch1_analytic`` and ``full_activation`` requirements
+point is the ``expected`` requirement at its batch, distinct count and
+activated fraction included, with the devices :func:`feasibility`
+satisfies; the :func:`bandwidth_power_map` lines are the plan's own
+``batch1_analytic`` and ``full_activation`` requirements
 (:data:`FIG2_MODES`), which the map draws without building them again.
 
 Activation modes:
@@ -83,7 +84,8 @@ class SloSpec:
 class DeploymentRequirement:
     """What one decode step needs. ``kv_bytes`` is the KV the step was
     charged: the ``kv_bytes`` argument, or in trace mode the mean over decode
-    passes of what :func:`models.pass_bytes` charged."""
+    passes of what :func:`models.pass_bytes` charged. The expectation behind an
+    ``expected`` step (else ``None``) is kept for sweeps, not reported."""
 
     model_name: str
     activation_mode: str
@@ -96,6 +98,8 @@ class DeploymentRequirement:
     theoretical_ops: float | None = None
     practical_ops: float | None = None
     efficiency_mfu: float | None = None
+    expected_distinct_per_layer: float | None = None
+    activated_params: float | None = None
 
 
 def theoretical_bandwidth_gbps(
@@ -146,6 +150,7 @@ def plan_requirement(
         raise ValidationError("kv_bytes must be finite and >= 0", field="kv_bytes")
     if batch is not None and batch < 1:
         raise ValidationError(f"batch must be >= 1, got {batch}", field="batch")
+    distinct = act_params = None
     if activation_mode == "trace":
         if sheet is None:
             raise ValidationError("trace mode requires an activation sheet", field="sheet")
@@ -169,7 +174,8 @@ def plan_requirement(
             if batch is None or dist is None:
                 missing = "batch" if batch is None else "dist"
                 raise ValidationError("expected mode requires batch and dist", field=missing)
-            param_bytes = _expected_params(desc, batch, dist, include_embed)[1] * prec.bytes_per_param
+            distinct, act_params = _expected_params(desc, batch, dist, include_embed)
+            param_bytes = act_params * prec.bytes_per_param
         step_bytes = param_bytes + kv_bytes
         tokens = batch if batch else 1
     theoretical = step_bytes / slo.tpot_s / GB
@@ -190,6 +196,8 @@ def plan_requirement(
         theoretical_ops=theo_ops,
         practical_ops=prac_ops,
         efficiency_mfu=eff_mfu,
+        expected_distinct_per_layer=distinct,
+        activated_params=act_params,
     )
 
 
@@ -306,8 +314,9 @@ def batch_sweep(
     """Expected-activation requirement and feasibility per batch size.
 
     Each point is the ``expected`` mode :func:`plan_requirement` at its
-    batch under ``plan`` (efficiency, KV bytes, OPS settings), and its
-    devices are those :func:`feasibility` satisfies. The bandwidth column is
+    batch under ``plan`` (efficiency, KV bytes, OPS settings), its distinct
+    count and activated fraction included, and its devices are those
+    :func:`feasibility` satisfies. The bandwidth column is
     non-decreasing in batch and bounded by the full-activation requirement
     under the same settings; with equal expert sizes it is also bounded
     below by the batch-1 analytic one.
@@ -317,7 +326,6 @@ def batch_sweep(
     total = total_params(desc, include_embed=include_embed)
     points = []
     for batch in batches:
-        distinct, act_params = _expected_params(desc, batch, dist, include_embed)
         req = plan_requirement(
             desc, prec, slo, "expected", batch=batch, dist=dist, include_embed=include_embed, **plan
         )
@@ -327,8 +335,8 @@ def batch_sweep(
         points.append(
             SweepPoint(
                 batch=batch,
-                expected_distinct_per_layer=distinct,
-                expected_activated_fraction=act_params / total,
+                expected_distinct_per_layer=req.expected_distinct_per_layer,
+                expected_activated_fraction=req.activated_params / total,
                 theoretical_bandwidth_gbps=req.theoretical_bandwidth_gbps,
                 practical_bandwidth_gbps=req.practical_bandwidth_gbps,
                 feasible_devices=feas,
@@ -406,7 +414,9 @@ def bandwidth_power_map(
 
 
 def requirement_to_dict(req: DeploymentRequirement) -> dict:
-    return asdict(req)
+    doc = asdict(req)
+    del doc["expected_distinct_per_layer"], doc["activated_params"]
+    return doc
 
 
 def verdicts_to_dicts(verdicts: Sequence[DeviceVerdict]) -> list[dict]:

@@ -2,13 +2,11 @@
 
 Everything here models how a router picks experts, as opposed to reading
 what one recorded (``trace``): the routing distributions, the simulator
-that synthesizes activation sheets from them, the expected number of
-distinct experts a batch activates, and the activated-parameter fraction
-of a sheet. Expected activation is exact, not sampled: a closed form under
-uniform routing and an exponential-race quadrature otherwise. The
-Monte-Carlo sampler ``_mc_distinct_counts`` survives only as an independent
-reference for the tests. numpy is imported inside the functions that need
-it, so uniform expected-mode planning loads this module but not numpy.
+that synthesizes activation sheets from them, and the expected number of
+distinct experts a batch activates. Expected activation is exact, not
+sampled: a closed form under uniform routing and an exponential-race
+quadrature otherwise. numpy is imported inside the functions that need it,
+so uniform expected-mode planning loads this module but not numpy.
 
 Simulation determinism: pass ``i`` draws from
 ``numpy.random.default_rng(SeedSequence(seed).spawn(n_passes)[i])``, so
@@ -34,8 +32,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ValidationError
-from .models import ModelDescriptor, activated_params_from_sets, total_params
-from .trace import PHASES, ActivationSheet, ForwardPassRecord, validate_sheet
+from .models import ModelDescriptor
+from .trace import PHASES, ActivationSheet, ForwardPassRecord
 
 # --------------------------------------------------------------------------
 # Routing distributions
@@ -356,39 +354,6 @@ def _inclusion_probs(n_expert: int, top_k: int, dist: RoutingDistribution) -> np
     return r
 
 
-def _mc_distinct_counts(
-    p: np.ndarray, top_k: int, batch: int, n_passes: int, seed: int
-) -> np.ndarray:
-    """Vectorized Monte-Carlo draw of per-pass distinct expert counts.
-
-    Uses float32 Gumbel keys and selects each token's top-k by comparing
-    against its k-th largest key; exact float ties (~1e-7 per pair) can
-    admit an extra expert, which perturbs the estimate orders of magnitude
-    below the standard error at any practical pass count.
-    """
-    import numpy as np
-
-    log_p32 = _check_support(p, top_k).astype(np.float32)
-    n_expert = len(p)
-    if top_k == n_expert:
-        return np.full(n_passes, n_expert, dtype=np.int64)
-    rng = np.random.default_rng(seed)
-    counts = np.empty(n_passes, dtype=np.int64)
-    chunk = max(1, min(n_passes, int(4e7) // max(1, batch * n_expert)))
-    done = 0
-    while done < n_passes:
-        m = min(chunk, n_passes - done)
-        u = rng.random(size=(m, batch, n_expert), dtype=np.float32)
-        with np.errstate(divide="ignore"):
-            keys = -np.log(-np.log(u))
-        keys += log_p32
-        kth_largest = np.partition(keys, n_expert - top_k, axis=-1)[..., n_expert - top_k]
-        hit = (keys >= kth_largest[..., None]).any(axis=1)
-        counts[done : done + m] = hit.sum(axis=1)
-        done += m
-    return counts
-
-
 def expected_distinct_experts(
     n_expert: int,
     top_k: int,
@@ -426,41 +391,3 @@ def _batch_hit_probs(n_expert: int, top_k: int, batch: int, dist: RoutingDistrib
         r = _inclusion_probs(n_expert, top_k, dist)
     with np.errstate(divide="ignore"):
         return -np.expm1(batch * np.log1p(-r))
-
-
-# --------------------------------------------------------------------------
-# Activated-parameter fractions
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ActivatedFractionReport:
-    """Share of parameters a pass actually reads. ``per_pass`` counts every
-    always-read component (attention, routers, shared experts, embeddings,
-    dense layers); ``per_pass_expert_only`` restricts both numerator and
-    denominator to expert parameters."""
-
-    per_pass: tuple[float, ...]
-    mean: float
-    per_pass_expert_only: tuple[float, ...]
-    mean_expert_only: float
-
-
-def activated_fraction(sheet: ActivationSheet, desc: ModelDescriptor) -> ActivatedFractionReport:
-    validate_sheet(sheet, desc)
-    total = total_params(desc)
-    expert_total = len(desc.moe_layers) * (
-        sum(desc.routed_expert_sizes()) + desc.n_shared * desc.params_shared_expert
-    )
-    fracs = []
-    fracs_expert = []
-    for rec in sheet.passes:
-        act = activated_params_from_sets(desc, rec.bitmaps)
-        fracs.append(act / total)
-        # every pass reads all non-expert parameters, total - expert_total
-        fracs_expert.append((act - total + expert_total) / expert_total if expert_total > 0 else 1.0)
-    return ActivatedFractionReport(
-        per_pass=tuple(fracs),
-        mean=sum(fracs) / len(fracs),
-        per_pass_expert_only=tuple(fracs_expert),
-        mean_expert_only=sum(fracs_expert) / len(fracs_expert),
-    )

@@ -27,6 +27,7 @@ from moemeter.costing import (
 )
 from moemeter.metrics import (
     activated_bytes_for_pass,
+    activated_fraction,
     s_mbu_aggregate,
     s_mbu_per_pass,
     s_mfu,
@@ -45,13 +46,12 @@ from moemeter.trace import (
     ActivationSheet,
     ForwardPassRecord,
     RoutingDistribution,
-    activated_fraction,
     expected_distinct_experts,
     simulate_routing,
-    _mc_distinct_counts,
 )
 
 from conftest import REPO_ROOT, make_desc
+from mc_reference import _mc_distinct_counts
 
 INT8 = Precision(1.0)
 

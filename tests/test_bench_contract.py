@@ -43,7 +43,8 @@ def test_traced_commands_record_the_routing_spans_and_uninstall_restores(tmp_pat
         ["simulate", "--model", MODELS / "toy-4x2.json", "--batch", 2, "--dist", "zipf:1.1", "--passes", 3,
          "--seed", 0, "--out", tmp_path / "sim.trace"],
         ["plan", "--model", MODELS / "mixtral-8x7b.json", "--catalog", REPO_ROOT / "catalog" / "default.json",
-         "--mode", "expected", "--batch", 4, "--dist", "zipf:1.1", "--output-dir", tmp_path],
+         "--mode", "expected", "--batch", 4, "--dist", "zipf:1.1", "--sweep-batches", "1,8,64",
+         "--output-dir", tmp_path],
         ["plan", "--model", MODELS / "deepseek-r1.json", "--catalog", REPO_ROOT / "catalog" / "default.json",
          "--fig2", "--output-dir", tmp_path / "fig2"],
     ]
@@ -55,7 +56,8 @@ def test_traced_commands_record_the_routing_spans_and_uninstall_restores(tmp_pat
     finally:
         tracer.uninstall()
     assert tracer.command_summary(0)["calls"]["trace.simulate_routing"] == 1
-    assert tracer.command_summary(1)["calls"]["trace.expected_distinct_experts"] >= 1
+    # one expectation for the mode and one per sweep batch, each read from its requirement
+    assert tracer.command_summary(1)["calls"]["trace.expected_distinct_experts"] == 1 + 3
     # the map draws the plan's own two requirements rather than building them again
     fig2 = tracer.command_summary(2)["calls"]
     assert fig2["planner.bandwidth_power_map"] == 1

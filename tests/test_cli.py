@@ -394,6 +394,8 @@ _CLI_MODULES = {"moemeter", "moemeter.cli", "moemeter.errors", "moemeter.models"
         ("radar", _CLI_MODULES | {"moemeter.cap"}),
         ("plan --mode trace", _CLI_MODULES | {"moemeter.catalog", "moemeter.planner"}),
         ("plan --fig2", _CLI_MODULES | {"moemeter.catalog", "moemeter.planner"}),
+        ("from moemeter import activated_fraction",
+         {"moemeter", "moemeter.errors", "moemeter.metrics", "moemeter.models", "moemeter.trace"}),
     ],
 )
 def test_each_command_loads_only_its_modules(tmp_path, command, loaded):
@@ -713,7 +715,7 @@ _PLAN = ["plan", "--model", "toy-4x2.json", "--catalog", "catalog.json", "--mode
         pytest.param(
             [*_METRICS, "--trace", "sample_decode.trace"],
             {
-                "metrics_report.json": "ddd9d76b9e9ed8f3b7c589bef897c07df850835f3a77c57e21f8a2cf82855b1e",
+                "metrics_report.json": "cbc6b5b61efe4f4a998101592e7cc621f0d5dbd086d4d9b7a39f6727ed648baa",
                 "metrics_report.csv": "bcd3f7b7d3a4cf54a0b3e1cb15c02b28aff80501cfd1cdc203c6dac21ce2d921",
             },
             id="metrics-sample",
@@ -721,7 +723,7 @@ _PLAN = ["plan", "--model", "toy-4x2.json", "--catalog", "catalog.json", "--mode
         pytest.param(
             [*_METRICS, "--trace", "sample_with_comments.trace"],
             {
-                "metrics_report.json": "04214d2ce56c4b096516393f123ccc2a669d8ed642b0a1acbbf132f5859a8c79",
+                "metrics_report.json": "2f84b578501d61db6c5fbb193e4479a1a7d4bdfb29a282bab8506e407d27b915",
                 "metrics_report.csv": "320f645eb11c57396b7f8f41ac49af7d3e8db5282ffa57b34846876bd9a8e054",
             },
             id="metrics-comments",
@@ -729,7 +731,7 @@ _PLAN = ["plan", "--model", "toy-4x2.json", "--catalog", "catalog.json", "--mode
         pytest.param(
             [*_METRICS, "--trace", "mixed.trace"],
             {
-                "metrics_report.json": "efde7a4fccbd1e866dcc07e9b2f2d9f56558f93c7dfe9d9207ae42f9b49b2ffb",
+                "metrics_report.json": "f1bb971444645299efecec93dec2dd140d666dc8db77abef042fa7efc1c82681",
                 "metrics_report.csv": "944eb87d9da7f58c390c36fac59e2735d7181aa50c68fb1331b50c627cf3be9f",
             },
             id="metrics-mixed",
@@ -737,7 +739,7 @@ _PLAN = ["plan", "--model", "toy-4x2.json", "--catalog", "catalog.json", "--mode
         pytest.param(
             [*_METRICS, "--trace", "mixed.trace", "--kv-seq-len", "128", "--seq-len", "64", "--exclude-embed"],
             {
-                "metrics_report.json": "28761c3c911c0bd80d09fab867d5ab0949cf96ce7e607212266cc82a578c388f",
+                "metrics_report.json": "a074644e50cff6a5ed33c34aaf98bd0061df359d0d85f3ab623376f7d23c43b2",
                 "metrics_report.csv": "66aab74f125eaed3e67b1ebc8d24f06e92f913db99b6fa65c058f0da0ab3a25e",
             },
             id="metrics-mixed-kv-seq-len-exclude-embed",
@@ -834,7 +836,7 @@ COST_INPUTS_TEXT = """{
             ["metrics", "--model", "toy-4x2.json", "--trace", "sample_decode.trace", "--catalog", "catalog.json",
              "--device", "A100-PCIe-80G", "--bytes-per-param", "2.0", "--output-dir", "out"],
             {
-                "metrics_report.json": "ddd9d76b9e9ed8f3b7c589bef897c07df850835f3a77c57e21f8a2cf82855b1e",
+                "metrics_report.json": "cbc6b5b61efe4f4a998101592e7cc621f0d5dbd086d4d9b7a39f6727ed648baa",
                 "metrics_report.csv": "bcd3f7b7d3a4cf54a0b3e1cb15c02b28aff80501cfd1cdc203c6dac21ce2d921",
                 "stdout": "55c3ad7a1f696c312a0285d63a231b143949704de13aaf0284a8b4f066d89536",
             },

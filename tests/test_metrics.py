@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from moemeter.errors import ValidationError
 from moemeter.metrics import (
     activated_bytes_for_pass,
+    activated_fraction,
     compute_metric_report,
     overestimation,
     report_to_csv,
@@ -528,7 +529,7 @@ def test_report_of_heterogeneous_descriptor_is_pinned():
     sheet = ActivationSheet(desc.name, passes)
     report = compute_metric_report(sheet, desc, Precision(2.0), 1e12, 1e15, seq_len=32, kv_seq_len=128)
     text = json.dumps(report_to_dict(report), sort_keys=True, allow_nan=False)
-    assert hashlib.sha256(text.encode()).hexdigest() == "8953e190c04d56ae8800d08e6ab197f1e4ac2fa43954a71df3d0fe4116f99ef4"
+    assert hashlib.sha256(text.encode()).hexdigest() == "4fec39c2143c3b315ec8dfe183b2ae52381dd8e569aa8c959cf296be203cc9ae"
 
 
 def test_overflowing_latency_total_is_named():
@@ -538,11 +539,12 @@ def test_overflowing_latency_total_is_named():
     sets = {0: frozenset({0, 1}), 1: frozenset({2, 3})}
     passes = [ForwardPassRecord(i, "decode", 1, 1, 1e308, 0, sets) for i in range(3)]
     sheet = ActivationSheet(desc.name, passes)
-    # trace mode reads no latency, but folds the same passes
+    # trace mode and the activated fraction read no latency, but fold the same passes
     for compute in (
         lambda: s_mbu_aggregate(sheet, desc, INT8, 1e12),
         lambda: compute_metric_report(sheet, desc, INT8, 1e12, 1e15),
         lambda: plan_requirement(desc, INT8, SloSpec(0.1), "trace", sheet=sheet),
+        lambda: activated_fraction(sheet, desc),
     ):
         with pytest.raises(ValidationError) as info:
             compute()

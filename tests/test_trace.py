@@ -11,12 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from moemeter.errors import ValidationError
+from moemeter.metrics import activated_fraction
 from moemeter.routing import (
     RoutingDistribution,
-    activated_fraction,
     expected_distinct_experts,
     simulate_routing,
-    _mc_distinct_counts,
     _parse_dist_spec,
     _race_block,
     _route_pass,
@@ -32,6 +31,7 @@ from moemeter.trace import (
 )
 
 from conftest import make_desc
+from mc_reference import _mc_distinct_counts
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +104,7 @@ def test_trace_forwards_the_names_that_moved_to_routing():
     import moemeter.trace as trace
 
     for name in ("RoutingDistribution", "simulate_routing", "expected_distinct_experts", "_batch_hit_probs",
-                 "_parse_dist_spec", "activated_fraction"):
+                 "_parse_dist_spec"):
         assert getattr(trace, name) is getattr(routing, name)
     # dunder probes are not forwarded: ``from .trace import X`` looks up __path__
     with pytest.raises(AttributeError):
@@ -753,6 +753,26 @@ def test_fraction_batch1_deepseek_r1(r1_desc):
     from moemeter.models import active_params_analytic, total_params
 
     assert report.mean == pytest.approx(active_params_analytic(r1_desc) / total_params(r1_desc), rel=1e-12)
+
+
+def test_fraction_reports_are_pinned(traces_dir, toy_desc, r1_desc):
+    hetero = make_desc(n_expert=4, params_expert=100_000, params_expert_by_index=(100_000, 250_000, 400_000, 50_000))
+    passes = [
+        ForwardPassRecord(0, "prefill", 2, 48, 0.02, 0, {0: frozenset({0, 1, 2, 3}), 1: frozenset({1, 2, 3})}),
+        ForwardPassRecord(1, "decode", 2, 2, 0.003, 0, {0: frozenset({0, 2}), 1: frozenset({1, 2, 3})}),
+        ForwardPassRecord(2, "decode", 1, 1, 0.0021, 8192, {0: frozenset({1, 3}), 1: frozenset({0, 2})}),
+    ]
+    sample = "079f3307f7d6baac39f518ce7d657c796f9685a7f5eb5583ad9b7470893e1dd9"
+    cases = [
+        (load_activation_sheet(traces_dir / "sample_decode.trace", toy_desc), toy_desc, sample),
+        (load_activation_sheet(traces_dir / "sample_with_comments.trace", toy_desc), toy_desc, sample),
+        (ActivationSheet(hetero.name, passes), hetero,
+         "488870b2cbe7e0e8385620235eb63f2ceb700cbb36f5979de9a4b3db19e1953e"),
+        (simulate_routing(r1_desc, 8, RoutingDistribution.zipf(1.1), 4, seed=3), r1_desc,
+         "41bbce673b9312df4afc91cf1fab5845de0784d65af813a4755bbd692a2a27f2"),
+    ]
+    for sheet, desc, digest in cases:
+        assert hashlib.sha256(repr(activated_fraction(sheet, desc)).encode()).hexdigest() == digest
 
 
 def test_fraction_nondecreasing_for_nested_batches(r1_desc, toy_desc):
