@@ -18,11 +18,10 @@ model evaluations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import ValidationError, csv_text, load_json, record_from_json
+from .errors import ValidationError, asdict, csv_text, load_json, record, record_from_json
 
 AXES = ("cost", "accuracy", "performance")
 
@@ -51,7 +50,7 @@ _FIELD_PREFIX = {"cost": "cost", "accuracy": "accuracy", "performance": "perf"}
 LABEL_BY_SACRIFICED = {"cost": "PA", "accuracy": "PC", "performance": "CA"}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CapRecord:
     """One system's raw (cost, accuracy, performance) triple."""
 
@@ -93,7 +92,7 @@ class CapRecord:
                 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RadarDataset:
     """Normalized three-axis coordinates (1.0 = best) plus the raw values
     and per-axis normalization bounds."""
@@ -216,7 +215,7 @@ def radar_to_csv(dataset: RadarDataset, labels: Mapping[str, str], header_commen
 # Decision rules
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DecisionRule:
     """One if-then deployment rule: under a hardware tier, batch range and
     constraint pair, recommend a system and configuration."""
@@ -247,7 +246,7 @@ class DecisionRule:
         )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RecommendResult:
     matched: DecisionRule | None
     nearest: tuple[DecisionRule, ...]

@@ -11,17 +11,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ValidationError, load_json, record_from_json
+from .errors import ValidationError, asdict, field, load_json, record, record_from_json
 
 DEVICE_CLASSES = ("edge", "low_power", "workstation", "datacenter")
 MEMORY_TIERS = ("HBM", "DRAM", "SSD")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HardwareSpec:
     name: str
     device_class: str

@@ -16,10 +16,9 @@ it) so changing the stored unit cannot silently skew results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ValidationError, load_json, record_from_json
+from .errors import ValidationError, load_json, record, record_from_json
 
 SECONDS_PER_HOUR = 3600.0
 
@@ -27,7 +26,7 @@ SECONDS_PER_HOUR = 3600.0
 DEFAULT_TDP_UTILIZATION = 0.6
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BillOfMaterials:
     """Dollar cost of one server, split into purchasable line items plus an
     informational decomposition of where the money goes."""
@@ -68,7 +67,7 @@ class BillOfMaterials:
             )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PowerProfile:
     """Average power draw (watts) over the deployment runtime, per component."""
 
@@ -94,7 +93,7 @@ class PowerProfile:
         )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DeploymentEconomics:
     runtime_hours: float
     energy_price_usd_per_kwh: float

@@ -1,10 +1,10 @@
-"""Shared exception types and the package's strict edges: the JSON reader,
-the one reader that turns a JSON object into a record dataclass, and the
-report renderers, which refuse a non-finite number naming ``report``."""
+"""Shared exception types, the ``record`` decorator every record class is
+built with, and the package's strict edges: the JSON reader, the one reader
+that turns a JSON object into a record, and the report renderers, which
+refuse a non-finite number naming ``report``."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import sys
@@ -22,6 +22,148 @@ class ValidationError(ValueError):
     def __init__(self, message: str, *, field: str | None = None):
         super().__init__(message)
         self.field = field
+
+
+# --------------------------------------------------------------------------
+# Records
+# --------------------------------------------------------------------------
+# Record classes are not dataclasses: ``dataclasses`` imports ``inspect``,
+# ``ast``, ``dis`` and ``tokenize`` and exec-compiles about five methods per
+# class, some 30 ms of start-up per command on a 2-core x86-64 host, where a
+# ``metrics`` run does about 10 ms of work. ``record`` compiles only
+# ``__init__``; the other methods are shared functions over the field tuple.
+
+
+MISSING = object()  # the default and default_factory of a field that has none
+
+
+class FrozenRecordError(AttributeError):
+    """Assignment to, or deletion of, an attribute of a frozen record."""
+
+
+class Field:
+    """One record field: its ``name``, its annotation string ``type``, and
+    its ``default`` or ``default_factory`` (else :data:`MISSING`)."""
+
+    __slots__ = ("name", "type", "default", "default_factory")
+
+    def __init__(self, default=MISSING, default_factory=MISSING):
+        self.default = default
+        self.default_factory = default_factory
+
+
+def field(*, default_factory) -> Any:
+    """A field whose default is ``default_factory()``, called per instance."""
+    return Field(default_factory=default_factory)
+
+
+def fields(rec) -> tuple[Field, ...]:
+    """The fields of a record class or instance, in declaration order."""
+    return rec.__record_fields__
+
+
+def asdict(rec) -> dict:
+    """A record as a dict of its fields, recursing into records, lists,
+    tuples and dicts; other values are shared, not copied."""
+    return {f.name: _plain(getattr(rec, f.name)) for f in rec.__record_fields__}
+
+
+def _plain(value):
+    if hasattr(type(value), "__record_fields__"):
+        return asdict(value)
+    if type(value) in (list, tuple):
+        return type(value)(map(_plain, value))
+    if type(value) is dict:
+        return {_plain(k): _plain(v) for k, v in value.items()}
+    return value
+
+
+def _values(rec) -> tuple:
+    return tuple([getattr(rec, f.name) for f in rec.__record_fields__])
+
+
+def _eq(self, other):
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return _values(self) == _values(other)
+
+
+def _hash(self):
+    return hash(_values(self))
+
+
+def _repr(self):
+    shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in self.__record_fields__)
+    return f"{type(self).__qualname__}({shown})"
+
+
+def _frozen_setattr(self, name, value):
+    raise FrozenRecordError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise FrozenRecordError(f"cannot delete field {name!r}")
+
+
+def record(cls=None, /, *, frozen: bool = False):
+    """Make ``cls`` a record: every annotated name is a field, in order.
+
+    Used as ``@record`` or ``@record(frozen=True)``. The class gets an
+    ``__init__`` taking the fields (those with defaults last), which sets
+    them and then calls ``__post_init__`` if the class has one; ``__eq__``
+    and ``__repr__`` over the fields; and, if ``frozen``, ``__hash__`` over
+    the fields and a ``__setattr__`` and ``__delattr__`` that raise
+    :class:`FrozenRecordError` (a ``__post_init__`` sets a normalized field
+    with ``object.__setattr__``). A mutable record is unhashable. Instances
+    keep a ``__dict__``, so ``functools.cached_property`` works on either
+    kind.
+    """
+    if cls is None:
+        return lambda cls: record(cls, frozen=frozen)
+    record_fields = []
+    for name, annotation in cls.__dict__.get("__annotations__", {}).items():
+        f = cls.__dict__.get(name, MISSING)
+        if isinstance(f, Field):
+            delattr(cls, name)
+        else:
+            f = Field(default=f)
+        f.name, f.type = name, annotation
+        record_fields.append(f)
+    # Fields are set one by one, through object.__setattr__ when frozen: that
+    # keeps CPython's compact per-instance values, which a write through
+    # self.__dict__ would turn into a full dict (64 more bytes for a 15-field
+    # record on CPython 3.11).
+    # A class body mangles names that start with __, so no field clashes
+    # with the `__set`, `__default_` and `__factory_` globals.
+    namespace = {"__MISSING": MISSING, "__set": object.__setattr__}
+    params, body = [], []
+    for f in record_fields:
+        value = f.name
+        if f.default_factory is not MISSING:
+            namespace[f"__factory_{f.name}"] = f.default_factory
+            params.append(f"{f.name}=__MISSING")
+            value = f"__factory_{f.name}() if {f.name} is __MISSING else {f.name}"
+        elif f.default is not MISSING:
+            namespace[f"__default_{f.name}"] = f.default
+            params.append(f"{f.name}=__default_{f.name}")
+        else:
+            params.append(f.name)
+        body.append(f"__set(self, {f.name!r}, {value})" if frozen else f"self.{f.name} = {value}")
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    source = f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(body)
+    exec(source, namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    cls.__record_fields__ = tuple(record_fields)
+    cls.__eq__ = _eq
+    cls.__repr__ = _repr
+    cls.__hash__ = _hash if frozen else None
+    if frozen:
+        cls.__setattr__ = _frozen_setattr
+        cls.__delattr__ = _frozen_delattr
+    return cls
 
 
 def load_json(path: str | Path) -> Any:
@@ -108,7 +250,7 @@ JSON_TYPES = {
 
 
 def record_from_json(cls, doc: Any, field: str):
-    """Build the dataclass ``cls`` from the JSON object ``doc``.
+    """Build the record ``cls`` from the JSON object ``doc``.
 
     Every key must be a field, every field without a default must be
     present, and each value must have the JSON type its field's annotation
@@ -119,14 +261,14 @@ def record_from_json(cls, doc: Any, field: str):
     """
     if not isinstance(doc, Mapping):
         raise ValidationError(f"{field} must be a JSON object, got {json.dumps(doc, default=repr)}", field=field)
-    fields = {f.name: f for f in dataclasses.fields(cls)}
+    by_name = {f.name: f for f in fields(cls)}
     for key in doc:
-        if key not in fields:
+        if key not in by_name:
             raise ValidationError(f"{field}: unknown key {key!r}", field=key)
     kwargs = {}
-    for name, f in fields.items():
+    for name, f in by_name.items():
         if name not in doc:
-            if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            if f.default is MISSING and f.default_factory is MISSING:
                 raise ValidationError(f"{field}: missing required field {name!r}", field=name)
             continue
         value = doc[name]

@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields
 
-from .errors import ValidationError, csv_text
+from .errors import ValidationError, csv_text, fields, record
 from .models import (
     ModelDescriptor,
     Precision,
@@ -90,7 +89,7 @@ def s_mbu_aggregate(
     return _warn_if_over_one(_mbu(total_bytes, total_latency, hw_peak_bandwidth), "aggregate S-MBU")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ActivatedFractionReport:
     """Share of parameters a pass actually reads. ``per_pass`` counts every
     always-read component (attention, routers, shared experts, embeddings,
@@ -204,7 +203,7 @@ _PASS_LABELS = (
     ("vanilla MFU", "vanilla_mfu"),
 )
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PassMetrics:
     pass_id: int
     phase: str
@@ -223,7 +222,7 @@ class PassMetrics:
     overestimation_mfu: float
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MetricReport:
     model_name: str
     peak_bandwidth_bytes_per_s: float

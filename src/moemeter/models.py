@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields as _dc_fields
 from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
-from .errors import ValidationError, load_json, record_from_json
+from .errors import ValidationError, fields, load_json, record, record_from_json
 
 if TYPE_CHECKING:
     from .trace import ForwardPassRecord
@@ -65,7 +64,7 @@ DEFAULT_EFFICIENCY_MBU = 0.3558
 DEFAULT_SLO_TPOT_S = 0.1
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Precision:
     """Storage width of one parameter in bytes (4-, 8-, 16- or 32-bit)."""
 
@@ -92,7 +91,7 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ModelDescriptor:
     """Architecture and parameter accounting of one (possibly MoE) model.
 
@@ -164,7 +163,7 @@ class ModelDescriptor:
 
     # The figures below depend only on the fields, so each is computed once
     # per descriptor. They are cached properties, not fields, so equality,
-    # hashing and dataclasses.replace see the fields alone.
+    # hashing, repr and rebuilding from the fields see the fields alone.
 
     @cached_property
     def moe_layers(self) -> tuple[int, ...]:
@@ -197,7 +196,7 @@ class ModelDescriptor:
 
 
 # Every count a descriptor holds (its int fields); each must be a non-negative int.
-_COUNT_FIELDS = tuple(f.name for f in _dc_fields(ModelDescriptor) if f.type == "int")
+_COUNT_FIELDS = tuple(f.name for f in fields(ModelDescriptor) if f.type == "int")
 
 
 # --------------------------------------------------------------------------
@@ -420,7 +419,7 @@ def descriptor_from_dict(doc: Mapping) -> ModelDescriptor:
 
 def descriptor_to_dict(desc: ModelDescriptor) -> dict:
     doc: dict = {}
-    for f in _dc_fields(ModelDescriptor):
+    for f in fields(ModelDescriptor):
         value = getattr(desc, f.name)
         if isinstance(value, tuple):
             value = list(value)

@@ -43,12 +43,11 @@ overridable per run. GB means 1e9 bytes throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
 from typing import TYPE_CHECKING, Sequence
 
 from . import trace
 from .catalog import HardwareSpec
-from .errors import ValidationError, csv_text
+from .errors import ValidationError, asdict, csv_text, record
 from .models import (
     ACTIVATION_MODES,
     DEFAULT_EFFICIENCY_MBU,
@@ -69,7 +68,7 @@ if TYPE_CHECKING:
     from .routing import RoutingDistribution
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SloSpec:
     """Latency service-level objective: seconds per output token."""
 
@@ -80,7 +79,7 @@ class SloSpec:
             raise ValidationError("tpot_s must be finite and > 0", field="tpot_s")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DeploymentRequirement:
     """What one decode step needs. ``kv_bytes`` is the KV the step was
     charged: the ``kv_bytes`` argument, or in trace mode the mean over decode
@@ -227,7 +226,7 @@ def _expected_params(
 # Feasibility
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DeviceVerdict:
     name: str
     device_class: str
@@ -289,7 +288,7 @@ def feasibility(
 # Batch sweeps
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SweepPoint:
     batch: int
     expected_distinct_per_layer: float

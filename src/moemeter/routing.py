@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, record
 from .models import ModelDescriptor
 from .trace import PHASES, ActivationSheet, ForwardPassRecord
 
@@ -39,7 +38,7 @@ from .trace import PHASES, ActivationSheet, ForwardPassRecord
 # Routing distributions
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RoutingDistribution:
     """Per-token router behavior used by the simulator: each token draws
     top_k distinct experts by sequential probability-proportional sampling
@@ -237,17 +236,7 @@ def simulate_routing(
         hit = _route_pass(rng, shape, neg_inv_p, desc.top_k)
         packed = np.packbits(hit, axis=-1, bitorder="little")
         bitmaps = {layer: int.from_bytes(row.tobytes(), "little") for layer, row in zip(moe_layers, packed)}
-        passes.append(
-            ForwardPassRecord(
-                pass_id=pass_id,
-                phase=phase,
-                batch_size=batch,
-                tokens_processed=tokens,
-                latency_s=latency_s,
-                kv_bytes_read=0,
-                bitmaps=bitmaps,
-            )
-        )
+        passes.append(ForwardPassRecord._from_packed(pass_id, phase, batch, tokens, latency_s, 0, bitmaps))
     return ActivationSheet(model_name=desc.name, passes=passes)
 
 
@@ -255,7 +244,7 @@ def simulate_routing(
 # Expected distinct experts
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExpectedDistinct:
     """Expected distinct routed experts per MoE layer, and its exact method."""
 

@@ -40,25 +40,25 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-from .errors import ValidationError
+from .errors import ValidationError, field, record
 from .models import ModelDescriptor, expert_indices
 
 PHASES = ("prefill", "decode")
 
 
-@dataclass
+@record
 class ForwardPassRecord:
     """One forward pass: batch geometry, wall time, and one activation
     bitmap per MoE layer (routed expert i at bit i).
 
     ``bitmaps`` also takes an iterable of expert indices per layer, packed
-    once here. ``activated`` unpacks the bitmaps into index sets on access,
-    for readers; validation and accounting work on the bitmaps.
+    once here into a new dict. ``activated`` unpacks the bitmaps into index
+    sets on access, for readers; validation and accounting work on the
+    bitmaps.
     """
 
     pass_id: int
@@ -70,6 +70,34 @@ class ForwardPassRecord:
     bitmaps: dict[int, int]
 
     def __post_init__(self):
+        self._check_geometry()
+        try:
+            self.bitmaps = {
+                int(layer): b if type(b) is int and b >= 0 else sum(1 << i for i in {operator.index(i) for i in b})
+                for layer, b in self.bitmaps.items()
+            }
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"pass {self.pass_id}: activations must be bitmaps or non-negative integer expert indices",
+                field="activated",
+            ) from None
+
+    @classmethod
+    def _from_packed(
+        cls, pass_id: int, phase: str, batch_size: int, tokens_processed: int, latency_s: float,
+        kv_bytes_read: int, bitmaps: dict[int, int],
+    ) -> ForwardPassRecord:
+        """A record that keeps ``bitmaps`` as given: a new dict from int layer
+        to non-negative int bitmap, such as the parser and ``simulate``
+        build. It skips the repacking (about 70 % of building an r1 record)
+        and runs every other check."""
+        rec = cls.__new__(cls)
+        rec.pass_id, rec.phase, rec.batch_size, rec.tokens_processed = pass_id, phase, batch_size, tokens_processed
+        rec.latency_s, rec.kv_bytes_read, rec.bitmaps = latency_s, kv_bytes_read, bitmaps
+        rec._check_geometry()
+        return rec
+
+    def _check_geometry(self):
         if self.phase not in PHASES:
             raise ValidationError(
                 f"pass {self.pass_id}: phase must be one of {PHASES}, got {self.phase!r}",
@@ -93,23 +121,13 @@ class ForwardPassRecord:
                 f"pass {self.pass_id}: prefill pass must have tokens_processed >= batch_size",
                 field="tokens_processed",
             )
-        try:
-            self.bitmaps = {
-                int(layer): b if type(b) is int and b >= 0 else sum(1 << i for i in {operator.index(i) for i in b})
-                for layer, b in self.bitmaps.items()
-            }
-        except (TypeError, ValueError):
-            raise ValidationError(
-                f"pass {self.pass_id}: activations must be bitmaps or non-negative integer expert indices",
-                field="activated",
-            ) from None
 
     @property
     def activated(self) -> Mapping[int, frozenset[int]]:
         return MappingProxyType({layer: frozenset(expert_indices(b)) for layer, b in self.bitmaps.items()})
 
 
-@dataclass
+@record
 class ActivationSheet:
     model_name: str
     passes: list[ForwardPassRecord] = field(default_factory=list)
@@ -261,17 +279,7 @@ def parse_activation_sheet(
         except ValueError as exc:
             raise ValidationError(f"line {lineno}: malformed field ({exc})", field="record") from None
         bitmaps = _parse_activations(parts[6], pass_id)
-        passes.append(
-            ForwardPassRecord(
-                pass_id=pass_id,
-                phase=phase,
-                batch_size=batch_size,
-                tokens_processed=tokens,
-                latency_s=latency_s,
-                kv_bytes_read=kv_bytes,
-                bitmaps=bitmaps,
-            )
-        )
+        passes.append(ForwardPassRecord._from_packed(pass_id, phase, batch_size, tokens, latency_s, kv_bytes, bitmaps))
     if model_name is None:
         raise ValidationError("trace has no 'model=' header", field="model")
     sheet = ActivationSheet(model_name=model_name, passes=passes)

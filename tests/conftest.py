@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from moemeter.errors import fields
 from moemeter.models import ModelDescriptor, Precision, load_model_descriptor
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -62,6 +63,12 @@ def int8() -> Precision:
 @pytest.fixture(scope="session")
 def fp16() -> Precision:
     return Precision(2.0)
+
+
+def rebuild(rec, **changes):
+    """A new record of ``rec``'s class from its fields, with ``changes``
+    applied; its ``__post_init__`` runs again."""
+    return type(rec)(**{**{f.name: getattr(rec, f.name) for f in fields(rec)}, **changes})
 
 
 def make_desc(**overrides) -> ModelDescriptor:

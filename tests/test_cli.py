@@ -365,15 +365,19 @@ def test_metrics_zero_peak_in_catalog_exits_2(tmp_path, field):
 
 
 def test_cli_import_and_metrics_leave_numpy_unloaded(tmp_path):
+    # dataclasses (and the inspect it imports) cost more start-up than a metrics run's work
     code = f"""
 import sys
+unloaded = ("numpy", "dataclasses", "inspect")
 import moemeter.cli
-assert "numpy" not in sys.modules, "import moemeter.cli loaded numpy"
+for name in unloaded:
+    assert name not in sys.modules, f"import moemeter.cli loaded {{name}}"
 argv = ["metrics", "--model", {str(MODELS / "toy-4x2.json")!r}, "--trace", {str(TRACES / "sample_decode.trace")!r},
         "--catalog", {str(CATALOG)!r}, "--device", "H100-SXM", "--bytes-per-param", "1.0",
         "--output-dir", {str(tmp_path)!r}]
 assert moemeter.cli.main(argv) == 0
-assert "numpy" not in sys.modules, "metrics loaded numpy"
+for name in unloaded:
+    assert name not in sys.modules, f"metrics loaded {{name}}"
 """
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=REPO_ROOT)
     assert result.returncode == 0, result.stderr

@@ -1,11 +1,11 @@
-"""The one reader of JSON input documents, ``errors.record_from_json``, and
-the documents it turns away at the command line; the strict renderers of
+"""The ``errors.record`` decorator every record class is built with; the one
+reader of JSON input documents, ``errors.record_from_json``, and the
+documents it turns away at the command line; the strict renderers of
 reports, ``errors.json_text`` and ``errors.csv_text``."""
 
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -13,10 +13,21 @@ import math
 import pytest
 
 from conftest import REPO_ROOT
+from moemeter import cap, catalog, costing, metrics, models, planner, routing, trace
 from moemeter.cap import CapRecord, DecisionRule
 from moemeter.catalog import HardwareSpec
 from moemeter.costing import BillOfMaterials, DeploymentEconomics, PowerProfile
-from moemeter.errors import JSON_TYPES, ValidationError, csv_text, json_text, load_json, record_from_json
+from moemeter.errors import (
+    JSON_TYPES,
+    MISSING,
+    ValidationError,
+    asdict,
+    csv_text,
+    fields,
+    json_text,
+    load_json,
+    record_from_json,
+)
 from moemeter.models import ModelDescriptor
 
 RECORD_CLASSES = (
@@ -26,11 +37,135 @@ MODELS = REPO_ROOT / "models"
 CATALOG = REPO_ROOT / "catalog" / "default.json"
 
 
+# every record class in the package, found by the attribute `record` sets
+RECORD_CLASSES_ALL = sorted(
+    {
+        c
+        for module in (models, trace, routing, metrics, catalog, planner, costing, cap)
+        for c in vars(module).values()
+        if isinstance(c, type) and "__record_fields__" in vars(c)
+    },
+    key=lambda c: (c.__module__, c.__name__),
+)
+MUTABLE_RECORDS = (trace.ForwardPassRecord, trace.ActivationSheet)
+
+
+@pytest.fixture(scope="module")
+def record_examples() -> dict:
+    """One instance of every record class, made by the code that makes it
+    in a command where there is one."""
+    toy = models.load_model_descriptor(MODELS / "toy-4x2.json")
+    sheet = trace.load_activation_sheet(REPO_ROOT / "traces" / "sample_decode.trace", toy)
+    devices = catalog.load_catalog(CATALOG)
+    int8, slo = models.Precision(1.0), planner.SloSpec(0.1)
+    zipf = routing.RoutingDistribution.zipf(1.1)
+    requirement = planner.plan_requirement(toy, int8, slo, "trace", sheet=sheet, include_ops=True)
+    report = metrics.compute_metric_report(sheet, toy, int8, 3.35e12, 1.979e15)
+    records = cap.load_cap_records(REPO_ROOT / "bundles" / "radar_serving_systems.json")
+    rules = cap.load_decision_rules(REPO_ROOT / "rules" / "decision_matrix.json")
+    rule = rules[0]
+    examples = [
+        int8,
+        toy,
+        sheet.passes[0],
+        sheet,
+        zipf,
+        routing.expected_distinct_experts(toy.n_expert, toy.top_k, 2, zipf),
+        metrics.activated_fraction(sheet, toy),
+        report,
+        report.passes[0],
+        devices[0],
+        slo,
+        requirement,
+        planner.feasibility(requirement, devices)[0],
+        planner.batch_sweep(toy, zipf, [2], slo, int8, devices)[0],
+        BillOfMaterials(8000, 1000, 500, 300, 200, hbm_usd=100),
+        PowerProfile(400, 100),
+        DeploymentEconomics(8760, 0.1, 1000),
+        records[0],
+        cap.normalize_radar(records),
+        rule,
+        cap.recommend(rules, rule.hardware_tier, rule.batch_min, rule.primary_constraint, rule.secondary_constraint),
+    ]
+    return {type(rec): rec for rec in examples}
+
+
+def _assert_plain(value, original):
+    """``value`` is ``original`` with every record turned into a new dict of
+    its fields and every list, tuple and dict into a new one of its type;
+    any other value is shared."""
+    if hasattr(type(original), "__record_fields__"):
+        assert type(value) is dict and list(value) == [f.name for f in fields(original)]
+        for f in fields(original):
+            _assert_plain(value[f.name], getattr(original, f.name))
+    elif type(original) in (list, tuple, dict):
+        assert type(value) is type(original) and len(value) == len(original)
+        assert value is not original or original == ()  # () is a singleton
+        if type(original) is dict:
+            assert list(value) == list(original)
+            value, original = list(value.values()), list(original.values())
+        for v, o in zip(value, original):
+            _assert_plain(v, o)
+    else:
+        assert value is original
+
+
 @pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__name__)
 def test_every_record_annotation_has_a_json_type(cls):
     # a field type the reader cannot check would fail a user's command with exit 1
-    for f in dataclasses.fields(cls):
+    for f in fields(cls):
         assert f.type.removesuffix(" | None") in JSON_TYPES, (cls.__name__, f.name, f.type)
+
+
+@pytest.mark.parametrize("cls", RECORD_CLASSES_ALL, ids=lambda cls: cls.__name__)
+def test_record_classes_compare_hash_freeze_and_convert_by_their_fields(record_examples, cls):
+    assert len(RECORD_CLASSES_ALL) == 21
+    rec = record_examples[cls]
+    names = [f.name for f in fields(cls)]
+    # fields keep declaration order and the annotation strings
+    assert [(f.name, f.type) for f in fields(cls)] == list(vars(cls)["__annotations__"].items())
+    assert fields(rec) == fields(cls)
+    values = {name: getattr(rec, name) for name in names}
+    # equality goes by the fields: a copy is equal, and a change to any field is not
+    copy = cls.__new__(cls)
+    vars(copy).update(values)
+    assert copy == rec and not copy != rec
+    assert rec != type("Other", (), values)()
+    for name in names:
+        changed = cls.__new__(cls)
+        vars(changed).update(values, **{name: object()})
+        assert changed != rec, name
+    if cls in MUTABLE_RECORDS:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(rec)
+    else:
+        try:
+            by_fields = hash(tuple(values.values()))
+        except TypeError:  # a dict field
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(rec)
+        else:
+            assert hash(copy) == hash(rec) == by_fields
+        for name in names:
+            with pytest.raises(AttributeError, match=f"cannot assign to field {name!r}"):
+                setattr(copy, name, values[name])
+            with pytest.raises(AttributeError, match=f"cannot delete field {name!r}"):
+                delattr(copy, name)
+        assert vars(copy) == values
+    assert repr(rec) == f"{cls.__name__}(" + ", ".join(f"{n}={v!r}" for n, v in values.items()) + ")"
+    # a default factory runs per instance
+    made = {f.name: f.default_factory for f in fields(cls) if f.default_factory is not MISSING}
+    if made:
+        required = {n: v for n, v in values.items() if n not in made}
+        if cls is trace.ActivationSheet:  # its factory's empty list is no sheet
+            with pytest.raises(ValidationError, match="at least one pass"):
+                cls(**required)
+        else:
+            first, second = cls(**required), cls(**required)
+            for name, factory in made.items():
+                assert getattr(first, name) == factory() and getattr(first, name) is not getattr(second, name)
+    # asdict recurses into nested records, lists, tuples and dicts
+    _assert_plain(asdict(rec), rec)
 
 
 def _rule(**overrides):

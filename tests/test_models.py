@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from moemeter.errors import ValidationError
+from moemeter.errors import ValidationError, fields
 from moemeter.models import (
     _COUNT_FIELDS,
     ModelDescriptor,
@@ -24,7 +24,7 @@ from moemeter.models import (
     total_params,
 )
 
-from conftest import make_desc
+from conftest import make_desc, rebuild
 
 
 # ---------------------------------------------------------------------------
@@ -101,18 +101,16 @@ def test_descriptor_roundtrip_bit_exact(tmp_path, r1_desc):
 
 
 def test_cached_descriptor_figures_are_not_fields(toy_desc):
-    import dataclasses
-
-    fresh = dataclasses.replace(toy_desc)
+    fresh = rebuild(toy_desc)
     pass_read = activated_params_from_sets(toy_desc, {0: 0b11, 1: 0b1})
     assert toy_desc.moe_layers and not toy_desc.heterogeneous_experts
     # computing the cached figures changes neither equality, hash nor repr
     assert toy_desc == fresh and hash(toy_desc) == hash(fresh) and repr(toy_desc) == repr(fresh)
-    assert {f.name for f in dataclasses.fields(ModelDescriptor)}.isdisjoint(
+    assert {f.name for f in fields(ModelDescriptor)}.isdisjoint(
         {"moe_layers", "heterogeneous_experts", "_routed_sizes", "_always_read"}
     )
     # a replaced descriptor computes its own figures, not the cached ones
-    skewed = dataclasses.replace(
+    skewed = rebuild(
         toy_desc, moe_layer_mask=(False, True), params_expert_by_index=(1, 2, 3, 4), params_embed=0
     )
     assert skewed.moe_layers == (1,) and skewed.heterogeneous_experts

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -25,7 +24,7 @@ from moemeter.planner import (
 from moemeter.routing import RoutingDistribution, simulate_routing
 from moemeter.trace import ActivationSheet, ForwardPassRecord, load_activation_sheet
 
-from conftest import REPO_ROOT, make_desc
+from conftest import REPO_ROOT, make_desc, rebuild
 
 INT8 = Precision(1.0)
 SLO = SloSpec(0.1)
@@ -109,7 +108,7 @@ SAMPLE_ACT_BYTES = (10.02e6, 9.02e6, 12.02e6)
 def test_trace_mode_kv_rule(toy_desc, traces_dir, recorded, kv_flag, charged):
     sheet = load_activation_sheet(traces_dir / "sample_decode.trace")
     if not recorded:
-        sheet = ActivationSheet(sheet.model_name, [replace(rec, kv_bytes_read=0) for rec in sheet.passes])
+        sheet = ActivationSheet(sheet.model_name, [rebuild(rec, kv_bytes_read=0) for rec in sheet.passes])
     req = plan_requirement(toy_desc, INT8, SLO, "trace", kv_bytes=kv_flag, sheet=sheet)
     step = sum(a + kv for a, kv in zip(SAMPLE_ACT_BYTES, charged)) / 3
     assert req.theoretical_bandwidth_gbps == pytest.approx(step / 0.1 / 1e9, rel=1e-12)
@@ -124,11 +123,11 @@ def _rename(sheet):
 
 
 def _zero_expert_layer(sheet):
-    return ActivationSheet(sheet.model_name, [replace(sheet.passes[0], bitmaps={0: 0, 1: 0b11})])
+    return ActivationSheet(sheet.model_name, [rebuild(sheet.passes[0], bitmaps={0: 0, 1: 0b11})])
 
 
 def _prefill_only(sheet):
-    return ActivationSheet(sheet.model_name, [replace(sheet.passes[0], phase="prefill")])
+    return ActivationSheet(sheet.model_name, [rebuild(sheet.passes[0], phase="prefill")])
 
 
 @pytest.mark.parametrize(
@@ -284,10 +283,9 @@ def test_scale_invariance_of_verdicts(shipped_catalog):
         practical_bandwidth_gbps=500.0 * c,
         efficiency_mbu=1.0,
     )
-    from dataclasses import replace
-
+    
     scaled_catalog = [
-        replace(
+        rebuild(
             s,
             peak_bandwidth_gbps=s.peak_bandwidth_gbps * c,
             offload_bandwidth_gbps=None
