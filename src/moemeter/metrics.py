@@ -16,7 +16,10 @@ fraction and planner trace mode are views over one fold,
 :func:`models.fold_passes`: it charges each pass by
 :func:`models.pass_bytes` and sums bytes, latency and tokens. Every MBU is
 bytes / seconds / peak (``_mbu``) and every MFU tokens/s * FLOPs / peak
-(``_mfu``), whether standalone, per pass or aggregate.
+(``_mfu``), whether standalone, per pass or aggregate. A report's per-pass
+and aggregate figures are one rate rule, ``_rates``, over (bytes read,
+vanilla bytes, tokens, seconds): a pass at its own figures, the aggregate
+at the fold's totals.
 """
 
 from __future__ import annotations
@@ -123,11 +126,8 @@ def s_mfu(
 ) -> float:
     """Sparsity-aware MFU: token throughput times per-token FLOPs counting
     only activated experts, over peak FLOPS. Needs no trace."""
-    if throughput_tokens_per_s <= 0:
-        raise ValidationError("throughput must be > 0", field="throughput_tokens_per_s")
-    _check_peak(hw_peak_flops, "hw_peak_flops")
     return _warn_if_over_one(
-        _mfu(throughput_tokens_per_s, sparse_flops_per_token(desc, seq_len), hw_peak_flops), "S-MFU"
+        _checked_mfu(throughput_tokens_per_s, sparse_flops_per_token, desc, seq_len, hw_peak_flops), "S-MFU"
     )
 
 
@@ -138,12 +138,18 @@ def vanilla_mfu(
     hw_peak_flops: float,
 ) -> float:
     """MFU under the all-experts-participate baseline."""
-    if throughput_tokens_per_s <= 0:
-        raise ValidationError("throughput must be > 0", field="throughput_tokens_per_s")
-    _check_peak(hw_peak_flops, "hw_peak_flops")
     return _warn_if_over_one(
-        _mfu(throughput_tokens_per_s, dense_flops_per_token(desc, seq_len), hw_peak_flops), "vanilla MFU"
+        _checked_mfu(throughput_tokens_per_s, dense_flops_per_token, desc, seq_len, hw_peak_flops), "vanilla MFU"
     )
+
+
+def _checked_mfu(throughput: float, flops_per_token, desc: ModelDescriptor, seq_len: int, peak_flops: float) -> float:
+    """The MFU both standalone views share, unwarned: each view passes its
+    FLOPs-per-token function and warns under its own label."""
+    if throughput <= 0:
+        raise ValidationError("throughput must be > 0", field="throughput_tokens_per_s")
+    _check_peak(peak_flops, "hw_peak_flops")
+    return _mfu(throughput, flops_per_token(desc, seq_len), peak_flops)
 
 
 def overestimation(vanilla: float, sparse: float) -> float:
@@ -195,14 +201,6 @@ def _warn_passes_over_one(values: list[float], label: str) -> None:
 # Full per-trace report
 # --------------------------------------------------------------------------
 
-# (warning label, PassMetrics field) of each per-pass metric that warns above 1.0
-_PASS_LABELS = (
-    ("S-MBU", "s_mbu"),
-    ("vanilla MBU", "vanilla_mbu"),
-    ("S-MFU", "s_mfu"),
-    ("vanilla MFU", "vanilla_mfu"),
-)
-
 @record(frozen=True)
 class PassMetrics:
     pass_id: int
@@ -242,6 +240,32 @@ class MetricReport:
     total_tokens: int
 
 
+# (PassMetrics field, per-pass label, aggregate label) of each figure that warns above 1.0
+_WARNED = (
+    ("s_mbu", "S-MBU", "aggregate S-MBU"),
+    ("vanilla_mbu", "vanilla MBU", "aggregate vanilla MBU"),
+    ("s_mfu", "S-MFU", "S-MFU"),
+    ("vanilla_mfu", "vanilla MFU", "vanilla MFU"),
+)
+
+
+def _rates(
+    bytes_read: float, vanilla_bytes: float, tokens: int, seconds: float,
+    peak_bandwidth: float, sparse_flops: float, dense_flops: float, peak_flops: float,
+) -> tuple[float, ...]:
+    """The rate fields of :class:`PassMetrics`, ``achieved_bandwidth``
+    through ``overestimation_mfu`` in order, unwarned: the one rule for a
+    pass and, over the fold's totals, for the aggregate."""
+    throughput = tokens / seconds
+    smbu = _mbu(bytes_read, seconds, peak_bandwidth)
+    vmbu = _mbu(vanilla_bytes, seconds, peak_bandwidth)
+    smfu = _mfu(throughput, sparse_flops, peak_flops)
+    vmfu = _mfu(throughput, dense_flops, peak_flops)
+    return (
+        bytes_read / seconds, throughput, smbu, vmbu, smfu, vmfu, overestimation(vmbu, smbu), overestimation(vmfu, smfu)
+    )
+
+
 def compute_metric_report(
     sheet: ActivationSheet,
     desc: ModelDescriptor,
@@ -266,61 +290,30 @@ def compute_metric_report(
     )
     s_model = total_param_bytes(desc, prec, include_embed=include_embed)
     # per-token FLOPs depend only on (desc, seq_len): derive them once
-    sparse_flops = sparse_flops_per_token(desc, seq_len)
-    dense_flops = dense_flops_per_token(desc, seq_len)
+    peaks = (hw_peak_bandwidth, sparse_flops_per_token(desc, seq_len), dense_flops_per_token(desc, seq_len), hw_peak_flops)
     passes = []
     total_vanilla_bytes = 0.0
     for rec, (act, kv) in zip(sheet.passes, per_pass):
-        throughput = rec.tokens_processed / rec.latency_s
-        smbu = _mbu(act + kv, rec.latency_s, hw_peak_bandwidth)
-        vmbu = _mbu(s_model + kv, rec.latency_s, hw_peak_bandwidth)
-        smfu = _mfu(throughput, sparse_flops, hw_peak_flops)
-        vmfu = _mfu(throughput, dense_flops, hw_peak_flops)
+        tokens, latency = rec.tokens_processed, rec.latency_s
         passes.append(
             PassMetrics(
-                pass_id=rec.pass_id,
-                phase=rec.phase,
-                batch_size=rec.batch_size,
-                tokens_processed=rec.tokens_processed,
-                latency_s=rec.latency_s,
-                activated_bytes=act,
-                kv_bytes=kv,
-                achieved_bandwidth=(act + kv) / rec.latency_s,
-                token_throughput=throughput,
-                s_mbu=smbu,
-                vanilla_mbu=vmbu,
-                s_mfu=smfu,
-                vanilla_mfu=vmfu,
-                overestimation_mbu=overestimation(vmbu, smbu),
-                overestimation_mfu=overestimation(vmfu, smfu),
+                rec.pass_id, rec.phase, rec.batch_size, tokens, latency, act, kv,
+                *_rates(act + kv, s_model + kv, tokens, latency, *peaks),
             )
         )
         total_vanilla_bytes += s_model + kv
-    for label, name in _PASS_LABELS:
+    for name, label, _ in _WARNED:
         _warn_passes_over_one([getattr(p, name) for p in passes], label)
-    agg_s_mbu = _warn_if_over_one(_mbu(total_bytes, total_latency, hw_peak_bandwidth), "aggregate S-MBU")
-    agg_v_mbu = _warn_if_over_one(_mbu(total_vanilla_bytes, total_latency, hw_peak_bandwidth), "aggregate vanilla MBU")
-    agg_throughput = total_tokens / total_latency
-    agg_s_mfu = _warn_if_over_one(_mfu(agg_throughput, sparse_flops, hw_peak_flops), "S-MFU")
-    agg_v_mfu = _warn_if_over_one(_mfu(agg_throughput, dense_flops, hw_peak_flops), "vanilla MFU")
-    return MetricReport(
-        model_name=sheet.model_name,
-        peak_bandwidth_bytes_per_s=hw_peak_bandwidth,
-        peak_flops=hw_peak_flops,
-        bytes_per_param=prec.bytes_per_param,
-        seq_len=seq_len,
-        include_embed=include_embed,
-        heterogeneous_experts=desc.heterogeneous_experts,
-        passes=tuple(passes),
-        aggregate_s_mbu=agg_s_mbu,
-        aggregate_vanilla_mbu=agg_v_mbu,
-        aggregate_s_mfu=agg_s_mfu,
-        aggregate_vanilla_mfu=agg_v_mfu,
-        aggregate_overestimation_mbu=overestimation(agg_v_mbu, agg_s_mbu),
-        aggregate_overestimation_mfu=overestimation(agg_v_mfu, agg_s_mfu),
-        total_latency_s=total_latency,
-        total_tokens=total_tokens,
+    report = MetricReport(
+        sheet.model_name, hw_peak_bandwidth, hw_peak_flops, prec.bytes_per_param, seq_len, include_embed,
+        desc.heterogeneous_experts, tuple(passes),
+        # the aggregate_* fields: the rule's figures from s_mbu on, over the fold's totals
+        *_rates(total_bytes, total_vanilla_bytes, total_tokens, total_latency, *peaks)[2:],
+        total_latency, total_tokens,
     )
+    for name, _, label in _WARNED:
+        _warn_if_over_one(getattr(report, f"aggregate_{name}"), label)
+    return report
 
 
 # Every field is a str, int, float or bool, except MetricReport.passes, so a
