@@ -115,8 +115,8 @@ def purchase_cost(bom: BillOfMaterials) -> float:
 
 def energy_cost_kwh(power: PowerProfile, runtime_hours: float) -> float:
     """Energy consumed over the runtime, in kWh."""
-    if runtime_hours <= 0:
-        raise ValidationError("runtime_hours must be > 0", field="runtime_hours")
+    if not 0 < runtime_hours < math.inf:
+        raise ValidationError("runtime_hours must be finite and > 0", field="runtime_hours")
     return power.total_watts / 1000.0 * runtime_hours
 
 

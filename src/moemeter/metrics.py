@@ -146,8 +146,8 @@ def vanilla_mfu(
 def _checked_mfu(throughput: float, flops_per_token, desc: ModelDescriptor, seq_len: int, peak_flops: float) -> float:
     """The MFU both standalone views share, unwarned: each view passes its
     FLOPs-per-token function and warns under its own label."""
-    if throughput <= 0:
-        raise ValidationError("throughput must be > 0", field="throughput_tokens_per_s")
+    if not 0 < throughput < math.inf:
+        raise ValidationError("throughput must be finite and > 0", field="throughput_tokens_per_s")
     _check_peak(peak_flops, "hw_peak_flops")
     return _mfu(throughput, flops_per_token(desc, seq_len), peak_flops)
 
@@ -289,8 +289,8 @@ def compute_metric_report(
         sheet.passes, desc, prec, kv_seq_len, include_embed=include_embed
     )
     s_model = total_param_bytes(desc, prec, include_embed=include_embed)
-    # per-token FLOPs depend only on (desc, seq_len): derive them once
-    peaks = (hw_peak_bandwidth, sparse_flops_per_token(desc, seq_len), dense_flops_per_token(desc, seq_len), hw_peak_flops)
+    # the rule's arguments fixed for the sheet: per-token FLOPs depend only on (desc, seq_len)
+    fixed = (hw_peak_bandwidth, sparse_flops_per_token(desc, seq_len), dense_flops_per_token(desc, seq_len), hw_peak_flops)
     passes = []
     total_vanilla_bytes = 0.0
     for rec, (act, kv) in zip(sheet.passes, per_pass):
@@ -298,7 +298,7 @@ def compute_metric_report(
         passes.append(
             PassMetrics(
                 rec.pass_id, rec.phase, rec.batch_size, tokens, latency, act, kv,
-                *_rates(act + kv, s_model + kv, tokens, latency, *peaks),
+                *_rates(act + kv, s_model + kv, tokens, latency, *fixed),
             )
         )
         total_vanilla_bytes += s_model + kv
@@ -308,7 +308,7 @@ def compute_metric_report(
         sheet.model_name, hw_peak_bandwidth, hw_peak_flops, prec.bytes_per_param, seq_len, include_embed,
         desc.heterogeneous_experts, tuple(passes),
         # the aggregate_* fields: the rule's figures from s_mbu on, over the fold's totals
-        *_rates(total_bytes, total_vanilla_bytes, total_tokens, total_latency, *peaks)[2:],
+        *_rates(total_bytes, total_vanilla_bytes, total_tokens, total_latency, *fixed)[2:],
         total_latency, total_tokens,
     )
     for name, _, label in _WARNED:

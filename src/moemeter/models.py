@@ -371,10 +371,10 @@ def active_param_bytes_analytic(
 def kv_cache_bytes(desc: ModelDescriptor, seq_len: int, batch: int, prec: Precision) -> float:
     """KV-cache bytes for a (seq_len, batch) decode context (grouped-query
     layout, K and V each stored once per kv head)."""
-    if seq_len < 1:
-        raise ValidationError("seq_len must be >= 1", field="seq_len")
-    if batch < 1:
-        raise ValidationError("batch must be >= 1", field="batch")
+    if not 1 <= seq_len < math.inf:
+        raise ValidationError("seq_len must be finite and >= 1", field="seq_len")
+    if not 1 <= batch < math.inf:
+        raise ValidationError("batch must be finite and >= 1", field="batch")
     bpp = desc.kv_bytes_per_param if desc.kv_bytes_per_param is not None else prec.bytes_per_param
     return 2.0 * desc.n_layer * desc.n_kv_heads * desc.head_dim * seq_len * batch * bpp
 
@@ -385,8 +385,8 @@ def kv_cache_bytes(desc: ModelDescriptor, seq_len: int, batch: int, prec: Precis
 
 def _context_flops(desc: ModelDescriptor, seq_len: int) -> float:
     """Score and value-weighting FLOPs per token at context length ``seq_len``."""
-    if seq_len < 1:
-        raise ValidationError("seq_len must be >= 1", field="seq_len")
+    if not 1 <= seq_len < math.inf:
+        raise ValidationError("seq_len must be finite and >= 1", field="seq_len")
     return 4.0 * desc.n_layer * seq_len * desc.d_model
 
 

@@ -44,7 +44,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-from .errors import ValidationError, field, record
+from .errors import ValidationError, record
 from .models import ModelDescriptor, expert_indices
 
 PHASES = ("prefill", "decode")
@@ -130,7 +130,7 @@ class ForwardPassRecord:
 @record
 class ActivationSheet:
     model_name: str
-    passes: list[ForwardPassRecord] = field(default_factory=list)
+    passes: list[ForwardPassRecord]
 
     def __post_init__(self):
         if not self.passes:

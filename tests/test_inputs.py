@@ -157,13 +157,9 @@ def test_record_classes_compare_hash_freeze_and_convert_by_their_fields(record_e
     made = {f.name: f.default_factory for f in fields(cls) if f.default_factory is not MISSING}
     if made:
         required = {n: v for n, v in values.items() if n not in made}
-        if cls is trace.ActivationSheet:  # its factory's empty list is no sheet
-            with pytest.raises(ValidationError, match="at least one pass"):
-                cls(**required)
-        else:
-            first, second = cls(**required), cls(**required)
-            for name, factory in made.items():
-                assert getattr(first, name) == factory() and getattr(first, name) is not getattr(second, name)
+        first, second = cls(**required), cls(**required)
+        for name, factory in made.items():
+            assert getattr(first, name) == factory() and getattr(first, name) is not getattr(second, name)
     # asdict recurses into nested records, lists, tuples and dicts
     _assert_plain(asdict(rec), rec)
 
@@ -303,6 +299,30 @@ def test_renderers_refuse_non_finite_numbers(value):
     with pytest.raises(ValidationError) as info:
         csv_text(("name", "x"), [("a", 1.0), ("b", value)], "inputs z")
     assert info.value.field == "report" and "column x" in str(info.value)
+
+
+_TOY = models.load_model_descriptor(MODELS / "toy-4x2.json")
+# (function, the argument under test, the other arguments)
+_NUMERIC_ARGUMENTS = [
+    (metrics.s_mfu, "throughput_tokens_per_s", dict(desc=_TOY, seq_len=1, hw_peak_flops=1e15)),
+    (metrics.vanilla_mfu, "throughput_tokens_per_s", dict(desc=_TOY, seq_len=1, hw_peak_flops=1e15)),
+    (costing.energy_cost_kwh, "runtime_hours", dict(power=PowerProfile(400, 100))),
+    (models.kv_cache_bytes, "seq_len", dict(desc=_TOY, batch=1, prec=models.Precision(1.0))),
+    (models.kv_cache_bytes, "batch", dict(desc=_TOY, seq_len=1, prec=models.Precision(1.0))),
+    (models.attn_flops_per_token, "seq_len", dict(desc=_TOY)),
+    (models.sparse_flops_per_token, "seq_len", dict(desc=_TOY)),
+    (models.dense_flops_per_token, "seq_len", dict(desc=_TOY)),
+]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize(
+    "function, name, others", _NUMERIC_ARGUMENTS, ids=[f"{f.__name__}-{name}" for f, name, _ in _NUMERIC_ARGUMENTS]
+)
+def test_public_functions_refuse_non_finite_arguments(function, name, others, value):
+    with pytest.raises(ValidationError) as info:
+        function(**others, **{name: value})
+    assert info.value.field == name
 
 
 def test_json_text_sorts_indents_and_ends_with_a_newline():

@@ -508,12 +508,23 @@ def test_report_equals_standalone_metrics_exactly(view_case, bpp, kv_seq_len):
             sheet, desc, prec, peak_bw, peak_flops, seq_len=seq_len, kv_seq_len=kv_seq_len
         )
         assert report.aggregate_s_mbu == s_mbu_aggregate(sheet, desc, prec, peak_bw, kv_seq_len=kv_seq_len)
+        # a pass and the aggregate are one rate rule: the aggregate's MFU is
+        # the standalone MFU at the report's total throughput
+        agg_throughput = report.total_tokens / report.total_latency_s
+        assert report.aggregate_s_mfu == s_mfu(agg_throughput, desc, seq_len, peak_flops)
+        assert report.aggregate_vanilla_mfu == vanilla_mfu(agg_throughput, desc, seq_len, peak_flops)
         for rec, p in zip(sheet.passes, report.passes, strict=True):
             throughput = rec.tokens_processed / rec.latency_s
+            assert p.token_throughput == throughput
+            assert p.achieved_bandwidth == (p.activated_bytes + p.kv_bytes) / p.latency_s
             assert p.s_mbu == s_mbu_per_pass(rec, desc, prec, peak_bw, kv_seq_len=kv_seq_len)
             assert p.vanilla_mbu == vanilla_mbu(desc, prec, peak_bw, rec.latency_s, kv_bytes=p.kv_bytes)
             assert p.s_mfu == s_mfu(throughput, desc, seq_len, peak_flops)
             assert p.vanilla_mfu == vanilla_mfu(throughput, desc, seq_len, peak_flops)
+        for row, prefix in [(p, "") for p in report.passes] + [(report, "aggregate_")]:
+            for kind in ("mbu", "mfu"):
+                expected = overestimation(getattr(row, f"{prefix}vanilla_{kind}"), getattr(row, f"{prefix}s_{kind}"))
+                assert getattr(row, f"{prefix}overestimation_{kind}") == expected
 
 
 def test_report_of_heterogeneous_descriptor_is_pinned():
