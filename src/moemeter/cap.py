@@ -23,25 +23,17 @@ from typing import Mapping, Sequence
 
 from .errors import ValidationError, asdict, csv_text, load_json, record, record_from_json
 
-AXES = ("cost", "accuracy", "performance")
-
-COST_KINDS = ("purchase_usd", "power_watts", "cost_per_token_usd")
-ACCURACY_KINDS = ("exact_match", "f1", "win_rate")
-PERF_KINDS = ("tpot_s", "throughput_tps", "s_mbu", "s_mfu")
-
-# Natural direction of each metric kind; records may override.
-DEFAULT_DIRECTIONS = {
-    "purchase_usd": "lower_better",
-    "power_watts": "lower_better",
-    "cost_per_token_usd": "lower_better",
-    "exact_match": "higher_better",
-    "f1": "higher_better",
-    "win_rate": "higher_better",
-    "tpot_s": "lower_better",
-    "throughput_tps": "higher_better",
-    "s_mbu": "higher_better",
-    "s_mfu": "higher_better",
+# Axis -> each metric kind it accepts -> that kind's natural direction,
+# which a record may override.
+METRIC_KINDS = {
+    "cost": {"purchase_usd": "lower_better", "power_watts": "lower_better", "cost_per_token_usd": "lower_better"},
+    "accuracy": {"exact_match": "higher_better", "f1": "higher_better", "win_rate": "higher_better"},
+    "performance": {
+        "tpot_s": "lower_better", "throughput_tps": "higher_better", "s_mbu": "higher_better", "s_mfu": "higher_better"
+    },
 }
+
+AXES = tuple(METRIC_KINDS)
 
 # Axis -> prefix of the record fields that describe it (perf_value, perf_kind, ...).
 _FIELD_PREFIX = {"cost": "cost", "accuracy": "accuracy", "performance": "perf"}
@@ -66,12 +58,10 @@ class CapRecord:
     perf_direction: str | None = None
 
     def __post_init__(self):
-        if self.cost_kind not in COST_KINDS:
-            raise ValidationError(f"unknown cost_kind {self.cost_kind!r}", field="cost_kind")
-        if self.accuracy_kind not in ACCURACY_KINDS:
-            raise ValidationError(f"unknown accuracy_kind {self.accuracy_kind!r}", field="accuracy_kind")
-        if self.perf_kind not in PERF_KINDS:
-            raise ValidationError(f"unknown perf_kind {self.perf_kind!r}", field="perf_kind")
+        for axis, prefix in _FIELD_PREFIX.items():
+            kind = getattr(self, f"{prefix}_kind")
+            if not isinstance(kind, str) or kind not in METRIC_KINDS[axis]:  # a list is unhashable
+                raise ValidationError(f"unknown {prefix}_kind {kind!r}", field=f"{prefix}_kind")
         for fname in ("cost_value", "accuracy_value", "perf_value"):
             if not math.isfinite(getattr(self, fname)):
                 raise ValidationError(f"{fname} must be finite", field=fname)
@@ -80,11 +70,11 @@ class CapRecord:
                 f"accuracy_value must be in [0, 1] for kind {self.accuracy_kind!r}",
                 field="accuracy_value",
             )
-        for prefix in _FIELD_PREFIX.values():
+        for axis, prefix in _FIELD_PREFIX.items():
             direction = getattr(self, f"{prefix}_direction")
             if direction is None:
                 kind = getattr(self, f"{prefix}_kind")
-                object.__setattr__(self, f"{prefix}_direction", DEFAULT_DIRECTIONS[kind])
+                object.__setattr__(self, f"{prefix}_direction", METRIC_KINDS[axis][kind])
             elif direction not in ("higher_better", "lower_better"):
                 raise ValidationError(
                     f"{prefix}_direction must be higher_better or lower_better, got {direction!r}",

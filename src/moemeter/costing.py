@@ -1,10 +1,10 @@
 """Heterogeneous-hardware cost model: purchase, energy, and per-token cost.
 
-Purchase cost sums the five purchasable line items (GPU, CPU, motherboard,
-DRAM, SSD); the communication and HBM terms are carried as informational
-annotations that must stay consistent with their enclosing purchasable
-items (HBM/NVLink/chip-to-memory fold into GPU+CPU, PCIe into the
-motherboard).
+Purchase cost sums the purchasable line items, :data:`PURCHASED_ITEMS`
+(GPU, CPU, motherboard, DRAM, SSD). The communication and HBM terms,
+:data:`INFORMATIONAL_ITEMS`, are annotations that must stay consistent with
+their enclosing purchasable items (HBM/NVLink/chip-to-memory fold into
+GPU+CPU, PCIe into the motherboard).
 
 Unit discipline: runtime is stored in hours everywhere. Energy math wants
 hours (kWh), token math wants seconds; the conversion happens in exactly
@@ -16,14 +16,33 @@ it) so changing the stored unit cannot silently skew results.
 from __future__ import annotations
 
 import math
+import operator
+from functools import reduce
 from pathlib import Path
 
-from .errors import ValidationError, load_json, record, record_from_json
+from .errors import ValidationError, fields, load_json, record, record_from_json
 
 SECONDS_PER_HOUR = 3600.0
 
 # Fraction of TDP drawn on average when only a TDP figure is available.
 DEFAULT_TDP_UTILIZATION = 0.6
+
+# BillOfMaterials line items, each its field name without ``_usd``.
+PURCHASED_ITEMS = ("gpu", "cpu", "motherboard", "dram", "ssd")
+INFORMATIONAL_ITEMS = ("hbm", "nvlink", "chip_to_memory", "pcie")
+
+
+def _check_components(rec) -> None:
+    """Every field of ``rec`` is finite and >= 0, checked in declared order."""
+    for f in fields(rec):
+        if not 0 <= getattr(rec, f.name) < math.inf:
+            raise ValidationError(f"{f.name} must be finite and >= 0", field=f.name)
+
+
+def _total(values):
+    """``a + b + ...`` left to right from the first value: unlike ``sum``,
+    it keeps an all -0.0 total at -0.0 and never compensates rounding."""
+    return reduce(operator.add, values)
 
 
 @record(frozen=True)
@@ -43,19 +62,7 @@ class BillOfMaterials:
     pcie_usd: float = 0.0
 
     def __post_init__(self):
-        for fname in (
-            "gpu_usd",
-            "cpu_usd",
-            "motherboard_usd",
-            "dram_usd",
-            "ssd_usd",
-            "hbm_usd",
-            "nvlink_usd",
-            "chip_to_memory_usd",
-            "pcie_usd",
-        ):
-            if not 0 <= getattr(self, fname) < math.inf:
-                raise ValidationError(f"{fname} must be finite and >= 0", field=fname)
+        _check_components(self)
         if self.hbm_usd + self.nvlink_usd + self.chip_to_memory_usd > self.gpu_usd + self.cpu_usd:
             raise ValidationError(
                 "informational HBM+NVLink+chip-to-memory cost exceeds the GPU+CPU line items",
@@ -78,19 +85,11 @@ class PowerProfile:
     nvlink_watts: float = 0.0
 
     def __post_init__(self):
-        for fname in ("gpu_watts", "cpu_watts", "chip_to_memory_watts", "pcie_watts", "nvlink_watts"):
-            if not 0 <= getattr(self, fname) < math.inf:
-                raise ValidationError(f"{fname} must be finite and >= 0", field=fname)
+        _check_components(self)
 
     @property
     def total_watts(self) -> float:
-        return (
-            self.gpu_watts
-            + self.cpu_watts
-            + self.chip_to_memory_watts
-            + self.pcie_watts
-            + self.nvlink_watts
-        )
+        return _total(getattr(self, f.name) for f in fields(self))
 
 
 @record(frozen=True)
@@ -108,9 +107,13 @@ class DeploymentEconomics:
             raise ValidationError("token throughput must be finite and > 0", field="token_throughput_tps")
 
 
+def _items_usd(bom: BillOfMaterials, items: tuple[str, ...]) -> dict[str, float]:
+    return {item: getattr(bom, f"{item}_usd") for item in items}
+
+
 def purchase_cost(bom: BillOfMaterials) -> float:
-    """Total purchase cost: the five purchasable line items."""
-    return bom.gpu_usd + bom.cpu_usd + bom.motherboard_usd + bom.dram_usd + bom.ssd_usd
+    """Total purchase cost: the purchasable line items."""
+    return _total(_items_usd(bom, PURCHASED_ITEMS).values())
 
 
 def energy_cost_kwh(power: PowerProfile, runtime_hours: float) -> float:
@@ -178,27 +181,10 @@ def cost_report(bom: BillOfMaterials, power: PowerProfile, econ: DeploymentEcono
     tokens = econ.token_throughput_tps * econ.runtime_hours * SECONDS_PER_HOUR
     return {
         "purchase_usd": purchase_usd,
-        "purchase_breakdown_usd": {
-            "gpu": bom.gpu_usd,
-            "cpu": bom.cpu_usd,
-            "motherboard": bom.motherboard_usd,
-            "dram": bom.dram_usd,
-            "ssd": bom.ssd_usd,
-        },
-        "purchase_informational_usd": {
-            "hbm": bom.hbm_usd,
-            "nvlink": bom.nvlink_usd,
-            "chip_to_memory": bom.chip_to_memory_usd,
-            "pcie": bom.pcie_usd,
-        },
+        "purchase_breakdown_usd": _items_usd(bom, PURCHASED_ITEMS),
+        "purchase_informational_usd": _items_usd(bom, INFORMATIONAL_ITEMS),
         "total_power_watts": power.total_watts,
-        "power_breakdown_watts": {
-            "gpu": power.gpu_watts,
-            "cpu": power.cpu_watts,
-            "chip_to_memory": power.chip_to_memory_watts,
-            "pcie": power.pcie_watts,
-            "nvlink": power.nvlink_watts,
-        },
+        "power_breakdown_watts": {f.name.removesuffix("_watts"): getattr(power, f.name) for f in fields(power)},
         "energy_kwh": kwh,
         "energy_usd": energy_usd,
         "runtime_hours": econ.runtime_hours,

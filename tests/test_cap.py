@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -76,6 +77,20 @@ def test_mixed_kinds_on_axis_rejected():
     ]
     with pytest.raises(ValidationError, match="performance"):
         normalize_radar(records)
+
+
+KIND_FIELDS = ("cost_kind", "accuracy_kind", "perf_kind")
+
+
+@pytest.mark.parametrize("value", ["watts", ["tpot_s"]])
+@pytest.mark.parametrize("key", KIND_FIELDS)
+def test_unknown_kind_is_the_first_error(key, value):
+    # this kind and every later one are unknown, and every value check would fail too
+    later = KIND_FIELDS[KIND_FIELDS.index(key):]
+    overrides = {"cost_value": math.nan, "accuracy_value": 2.0, "perf_direction": "sideways"}
+    with pytest.raises(ValidationError) as exc:
+        record("a", 1.0, 0.5, 0.1, **overrides, **dict.fromkeys(later, value))
+    assert (exc.value.field, str(exc.value)) == (key, f"unknown {key} {value!r}")
 
 
 def test_fewer_than_two_records_rejected():
