@@ -167,8 +167,8 @@ def load_cap_records(path: str | Path) -> list[CapRecord]:
     return [record_from_json(CapRecord, rec, "records") for rec in doc]
 
 
-def radar_to_dict(dataset: RadarDataset, labels: Mapping[str, str] | None = None) -> dict:
-    doc = {
+def radar_to_dict(dataset: RadarDataset, labels: Mapping[str, str]) -> dict:
+    return {
         "axes": [
             {
                 "name": axis,
@@ -183,12 +183,11 @@ def radar_to_dict(dataset: RadarDataset, labels: Mapping[str, str] | None = None
                 "name": name,
                 "raw": dataset.raw[name],
                 "normalized": dataset.normalized[name],
-                **({"label": labels[name]} if labels else {}),
+                "label": labels[name],
             }
             for name in dataset.systems
         ],
     }
-    return doc
 
 
 def radar_to_csv(dataset: RadarDataset, labels: Mapping[str, str], header_comment: str | None = None) -> str:

@@ -9,12 +9,11 @@ with summed bandwidth/TDP and ``aggregate: true``.
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ValidationError, asdict, field, load_json, record, record_from_json
+from .errors import ValidationError, asdict, field, json_text, load_json, record, record_from_json
 
 DEVICE_CLASSES = ("edge", "low_power", "workstation", "datacenter")
 MEMORY_TIERS = ("HBM", "DRAM", "SSD")
@@ -90,7 +89,7 @@ def load_catalog(source: str | Path | Sequence[Mapping]) -> list[HardwareSpec]:
 
 
 def serialize_catalog(specs: Iterable[HardwareSpec]) -> str:
-    return json.dumps([asdict(s) for s in specs], indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return json_text([asdict(s) for s in specs], "catalog")
 
 
 def get_device(catalog: Sequence[HardwareSpec], name: str) -> HardwareSpec:

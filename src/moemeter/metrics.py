@@ -240,13 +240,9 @@ class MetricReport:
     total_tokens: int
 
 
-# (PassMetrics field, per-pass label, aggregate label) of each figure that warns above 1.0
-_WARNED = (
-    ("s_mbu", "S-MBU", "aggregate S-MBU"),
-    ("vanilla_mbu", "vanilla MBU", "aggregate vanilla MBU"),
-    ("s_mfu", "S-MFU", "S-MFU"),
-    ("vanilla_mfu", "vanilla MFU", "vanilla MFU"),
-)
+# (PassMetrics field, per-pass label) of each figure that warns above 1.0;
+# its aggregate warns as ``aggregate <label>``
+_WARNED = (("s_mbu", "S-MBU"), ("vanilla_mbu", "vanilla MBU"), ("s_mfu", "S-MFU"), ("vanilla_mfu", "vanilla MFU"))
 
 
 def _rates(
@@ -302,7 +298,7 @@ def compute_metric_report(
             )
         )
         total_vanilla_bytes += s_model + kv
-    for name, label, _ in _WARNED:
+    for name, label in _WARNED:
         _warn_passes_over_one([getattr(p, name) for p in passes], label)
     report = MetricReport(
         sheet.model_name, hw_peak_bandwidth, hw_peak_flops, prec.bytes_per_param, seq_len, include_embed,
@@ -311,8 +307,8 @@ def compute_metric_report(
         *_rates(total_bytes, total_vanilla_bytes, total_tokens, total_latency, *fixed)[2:],
         total_latency, total_tokens,
     )
-    for name, _, label in _WARNED:
-        _warn_if_over_one(getattr(report, f"aggregate_{name}"), label)
+    for name, label in _WARNED:
+        _warn_if_over_one(getattr(report, f"aggregate_{name}"), f"aggregate {label}")
     return report
 
 

@@ -29,13 +29,12 @@ Accounting conventions (documented here once, relied on everywhere):
 
 from __future__ import annotations
 
-import json
 import math
 from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
-from .errors import ValidationError, fields, load_json, record, record_from_json
+from .errors import ValidationError, fields, json_text, load_json, record, record_from_json
 
 if TYPE_CHECKING:
     from .trace import ForwardPassRecord
@@ -433,4 +432,4 @@ def load_model_descriptor(path: str | Path) -> ModelDescriptor:
 
 
 def serialize_model_descriptor(desc: ModelDescriptor) -> str:
-    return json.dumps(descriptor_to_dict(desc), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return json_text(descriptor_to_dict(desc), "model descriptor")

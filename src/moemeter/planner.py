@@ -67,6 +67,9 @@ from .trace import ActivationSheet, validate_sheet
 if TYPE_CHECKING:
     from .routing import RoutingDistribution
 
+# The peak-FLOPS precision the feasibility OPS check reads from each device.
+OPS_PRECISION = "fp16"
+
 
 @record(frozen=True)
 class SloSpec:
@@ -244,14 +247,15 @@ def feasibility(
     catalog: Sequence[HardwareSpec],
     use_offload: bool = False,
     margin: float = 0.0,
-    ops_precision: str = "fp16",
 ) -> list[DeviceVerdict]:
     """Per-device verdicts against a requirement, sorted by TDP then price.
 
     ``margin`` relaxes the requirement by the given fraction (a device
     passes when its bandwidth >= requirement * (1 - margin)); the default 0
     demands the requirement outright. With ``use_offload`` the device's
-    offload bandwidth is used where present.
+    offload bandwidth is used where present. A requirement with an OPS
+    figure also needs the device's :data:`OPS_PRECISION` peak to meet it; a
+    device with no such peak fails.
     """
     if not catalog:
         raise ValidationError("catalog is empty", field="catalog")
@@ -265,7 +269,7 @@ def feasibility(
         bw_ok = bw >= need_bw
         ops_ok: bool | None = None
         if requirement.practical_ops is not None:
-            peak = spec.peak_flops_by_precision.get(ops_precision)
+            peak = spec.peak_flops_by_precision.get(OPS_PRECISION)
             ops_ok = peak is not None and peak >= requirement.practical_ops * (1.0 - margin)
         verdicts.append(
             DeviceVerdict(

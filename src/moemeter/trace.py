@@ -42,7 +42,7 @@ import re
 import sys
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Mapping
 
 from .errors import ValidationError, record
 from .models import ModelDescriptor, expert_indices
@@ -233,23 +233,15 @@ def _parse_activations(text: str, pass_id: int) -> dict[int, int]:
     return bitmaps
 
 
-def parse_activation_sheet(
-    source: str | Iterable[str], desc: ModelDescriptor | None = None
-) -> ActivationSheet:
-    """Parse a trace document (text or an iterable of lines).
+def parse_activation_sheet(source: str, desc: ModelDescriptor | None = None) -> ActivationSheet:
+    """Parse the text of a trace document.
 
     If ``desc`` is given, the sheet is additionally validated against the
     model. Violations are rejected with the offending line or pass id.
     """
-    lines: Iterator[tuple[int, str]]
-    if isinstance(source, str):
-        lines = ((n + 1, line) for n, line in enumerate(source.splitlines()))
-    else:
-        lines = ((n + 1, line.rstrip("\n")) for n, line in enumerate(source))
-
     model_name: str | None = None
     passes: list[ForwardPassRecord] = []
-    for lineno, raw in lines:
+    for lineno, raw in enumerate(source.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from moemeter.costing import (
+    INFORMATIONAL_ITEMS,
+    PURCHASED_ITEMS,
     BillOfMaterials,
     DeploymentEconomics,
     PowerProfile,
@@ -16,7 +19,7 @@ from moemeter.costing import (
     power_profile_from_tdp,
     purchase_cost,
 )
-from moemeter.errors import ValidationError
+from moemeter.errors import ValidationError, fields
 
 HOURS_PER_YEAR = 8760.0
 
@@ -141,6 +144,31 @@ def test_cost_identity_totals():
     lhs = cost_per_token(bom, power, econ) * tokens
     rhs = purchase_cost(bom) + energy_cost_kwh(power, econ.runtime_hours) * 0.15
     assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def test_item_tables_cover_every_usd_field_once():
+    usd_fields = [f.name for f in fields(BillOfMaterials) if f.name.endswith("_usd")]
+    assert sorted(f"{item}_usd" for item in PURCHASED_ITEMS + INFORMATIONAL_ITEMS) == sorted(usd_fields)
+    values = (100, 200, 300, 400, 500, 1, 2, 3, 4)
+    report = cost_report(BillOfMaterials(*values), PowerProfile(1, 1), DeploymentEconomics(1.0, 0.1, 1.0))
+    breakdown = {**report["purchase_breakdown_usd"], **report["purchase_informational_usd"]}
+    assert breakdown == dict(zip(PURCHASED_ITEMS + INFORMATIONAL_ITEMS, values))
+
+
+def test_power_breakdown_keys_are_the_power_fields():
+    power = PowerProfile(gpu_watts=1, cpu_watts=2, chip_to_memory_watts=3, pcie_watts=4, nvlink_watts=5)
+    report = cost_report(BillOfMaterials(0, 0, 0, 0, 0), power, DeploymentEconomics(1.0, 0.1, 1.0))
+    assert report["power_breakdown_watts"] == {"gpu": 1, "cpu": 2, "chip_to_memory": 3, "pcie": 4, "nvlink": 5}
+    assert [f"{key}_watts" for key in report["power_breakdown_watts"]] == [f.name for f in fields(PowerProfile)]
+
+
+def test_totals_add_left_to_right_from_the_first_item():
+    # sum() would start from int 0 and turn an all -0.0 total into 0.0
+    assert math.copysign(1.0, purchase_cost(BillOfMaterials(*[-0.0] * 9))) == -1.0
+    assert math.copysign(1.0, PowerProfile(*[-0.0] * 5).total_watts) == -1.0
+    # 1e16 + 1 rounds back to 1e16 twice; an exact or compensated sum (the
+    # sum() of Python 3.12 on) gives 1.0000000000000002e16
+    assert purchase_cost(BillOfMaterials(1e16, 1, 1, 0, 0)) == 1e16
 
 
 def test_power_profile_from_tdp_default_factor():

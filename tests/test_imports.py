@@ -1,9 +1,13 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and no private
+module-level definition is left that the package never reads.
 
-No linter ships with the toolchain, so this is the one unused-import rule
-(pyflakes F401): a name bound by an import must be read somewhere in the
-module, in code or in a string annotation. A name re-exported on purpose
-sits on a line marked ``# noqa: F401``.
+No linter ships with the toolchain, so these are the two dead-code rules.
+The unused-import rule (pyflakes F401): a name bound by an import must be
+read somewhere in the module, in code or in a string annotation. A name
+re-exported on purpose sits on a line marked ``# noqa: F401``. The
+unused-definition rule: a module-level ``_private`` function, class or
+constant must be read by some module of the package, so neither a helper
+left behind by a refactor nor code only a test calls stays in ``src/``.
 """
 
 from __future__ import annotations
@@ -72,3 +76,73 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_no_unused_name(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    """The ``_private`` (not dunder) names a module defines at its top level,
+    looking into top-level ``if`` and ``try`` blocks."""
+    names, body = [], list(tree.body)
+    while body:
+        node = body.pop(0)
+        if isinstance(node, (ast.If, ast.Try)):
+            body += [*node.body, *node.orelse, *getattr(node, "finalbody", []),
+                     *(s for h in getattr(node, "handlers", []) for s in h.body)]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def unused_definitions(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for each private module-level definition in
+    ``sources`` (module name -> source) that no module reads: not by name
+    in its own module, not through an import from it, and not as an
+    attribute anywhere."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    attributes = {node.attr for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    imported = {
+        (node.module, alias.name)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    unused = []
+    for module, tree in trees.items():
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        read = loaded | _string_annotation_names(tree) | attributes
+        unused += [
+            f"{module}.{name}" for name in _private_definitions(tree)
+            if name not in read and (module, name) not in imported
+        ]
+    return unused
+
+
+def test_the_check_finds_an_unused_definition():
+    sources = {
+        "a": (
+            "import typing\n"
+            "__all__ = []\n"
+            "_USED = 1\n"
+            "_UNUSED: int = 2\n"
+            "_x, (_y, _z) = 1, (2, 3)\n"
+            "_x += _z\n"
+            "def _dead():\n"
+            "    return _USED\n"
+            "class _Annotated:\n"
+            "    pass\n"
+            "if typing.TYPE_CHECKING:\n"
+            "    def _checked_only(): ...\n"
+            "def _imported(): ...\n"
+            "def _as_attribute(): ...\n"
+            "def public(arg: '_Annotated') -> None: ...\n"
+        ),
+        "b": "from . import a\nfrom .a import _imported\n_imported(a._as_attribute)\n",
+    }
+    assert unused_definitions(sources) == ["a._UNUSED", "a._x", "a._y", "a._dead", "a._checked_only"]
+
+
+def test_package_defines_no_unused_private_name():
+    assert unused_definitions({path.stem: path.read_text(encoding="utf-8") for path in MODULES}) == []

@@ -51,6 +51,8 @@ def test_all_shipped_descriptors_load(models_dir):
     for path in sorted(models_dir.glob("*.json")):
         desc = load_model_descriptor(path)
         assert total_params(desc) >= active_params_analytic(desc)
+        # each shipped file is the descriptor's own serialization, byte for byte
+        assert serialize_model_descriptor(desc) == path.read_text(encoding="utf-8")
 
 
 def test_degenerate_descriptor_total_equals_active():
