@@ -43,10 +43,22 @@ EXIT_INTERNAL = 1
 EXIT_INVALID = 2
 
 
-def _sha256_file(path: str | Path) -> str:
-    import hashlib
+# The interpreter's built-in SHA-256 (``_sha2`` from CPython 3.12, ``_sha256``
+# before) gives the same digest as ``hashlib.sha256``, which falls back to it
+# too. ``hashlib`` would load OpenSSL's ``_hashlib``: about 3 ms and 2.5 MB of
+# RSS, more than most commands use for their work. Only ``simulate`` loads
+# OpenSSL, through numpy.random (secrets -> hmac).
+try:
+    from _sha2 import sha256 as _new_sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _new_sha256
+    except ImportError:
+        from hashlib import sha256 as _new_sha256
 
-    h = hashlib.sha256()
+
+def _sha256_file(path: str | Path) -> str:
+    h = _new_sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)

@@ -278,14 +278,21 @@ def _topk_inclusion_probs(p: np.ndarray, k: int) -> np.ndarray:
     prefix rows from its checkpoint and its suffix rows from the one row
     carried down from the segment after it, then combines them. Every row
     comes from the same recurrence as full tables would, so r_i is too.
+
+    A zero-weight expert never fires: its step leaves every row exactly as
+    it was and its r_i is exactly 0. So only the positive weights are
+    swept, and r is scattered back with zeros elsewhere.
     """
     import numpy as np
 
-    log_p = _check_support(p, k)
-    m = len(p)
-    g = math.isqrt(m - 1) + 1
+    positive = np.flatnonzero(p > 0)
+    log_p = _check_support(p, k)[positive]
     # Outside this range every integrand is below e^-40 of its peak.
-    s = np.arange(-log_p.max() - 40.0, -log_p[p > 0].min() + 4.0, _RACE_STEP)
+    s = np.arange(-log_p.max() - 40.0, -log_p.min() + 4.0, _RACE_STEP)
+    # the full length sets the node blocks, so each sum is grouped as if every expert were swept
+    n_blocks = -(-len(s) * (len(p) + 1) * k // _RACE_BLOCK_CELLS)
+    m = len(log_p)
+    g = math.isqrt(m - 1) + 1
     total = np.zeros(m)
 
     def step(row, fired, idle, out=None):
@@ -294,7 +301,7 @@ def _topk_inclusion_probs(p: np.ndarray, k: int) -> np.ndarray:
         out[1:] += row[:-1] * fired
         return out
 
-    for s_block in np.array_split(s, -(-len(s) * (m + 1) * k // _RACE_BLOCK_CELLS)):
+    for s_block in np.array_split(s, n_blocks):
 
         def segment(lo):
             # x = p t from log space, capped where e^-x is already 0 so it stays finite
@@ -330,7 +337,9 @@ def _topk_inclusion_probs(p: np.ndarray, k: int) -> np.ndarray:
                 tail[:, c] += tail[:, c - 1]
             others = np.einsum("ict,ict->it", prefix[:n], tail[:, ::-1])
             total[lo : lo + n] += (np.exp(log_w) * others).sum(axis=1)
-    return np.minimum(_RACE_STEP * total, 1.0)
+    r = np.zeros(len(p))
+    r[positive] = np.minimum(_RACE_STEP * total, 1.0)
+    return r
 
 
 @functools.lru_cache(maxsize=32)

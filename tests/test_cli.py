@@ -365,10 +365,11 @@ def test_metrics_zero_peak_in_catalog_exits_2(tmp_path, field):
 
 
 def test_cli_import_and_metrics_leave_numpy_unloaded(tmp_path):
-    # dataclasses (and the inspect it imports) cost more start-up than a metrics run's work
+    # dataclasses (and the inspect it imports) cost more start-up than a metrics run's work, and
+    # OpenSSL's _hashlib more memory; input digests use the interpreter's built-in SHA-256
     code = f"""
 import sys
-unloaded = ("numpy", "dataclasses", "inspect")
+unloaded = ("numpy", "dataclasses", "inspect", "_hashlib")
 import moemeter.cli
 for name in unloaded:
     assert name not in sys.modules, f"import moemeter.cli loaded {{name}}"
@@ -400,6 +401,8 @@ _CLI_MODULES = {"moemeter", "moemeter.cli", "moemeter.errors", "moemeter.models"
         ("plan --fig2", _CLI_MODULES | {"moemeter.catalog", "moemeter.planner"}),
         ("from moemeter import activated_fraction",
          {"moemeter", "moemeter.errors", "moemeter.metrics", "moemeter.models", "moemeter.trace"}),
+        ("cost", _CLI_MODULES | {"moemeter.costing"}),
+        ("recommend", _CLI_MODULES | {"moemeter.cap"}),
     ],
 )
 def test_each_command_loads_only_its_modules(tmp_path, command, loaded):
@@ -416,7 +419,11 @@ def test_each_command_loads_only_its_modules(tmp_path, command, loaded):
         "plan --mode trace": ["plan", "--model", MODELS / "toy-4x2.json", "--catalog", CATALOG, "--mode", "trace",
                               "--trace", TRACES / "sample_decode.trace", "--with-ops", "--output-dir", tmp_path],
         "plan --fig2": [*plan, "--fig2"],
+        "cost": ["cost", "--inputs", tmp_path / "cost_inputs.json", "--output-dir", tmp_path],
+        "recommend": ["recommend", "--rules", RULES, "--tier", "workstation_gpu_a5000", "--batch", 4,
+                      "--primary", "cost", "--secondary", "latency", "--output-dir", tmp_path],
     }.get(command)
+    (tmp_path / "cost_inputs.json").write_text(COST_INPUTS_TEXT)
     if argv is None:
         run = command
     else:
@@ -426,10 +433,61 @@ def test_each_command_loads_only_its_modules(tmp_path, command, loaded):
 import json, sys
 {run}
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "moemeter" or m == "numpy")))
+print(json.dumps("_hashlib" in sys.modules))
 """
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=REPO_ROOT)
     assert result.returncode == 0, result.stderr
-    assert set(json.loads(result.stdout.splitlines()[-1])) == loaded
+    *_, modules, openssl = result.stdout.splitlines()
+    assert set(json.loads(modules)) == loaded
+    # input digests use the built-in SHA-256; only numpy.random (secrets -> hmac) loads OpenSSL
+    if command != "simulate":
+        assert not json.loads(openssl), f"{command} loaded _hashlib"
+
+
+_SHIPPED_INPUTS = sorted(
+    path for directory in ("models", "catalog", "traces", "bundles", "rules")
+    for path in (REPO_ROOT / directory).rglob("*") if path.is_file()
+)
+
+
+@pytest.mark.parametrize("path", _SHIPPED_INPUTS, ids=lambda path: str(path.relative_to(REPO_ROOT)))
+def test_input_digest_matches_hashlib_on_shipped_inputs(path):
+    import hashlib
+
+    from moemeter.cli import _sha256_file
+
+    assert _sha256_file(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("size", [0, 200_003], ids=["empty", "past-64KiB-chunks"])
+def test_input_digest_matches_hashlib_on_any_size(tmp_path, size):
+    import hashlib
+    import random
+
+    from moemeter.cli import _sha256_file
+
+    data = random.Random(size).randbytes(size)
+    path = tmp_path / "input.bin"
+    path.write_bytes(data)
+    assert _sha256_file(path) == hashlib.sha256(data).hexdigest()
+
+
+def test_input_digest_falls_back_to_hashlib_without_builtin_sha256():
+    import hashlib
+
+    sources = [MODELS / "deepseek-r1.json", CATALOG, TRACES / "sample_decode.trace"]
+    paths = [str(source) for source in sources]
+    expected = [hashlib.sha256(source.read_bytes()).hexdigest() for source in sources]
+    # a None entry in sys.modules makes the import raise ImportError
+    code = f"""
+import sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from moemeter.cli import _sha256_file
+assert [_sha256_file(path) for path in {paths!r}] == {expected!r}
+assert "hashlib" in sys.modules
+"""
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=REPO_ROOT)
+    assert result.returncode == 0, result.stderr
 
 
 def test_package_names_resolve_lazily_to_their_submodules():

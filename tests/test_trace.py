@@ -623,6 +623,20 @@ def test_quadrature_memory_is_bounded():
     assert peak <= 2 * 2**20
 
 
+def test_quadrature_memory_skips_zero_weights():
+    import tracemalloc
+
+    # zipf:200 leaves 34 of 256 weights positive and the rest exactly 0
+    p = RoutingDistribution.zipf(200.0).probabilities(256)
+    tracemalloc.start()
+    try:
+        _topk_inclusion_probs(p, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
+
+
 def _edge_weights(n_expert, kind):
     p = RoutingDistribution.zipf(1.1).probabilities(n_expert)
     if kind == "zero":
