@@ -63,6 +63,7 @@ _EXPORTS = {
         "sparse_flops_per_token",
         "total_param_bytes",
         "total_params",
+        "without_embedding",
     ),
     "planner": (
         "DeploymentRequirement",

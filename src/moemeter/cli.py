@@ -124,6 +124,8 @@ def cmd_plan(args: argparse.Namespace) -> dict:
     from . import catalog, planner
 
     desc = models.load_model_descriptor(args.model)
+    if args.exclude_embed:
+        desc = models.without_embedding(desc)
     specs = catalog.load_catalog(args.catalog)
     prec = models.Precision(args.bytes_per_param)
     slo = planner.SloSpec(args.slo)
@@ -147,7 +149,6 @@ def cmd_plan(args: argparse.Namespace) -> dict:
         include_ops=args.with_ops,
         efficiency_mfu=args.efficiency_mfu,
         seq_len=args.seq_len,
-        include_embed=not args.exclude_embed,
     )
     reqs, requirements = [], []
     feasibility_docs = {}
@@ -163,7 +164,7 @@ def cmd_plan(args: argparse.Namespace) -> dict:
     doc = {"inputs": digests, "requirements": requirements, "feasibility": feasibility_docs}
     outputs = {out_dir / "plan_report.json": doc}
     if args.fig2:
-        plot = planner.bandwidth_power_map(reqs[: len(fig2_modes)], specs, include_embed=plan["include_embed"])
+        plot = planner.bandwidth_power_map(reqs[: len(fig2_modes)], specs, include_embed=not args.exclude_embed)
         plot["inputs"] = digests
         outputs[out_dir / "bandwidth_power_map.json"] = plot
     if batches:

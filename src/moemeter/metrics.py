@@ -37,6 +37,7 @@ from .models import (
     sparse_flops_per_token,
     total_param_bytes,
     total_params,
+    without_embedding,
 )
 from .trace import ActivationSheet, ForwardPassRecord, validate_sheet
 
@@ -47,7 +48,6 @@ def vanilla_mbu(
     hw_peak_bandwidth: float,
     tpot_s: float,
     kv_bytes: float = 0.0,
-    include_embed: bool = True,
 ) -> float:
     """Memory-bandwidth utilization assuming the full model is read per step:
     (S_model + S_kv) / TPOT / peak."""
@@ -56,7 +56,7 @@ def vanilla_mbu(
     _check_peak(hw_peak_bandwidth, "hw_peak_bandwidth")
     if not 0 <= kv_bytes < math.inf:
         raise ValidationError("kv_bytes must be finite and >= 0", field="kv_bytes")
-    s_model = total_param_bytes(desc, prec, include_embed=include_embed)
+    s_model = total_param_bytes(desc, prec)
     return _warn_if_over_one(_mbu(s_model + kv_bytes, tpot_s, hw_peak_bandwidth), "vanilla MBU")
 
 
@@ -66,12 +66,11 @@ def s_mbu_per_pass(
     prec: Precision,
     hw_peak_bandwidth: float,
     kv_seq_len: int | None = None,
-    include_embed: bool = True,
 ) -> float:
     """Sparsity-aware MBU for one pass: only the activated parameter bytes
     (plus KV) count toward achieved bandwidth."""
     _check_peak(hw_peak_bandwidth, "hw_peak_bandwidth")
-    _, pass_total, latency, _ = fold_passes([rec], desc, prec, kv_seq_len, include_embed=include_embed)
+    _, pass_total, latency, _ = fold_passes([rec], desc, prec, kv_seq_len)
     return _warn_if_over_one(_mbu(pass_total, latency, hw_peak_bandwidth), "S-MBU")
 
 
@@ -81,14 +80,13 @@ def s_mbu_aggregate(
     prec: Precision,
     hw_peak_bandwidth: float,
     kv_seq_len: int | None = None,
-    include_embed: bool = True,
 ) -> float:
     """Dynamic-batching aggregate: total bytes moved across all passes over
     total wall time, over peak bandwidth (latency-weighted, not the mean of
     per-pass values)."""
     _check_peak(hw_peak_bandwidth, "hw_peak_bandwidth")
     validate_sheet(sheet, desc)
-    _, total_bytes, total_latency, _ = fold_passes(sheet.passes, desc, prec, kv_seq_len, include_embed=include_embed)
+    _, total_bytes, total_latency, _ = fold_passes(sheet.passes, desc, prec, kv_seq_len)
     return _warn_if_over_one(_mbu(total_bytes, total_latency, hw_peak_bandwidth), "aggregate S-MBU")
 
 
@@ -111,7 +109,7 @@ def activated_fraction(sheet: ActivationSheet, desc: ModelDescriptor) -> Activat
     validate_sheet(sheet, desc)
     per_pass, *_ = fold_passes(sheet.passes, desc, Precision(1.0))
     total = total_params(desc)
-    expert_total = len(desc.moe_layers) * (sum(desc.routed_expert_sizes()) + desc.n_shared * desc.params_shared_expert)
+    expert_total = len(desc.moe_layers) * (sum(desc.routed_expert_sizes) + desc.n_shared * desc.params_shared_expert)
     fracs = tuple(act / total for act, _ in per_pass)
     # every pass reads all non-expert parameters, total - expert_total
     experts = tuple((act - total + expert_total) / expert_total if expert_total > 0 else 1.0 for act, _ in per_pass)
@@ -276,15 +274,16 @@ def compute_metric_report(
 
     ``seq_len`` feeds the context-dependent attention FLOPs term;
     ``kv_seq_len`` (optional) enables the KV-cache byte fallback for passes
-    that recorded no KV traffic.
+    that recorded no KV traffic. Unless ``include_embed``, which the report
+    states as a bool, it accounts :func:`models.without_embedding` of ``desc``.
     """
+    if not include_embed:
+        desc = without_embedding(desc)
     validate_sheet(sheet, desc)
     _check_peak(hw_peak_bandwidth, "hw_peak_bandwidth")
     _check_peak(hw_peak_flops, "hw_peak_flops")
-    per_pass, total_bytes, total_latency, total_tokens = fold_passes(
-        sheet.passes, desc, prec, kv_seq_len, include_embed=include_embed
-    )
-    s_model = total_param_bytes(desc, prec, include_embed=include_embed)
+    per_pass, total_bytes, total_latency, total_tokens = fold_passes(sheet.passes, desc, prec, kv_seq_len)
+    s_model = total_param_bytes(desc, prec)
     # the rule's arguments fixed for the sheet: per-token FLOPs depend only on (desc, seq_len)
     fixed = (hw_peak_bandwidth, sparse_flops_per_token(desc, seq_len), dense_flops_per_token(desc, seq_len), hw_peak_flops)
     passes = []
@@ -301,7 +300,7 @@ def compute_metric_report(
     for name, label in _WARNED:
         _warn_passes_over_one([getattr(p, name) for p in passes], label)
     report = MetricReport(
-        sheet.model_name, hw_peak_bandwidth, hw_peak_flops, prec.bytes_per_param, seq_len, include_embed,
+        sheet.model_name, hw_peak_bandwidth, hw_peak_flops, prec.bytes_per_param, seq_len, bool(include_embed),
         desc.heterogeneous_experts, tuple(passes),
         # the aggregate_* fields: the rule's figures from s_mbu on, over the fold's totals
         *_rates(total_bytes, total_vanilla_bytes, total_tokens, total_latency, *fixed)[2:],

@@ -15,8 +15,8 @@ for several public MoE models under ``models/``, each carrying a
 Accounting conventions (documented here once, relied on everywhere):
 
 * Embedding/head parameters are included in both total and activated byte
-  counts by default, because the output head is read on every decode step.
-  Pass ``include_embed=False`` to reproduce the bare layer-sum accounting.
+  counts, because the output head is read on every decode step. Account
+  :func:`without_embedding` of a descriptor for the bare layer sums.
 * Attention FLOPs per token are ``2 * params_attn_layer`` per layer plus a
   context term ``4 * seq_len * d_model`` per layer for the score and
   value-weighting matmuls (this assumes the attention value width equals
@@ -173,25 +173,21 @@ class ModelDescriptor:
         """Experts activated per token in one MoE layer: top_k routed plus shared."""
         return self.top_k + self.n_shared
 
-    def routed_expert_sizes(self) -> tuple[int, ...]:
-        return self._routed_sizes
-
     @cached_property
-    def _routed_sizes(self) -> tuple[int, ...]:
+    def routed_expert_sizes(self) -> tuple[int, ...]:
         if self.params_expert_by_index is not None:
             return self.params_expert_by_index
         return (self.params_expert,) * self.n_expert
 
     @cached_property
     def heterogeneous_experts(self) -> bool:
-        sizes = self._routed_sizes
+        sizes = self.routed_expert_sizes
         return any(s != sizes[0] for s in sizes)
 
     @cached_property
-    def _always_read(self) -> tuple[int, int]:
-        """Parameters every pass reads whatever it routes: without and with
-        the embedding, so that ``[bool(include_embed)]`` picks one."""
-        return _params_read(self, 0, False), _params_read(self, 0, True)
+    def _always_read(self) -> int:
+        """Parameters every pass reads whatever it routes."""
+        return _params_read(self, 0)
 
 
 # Every count a descriptor holds (its int fields); each must be a non-negative int.
@@ -202,12 +198,21 @@ _COUNT_FIELDS = tuple(f.name for f in fields(ModelDescriptor) if f.type == "int"
 # Parameter counts
 # --------------------------------------------------------------------------
 
-def _params_read(desc: ModelDescriptor, routed: int | float, include_embed: bool = True) -> int | float:
-    """The one per-layer parameter rule: the embedding (unless excluded),
-    each layer's attention, each MoE layer's router and shared experts plus
-    ``routed`` routed-expert parameters, and each dense layer's FFN. Every
-    parameter and FLOP figure below is this sum for some ``routed``."""
-    total = desc.params_embed if include_embed else 0
+def without_embedding(desc: ModelDescriptor) -> ModelDescriptor:
+    """``desc`` with ``params_embed`` 0, whose every figure leaves out the
+    embedding/output head: the bare layer-sum accounting (CLI
+    ``--exclude-embed``). ``desc`` itself when it has no embedding."""
+    if desc.params_embed == 0:
+        return desc
+    return ModelDescriptor(**{**{f.name: getattr(desc, f.name) for f in fields(desc)}, "params_embed": 0})
+
+
+def _params_read(desc: ModelDescriptor, routed: int | float) -> int | float:
+    """The one per-layer parameter rule: the embedding, each layer's
+    attention, each MoE layer's router and shared experts plus ``routed``
+    routed-expert parameters, and each dense layer's FFN. Every parameter
+    and FLOP figure below is this sum for some ``routed``."""
+    total = desc.params_embed
     for moe in desc.moe_layer_mask:
         total += desc.params_attn_layer
         if moe:
@@ -218,12 +223,12 @@ def _params_read(desc: ModelDescriptor, routed: int | float, include_embed: bool
     return total
 
 
-def total_params(desc: ModelDescriptor, include_embed: bool = True) -> int:
+def total_params(desc: ModelDescriptor) -> int:
     """Exact total parameter count, recomputed from the per-component counts."""
-    return _params_read(desc, sum(desc.routed_expert_sizes()), include_embed)
+    return _params_read(desc, sum(desc.routed_expert_sizes))
 
 
-def active_params_analytic(desc: ModelDescriptor, include_embed: bool = True) -> int | float:
+def active_params_analytic(desc: ModelDescriptor) -> int | float:
     """Parameters touched by a single token: each MoE layer activates exactly
     top_k routed experts plus all shared experts.
 
@@ -231,12 +236,12 @@ def active_params_analytic(desc: ModelDescriptor, include_embed: bool = True) ->
     is routing-dependent, so the mean routed size is used (result may be
     non-integer).
     """
-    sizes = desc.routed_expert_sizes()
+    sizes = desc.routed_expert_sizes
     if desc.heterogeneous_experts:
         routed = desc.top_k * (sum(sizes) / len(sizes))
     else:
         routed = desc.top_k * sizes[0]
-    return _params_read(desc, routed, include_embed)
+    return _params_read(desc, routed)
 
 
 def expert_indices(bitmap: int) -> Iterator[int]:
@@ -247,11 +252,7 @@ def expert_indices(bitmap: int) -> Iterator[int]:
         bitmap ^= low
 
 
-def activated_params_from_sets(
-    desc: ModelDescriptor,
-    bitmaps: Mapping[int, int],
-    include_embed: bool = True,
-) -> int:
+def activated_params_from_sets(desc: ModelDescriptor, bitmaps: Mapping[int, int]) -> int:
     """Parameters read in one forward pass given each MoE layer's activation
     bitmap (routed expert i at bit i). Everything but the routed experts
     (shared experts, routers, attention, dense layers) is always read; each
@@ -262,12 +263,12 @@ def activated_params_from_sets(
         raise ValidationError(f"missing activated set for MoE layer {exc.args[0]}", field="activated") from None
     if max(layer_bitmaps, default=0).bit_length() > desc.n_expert:
         raise ValidationError(f"activation bitmap names an expert beyond n_expert={desc.n_expert}", field="activated")
-    sizes = desc.routed_expert_sizes()
+    sizes = desc.routed_expert_sizes
     if desc.heterogeneous_experts:
         routed = sum(sizes[i] for bitmap in layer_bitmaps for i in expert_indices(bitmap))
     else:
         routed = sum(bitmap.bit_count() for bitmap in layer_bitmaps) * sizes[0]
-    return desc._always_read[bool(include_embed)] + routed
+    return desc._always_read + routed
 
 
 def pass_bytes(
@@ -276,7 +277,6 @@ def pass_bytes(
     prec: Precision,
     kv_seq_len: int | None = None,
     kv_bytes: float = 0.0,
-    include_embed: bool = True,
 ) -> tuple[float, float]:
     """Bytes one forward pass reads: ``(activated parameter bytes, KV bytes)``.
 
@@ -286,7 +286,7 @@ def pass_bytes(
     which is the KV-cache formula at ``kv_seq_len`` for the pass's batch when
     ``kv_seq_len`` is given, and ``kv_bytes`` when it is not.
     """
-    act = activated_params_from_sets(desc, rec.bitmaps, include_embed=include_embed) * prec.bytes_per_param
+    act = activated_params_from_sets(desc, rec.bitmaps) * prec.bytes_per_param
     if rec.kv_bytes_read > 0:
         return act, float(rec.kv_bytes_read)
     if kv_seq_len is not None:
@@ -300,7 +300,6 @@ def fold_passes(
     prec: Precision,
     kv_seq_len: int | None = None,
     kv_bytes: float = 0.0,
-    include_embed: bool = True,
 ) -> tuple[list[tuple[float, float]], float, float, int]:
     """The one sum over passes: ``(per_pass, bytes, latency, tokens)``.
 
@@ -320,7 +319,7 @@ def fold_passes(
     total_latency = 0.0
     total_tokens = 0
     for rec in records:
-        act, kv = pass_bytes(rec, desc, prec, kv_seq_len, kv_bytes, include_embed)
+        act, kv = pass_bytes(rec, desc, prec, kv_seq_len, kv_bytes)
         per_pass.append((act, kv))
         total_bytes += act + kv
         if rec.kv_bytes_read > 0:
@@ -343,28 +342,21 @@ def fold_passes(
     return per_pass, total_bytes, total_latency, total_tokens
 
 
-def activated_bytes_for_pass(
-    rec: "ForwardPassRecord",
-    desc: ModelDescriptor,
-    prec: Precision,
-    include_embed: bool = True,
-) -> float:
+def activated_bytes_for_pass(rec: "ForwardPassRecord", desc: ModelDescriptor, prec: Precision) -> float:
     """Activated parameter bytes of one pass, the first figure of :func:`pass_bytes`."""
-    return pass_bytes(rec, desc, prec, include_embed=include_embed)[0]
+    return pass_bytes(rec, desc, prec)[0]
 
 
 # --------------------------------------------------------------------------
 # Bytes
 # --------------------------------------------------------------------------
 
-def total_param_bytes(desc: ModelDescriptor, prec: Precision, include_embed: bool = True) -> float:
-    return total_params(desc, include_embed=include_embed) * prec.bytes_per_param
+def total_param_bytes(desc: ModelDescriptor, prec: Precision) -> float:
+    return total_params(desc) * prec.bytes_per_param
 
 
-def active_param_bytes_analytic(
-    desc: ModelDescriptor, prec: Precision, include_embed: bool = True
-) -> float:
-    return active_params_analytic(desc, include_embed=include_embed) * prec.bytes_per_param
+def active_param_bytes_analytic(desc: ModelDescriptor, prec: Precision) -> float:
+    return active_params_analytic(desc) * prec.bytes_per_param
 
 
 def kv_cache_bytes(desc: ModelDescriptor, seq_len: int, batch: int, prec: Precision) -> float:
@@ -398,14 +390,15 @@ def attn_flops_per_token(desc: ModelDescriptor, seq_len: int) -> float:
 def sparse_flops_per_token(desc: ModelDescriptor, seq_len: int) -> float:
     """FLOPs per token counting only the experts a token actually activates
     (top_k routed, shared experts at their size) plus the router and
-    attention terms: 2 FLOPs per parameter read, plus the context term."""
-    return 2.0 * active_params_analytic(desc, include_embed=False) + _context_flops(desc, seq_len)
+    attention terms: 2 FLOPs per parameter read, less the embedding, plus the
+    context term."""
+    return 2.0 * active_params_analytic(without_embedding(desc)) + _context_flops(desc, seq_len)
 
 
 def dense_flops_per_token(desc: ModelDescriptor, seq_len: int) -> float:
     """FLOPs per token under the all-parameters-participate assumption, the
-    baseline that ignores routing."""
-    return 2.0 * total_params(desc, include_embed=False) + _context_flops(desc, seq_len)
+    baseline that ignores routing. The embedding is left out here too."""
+    return 2.0 * total_params(without_embedding(desc)) + _context_flops(desc, seq_len)
 
 
 # --------------------------------------------------------------------------

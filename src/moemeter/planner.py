@@ -8,8 +8,9 @@ since real systems never sustain a device's peak.
 
 Every requirement is built by :func:`plan_requirement`, and the other
 functions are views over it under the same plan settings (``efficiency_mbu``,
-``kv_bytes``, ``include_ops``, ``efficiency_mfu``, ``seq_len``,
-``include_embed``), whose defaults live in its signature alone:
+``kv_bytes``, ``include_ops``, ``efficiency_mfu``, ``seq_len``), whose
+defaults live in its signature alone, and over one descriptor
+(:func:`models.without_embedding` of the model leaves the embedding out):
 :func:`theoretical_bandwidth_gbps` reads its bandwidth; a :func:`batch_sweep`
 point is the ``expected`` requirement at its batch, distinct count and
 activated fraction included, with the devices :func:`feasibility`
@@ -139,7 +140,6 @@ def plan_requirement(
     include_ops: bool = False,
     efficiency_mfu: float | None = None,
     seq_len: int = 1,
-    include_embed: bool = True,
 ) -> DeploymentRequirement:
     """Bandwidth (and optionally OPS) requirement of one decode step: the
     bytes and tokens of the step, per TPOT target, then divided by the
@@ -159,9 +159,7 @@ def plan_requirement(
         validate_sheet(sheet, desc)
         # the requirement is per decode step, so prefill passes are left out
         decode = (rec for rec in sheet.passes if rec.phase == "decode")
-        per_pass, total_bytes, _, tokens = fold_passes(
-            decode, desc, prec, kv_bytes=kv_bytes, include_embed=include_embed
-        )
+        per_pass, total_bytes, _, tokens = fold_passes(decode, desc, prec, kv_bytes=kv_bytes)
         if not per_pass:
             raise ValidationError("trace mode requires at least one decode pass", field="sheet")
         step_bytes = total_bytes / len(per_pass)
@@ -169,14 +167,14 @@ def plan_requirement(
         tokens /= len(per_pass)
     else:
         if activation_mode == "batch1_analytic":
-            param_bytes = active_param_bytes_analytic(desc, prec, include_embed=include_embed)
+            param_bytes = active_param_bytes_analytic(desc, prec)
         elif activation_mode == "full_activation":
-            param_bytes = total_param_bytes(desc, prec, include_embed=include_embed)
+            param_bytes = total_param_bytes(desc, prec)
         else:  # expected
             if batch is None or dist is None:
                 missing = "batch" if batch is None else "dist"
                 raise ValidationError("expected mode requires batch and dist", field=missing)
-            distinct, act_params = _expected_params(desc, batch, dist, include_embed)
+            distinct, act_params = _expected_params(desc, batch, dist)
             param_bytes = act_params * prec.bytes_per_param
         step_bytes = param_bytes + kv_bytes
         tokens = batch if batch else 1
@@ -203,9 +201,7 @@ def plan_requirement(
     )
 
 
-def _expected_params(
-    desc: ModelDescriptor, batch: int, dist: RoutingDistribution, include_embed: bool
-) -> tuple[float, float]:
+def _expected_params(desc: ModelDescriptor, batch: int, dist: RoutingDistribution) -> tuple[float, float]:
     """Expected distinct routed experts per MoE layer, and the expected
     parameters a step of ``batch`` independent tokens reads.
 
@@ -216,13 +212,13 @@ def _expected_params(
     # looked up on ``trace`` at call time: routing loads on first use, and a
     # wrapper set on the module (the benchmark's spans) sees the call
     distinct = trace.expected_distinct_experts(desc.n_expert, desc.top_k, batch, dist).value
-    sizes = desc.routed_expert_sizes()
+    sizes = desc.routed_expert_sizes
     if desc.heterogeneous_experts:
         hit = trace._batch_hit_probs(desc.n_expert, desc.top_k, batch, dist).tolist()
         routed = sum(size * h for size, h in zip(sizes, hit))
     else:
         routed = distinct * sizes[0]
-    return distinct, _params_read(desc, routed, include_embed)
+    return distinct, _params_read(desc, routed)
 
 
 # --------------------------------------------------------------------------
@@ -311,7 +307,6 @@ def batch_sweep(
     catalog: Sequence[HardwareSpec] | None = None,
     use_offload: bool = False,
     margin: float = 0.0,
-    include_embed: bool = True,
     **plan,
 ) -> list[SweepPoint]:
     """Expected-activation requirement and feasibility per batch size.
@@ -326,12 +321,10 @@ def batch_sweep(
     """
     if list(batches) != sorted(batches):
         raise ValidationError("batches must be sorted ascending", field="batches")
-    total = total_params(desc, include_embed=include_embed)
+    total = total_params(desc)
     points = []
     for batch in batches:
-        req = plan_requirement(
-            desc, prec, slo, "expected", batch=batch, dist=dist, include_embed=include_embed, **plan
-        )
+        req = plan_requirement(desc, prec, slo, "expected", batch=batch, dist=dist, **plan)
         feas: tuple[str, ...] = ()
         if catalog:
             feas = tuple(v.name for v in feasibility(req, catalog, use_offload, margin) if v.satisfied)
@@ -375,9 +368,9 @@ def bandwidth_power_map(
 ) -> dict:
     """Plot data for the bandwidth-vs-power map: one point per device (TDP,
     peak and offload bandwidth) and one horizontal line per requirement in
-    ``lines``, those a plan built for :data:`FIG2_MODES` under
-    ``include_embed``. The lines must share one model, precision, TPOT
-    target and efficiency, which the map's assumptions state."""
+    ``lines``, those a plan built for :data:`FIG2_MODES`. The lines must
+    share one model, precision, TPOT target and efficiency, which the map's
+    assumptions state, with whether the plan counted the embedding."""
     settings = {(req.model_name, req.bytes_per_param, req.tpot_s, req.efficiency_mbu) for req in lines}
     if len(settings) != 1:
         raise ValidationError(
@@ -402,7 +395,7 @@ def bandwidth_power_map(
             "bytes_per_param": bytes_per_param,
             "tpot_slo_s": tpot_s,
             "efficiency_mbu": efficiency_mbu,
-            "include_embed": include_embed,
+            "include_embed": bool(include_embed),
         },
         "requirement_lines": [
             {

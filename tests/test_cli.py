@@ -1192,3 +1192,47 @@ def test_unlisted_precision_exits_2_listing_the_allowed_ones(tmp_path, capsys, c
     error = {"error": {"field": "bytes_per_param", "message": message, "type": "validation"}}
     assert capsys.readouterr().err == json.dumps(error, sort_keys=True) + "\n"
     assert not (tmp_path / "out").exists()
+
+
+def _outputs_without_inputs(out):
+    """Each file a run wrote, less the lines that name its inputs or the
+    embedding flag: the JSON ``inputs`` and ``include_embed`` fields and the
+    CSV digest comment."""
+    docs = {}
+    for path in sorted(out.iterdir()):
+        if path.suffix == ".json":
+            doc = json.loads(path.read_text())
+            del doc["inputs"]
+            for section in ("report", "assumptions"):
+                doc.get(section, {}).pop("include_embed", None)
+            docs[path.name] = doc
+        else:
+            docs[path.name] = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    return docs
+
+
+@pytest.mark.parametrize("model", sorted(path.name for path in MODELS.glob("*.json")))
+def test_exclude_embed_equals_a_descriptor_without_embedding(tmp_path, capsys, model):
+    from moemeter.cli import main
+
+    doc = json.loads((MODELS / model).read_text())
+    assert doc["params_embed"] > 0
+    bare = tmp_path / model
+    bare.write_text(json.dumps({**doc, "params_embed": 0}))
+    runs = [["plan", "--mode", "batch1_analytic", "full_activation", "expected", "--batch", 8, "--dist", "zipf:1.1",
+             "--with-ops", "--sweep-batches", "1,4,16,64", "--fig2"]]
+    if doc["name"] == "toy-4x2":
+        trace = TRACES / "sample_decode.trace"
+        runs += [
+            ["metrics", "--trace", trace, "--device", "A100-PCIe-80G", "--bytes-per-param", 2.0,
+             "--kv-seq-len", 128, "--seq-len", 64],
+            ["plan", "--mode", "trace", "--trace", trace, "--with-ops", "--kv-bytes", 1500000],
+        ]
+    for i, run in enumerate(runs):
+        outputs = []
+        for path, flag in ((MODELS / model, ["--exclude-embed"]), (bare, [])):
+            out = tmp_path / f"run{i}{''.join(flag)}"
+            argv = [*run, "--model", path, *flag, "--catalog", CATALOG, "--output-dir", out]
+            assert main([str(a) for a in argv]) == 0, capsys.readouterr().err
+            outputs.append(_outputs_without_inputs(out))
+        assert outputs[0] == outputs[1]

@@ -2,8 +2,9 @@
 module-level definition is left that the package never reads.
 
 No linter ships with the toolchain, so these are the two dead-code rules.
-The unused-import rule (pyflakes F401): a name bound by an import must be
-read somewhere in the module, in code or in a string annotation. A name
+The unused-import rule (pyflakes F401), over the package, its tests and its
+scripts: a name bound by an import must be read somewhere in the module, in
+code or in a string annotation. A name
 re-exported on purpose sits on a line marked ``# noqa: F401``. The
 unused-definition rule: a module-level ``_private`` function, class or
 constant must be read by some module of the package, so neither a helper
@@ -19,6 +20,15 @@ import pytest
 from conftest import REPO_ROOT
 
 MODULES = sorted((REPO_ROOT / "src" / "moemeter").glob("*.py"))
+# the package's modules by file name, the tests and scripts by their path
+IMPORTING = {
+    **{path.name: path for path in MODULES},
+    **{
+        str(path.relative_to(REPO_ROOT)): path
+        for directory in ("tests", "scripts")
+        for path in sorted((REPO_ROOT / directory).glob("*.py"))
+    },
+}
 
 
 def _string_annotation_names(tree: ast.AST) -> set[str]:
@@ -73,9 +83,9 @@ def test_the_check_finds_an_unused_import():
     assert unused_imports(source) == ["os", "os", "Sequence"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_module_imports_no_unused_name(path):
-    assert unused_imports(path.read_text(encoding="utf-8")) == []
+@pytest.mark.parametrize("name", IMPORTING)
+def test_module_imports_no_unused_name(name):
+    assert unused_imports(IMPORTING[name].read_text(encoding="utf-8")) == []
 
 
 def _private_definitions(tree: ast.Module) -> list[str]:

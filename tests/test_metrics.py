@@ -470,6 +470,19 @@ def test_report_serializers(toy_desc):
     assert lines[-1].startswith("aggregate")
 
 
+@pytest.mark.parametrize("flag, want", [(None, False), (0, False), (1, True), (2, True), ("yes", True)])
+def test_include_embed_is_read_as_a_truth_value(toy_desc, flag, want):
+    import numpy as np
+
+    sheet = one_pass_sheet(toy_desc, {0: frozenset({0, 1}), 1: frozenset({1, 3})})
+    expected = compute_metric_report(sheet, toy_desc, INT8, 1e12, 1e15, include_embed=want)
+    for value in (flag, np.bool_(want)):
+        report = compute_metric_report(sheet, toy_desc, INT8, 1e12, 1e15, include_embed=value)
+        assert report == expected
+        # the report states the flag as the bool its accounting read
+        assert report_to_dict(report)["include_embed"] is want
+
+
 def test_report_derives_per_token_flops_once(toy_desc, monkeypatch):
     import moemeter.metrics as metrics
 

@@ -22,6 +22,7 @@ from moemeter.models import (
     sparse_flops_per_token,
     total_param_bytes,
     total_params,
+    without_embedding,
 )
 
 from conftest import make_desc, rebuild
@@ -109,26 +110,16 @@ def test_cached_descriptor_figures_are_not_fields(toy_desc):
     # computing the cached figures changes neither equality, hash nor repr
     assert toy_desc == fresh and hash(toy_desc) == hash(fresh) and repr(toy_desc) == repr(fresh)
     assert {f.name for f in fields(ModelDescriptor)}.isdisjoint(
-        {"moe_layers", "heterogeneous_experts", "_routed_sizes", "_always_read"}
+        {"moe_layers", "heterogeneous_experts", "routed_expert_sizes", "_always_read"}
     )
     # a replaced descriptor computes its own figures, not the cached ones
     skewed = rebuild(
         toy_desc, moe_layer_mask=(False, True), params_expert_by_index=(1, 2, 3, 4), params_embed=0
     )
     assert skewed.moe_layers == (1,) and skewed.heterogeneous_experts
-    assert skewed.routed_expert_sizes() == (1, 2, 3, 4)
+    assert skewed.routed_expert_sizes == (1, 2, 3, 4)
     assert activated_params_from_sets(skewed, {1: 0b1010}) == total_params(skewed) - 1 - 3
     assert activated_params_from_sets(toy_desc, {0: 0b11, 1: 0b1}) == pass_read
-
-
-@pytest.mark.parametrize("flag, want", [(None, False), (0, False), (1, True), (2, True), ("yes", True)])
-def test_include_embed_is_read_as_a_truth_value(toy_desc, flag, want):
-    import numpy as np
-
-    bitmaps = {0: 0b11, 1: 0b1}
-    expected = activated_params_from_sets(toy_desc, bitmaps, include_embed=want)
-    assert activated_params_from_sets(toy_desc, bitmaps, include_embed=flag) == expected
-    assert activated_params_from_sets(toy_desc, bitmaps, include_embed=np.bool_(want)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +167,11 @@ def test_active_equals_total_for_dense(int8):
 
 def test_include_embed_toggle(toy_desc, int8):
     with_embed = active_param_bytes_analytic(toy_desc, int8)
-    without = active_param_bytes_analytic(toy_desc, int8, include_embed=False)
+    bare = without_embedding(toy_desc)
+    without = active_param_bytes_analytic(bare, int8)
     assert with_embed - without == toy_desc.params_embed
+    # the view is the descriptor rebuilt with params_embed 0, and a fixed point
+    assert bare == rebuild(toy_desc, params_embed=0) and without_embedding(bare) is bare
 
 
 def test_heterogeneous_sizes_use_mean_for_analytic(int8):
@@ -360,7 +354,8 @@ def test_activated_params_match_brute_force_index_sum(data):
                 expected += desc.params_router + 2 * 5 + sum(sizes[i] for i in sets[layer])
             else:
                 expected += 11
-        assert activated_params_from_sets(desc, bitmaps, include_embed=include_embed) == expected
+        view = desc if include_embed else without_embedding(desc)
+        assert activated_params_from_sets(view, bitmaps) == expected
 
 
 @pytest.mark.parametrize("bad", [1.5, 2.0, True, "2"])

@@ -7,7 +7,13 @@ import pytest
 
 from moemeter.catalog import load_catalog
 from moemeter.errors import ValidationError
-from moemeter.models import Precision, active_param_bytes_analytic, load_model_descriptor, total_param_bytes
+from moemeter.models import (
+    Precision,
+    active_param_bytes_analytic,
+    load_model_descriptor,
+    total_param_bytes,
+    without_embedding,
+)
 from moemeter.planner import (
     FIG2_MODES,
     DeploymentRequirement,
@@ -459,9 +465,10 @@ def test_expected_mode_supports_heterogeneous_experts():
                 always_read = 3 * desc.params_attn_layer + 50_000 + 2 * (desc.params_router + 7_000)
                 embed = desc.params_embed if include_embed else 0
                 expected_bytes = (embed + always_read + 2 * routed) * INT8.bytes_per_param
-                req = plan_requirement(desc, INT8, SLO, "expected", batch=batch, dist=dist, include_embed=include_embed)
+                view = desc if include_embed else without_embedding(desc)
+                req = plan_requirement(view, INT8, SLO, "expected", batch=batch, dist=dist)
                 assert req.theoretical_bandwidth_gbps * SLO.tpot_s * 1e9 == pytest.approx(expected_bytes, rel=1e-12)
-                [point] = batch_sweep(desc, dist, [batch], SLO, INT8, include_embed=include_embed)
+                [point] = batch_sweep(view, dist, [batch], SLO, INT8)
                 assert point.theoretical_bandwidth_gbps == req.theoretical_bandwidth_gbps
                 total = embed + always_read + 2 * sum(sizes)
                 assert point.expected_activated_fraction == pytest.approx(expected_bytes / total, rel=1e-12)
@@ -478,7 +485,8 @@ def test_indexed_sizes_of_one_value_set_the_routed_size():
 
 @pytest.mark.parametrize("include_embed", [True, False])
 def test_sweep_fraction_is_one_when_every_expert_is_read(toy_desc, include_embed):
-    [point] = batch_sweep(toy_desc, RoutingDistribution.uniform(), [64], SLO, INT8, include_embed=include_embed)
+    desc = toy_desc if include_embed else without_embedding(toy_desc)
+    [point] = batch_sweep(desc, RoutingDistribution.uniform(), [64], SLO, INT8)
     assert point.expected_distinct_per_layer == toy_desc.n_expert
     assert point.expected_activated_fraction == 1.0
 
@@ -509,6 +517,10 @@ def test_bandwidth_power_map_shape(r1_desc, shipped_catalog):
     assert modes == {"batch1_analytic", "full_activation"}
     assert len(doc["devices"]) == len(shipped_catalog)
     assert doc["assumptions"]["efficiency_mbu"] == pytest.approx(0.3558)
+    # the map states the flag as the bool it was read as
+    assert doc["assumptions"]["include_embed"] is True
+    for flag, want in ((0, False), (None, False), ("yes", True)):
+        assert bandwidth_power_map(lines, shipped_catalog, include_embed=flag)["assumptions"]["include_embed"] is want
     for dev in doc["devices"]:
         assert {"name", "tdp_watts", "peak_bandwidth_gbps"} <= set(dev)
 
