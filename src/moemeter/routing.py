@@ -132,9 +132,15 @@ def _check_support(p: np.ndarray, top_k: int) -> np.ndarray:
 
 # Uniform cells (tokens x layers x experts) drawn at a time: a pass's memory
 # stays bounded whatever its token count. A block and its partition copy
-# (1 MiB) fit a 2 MiB per-core L2 cache; on such a 2-core x86-64 host,
-# 2^18-cell blocks made the batch 1-64 mix ~1.6x slower.
-_ROUTE_BLOCK_CELLS = 1 << 16
+# set a pass's peak, so 2^14 cells hold one deepseek-r1 token (58 x 256
+# cells, 116 KiB of doubles). Measured on a 2-core x86-64 host, r1
+# zipf:1.1, for 2^13 / 2^14 / 2^15 / 2^16 / 2^17 cells:
+#   tracemalloc peak of a batch-64 pass  0.34 / 0.34 / 0.58 / 1.06 / 2.02 MiB
+#   batch 1-64, 24 passes each, median   597 / 560 / 535 / 517 / 553 ms
+#   child peak RSS, batch-64 simulate    36.29 / 36.25 / 36.44 / 36.92 MB (to 2^16)
+# The time is in-process and drifts by more than the spread here; a
+# 2048-token prefill pass took 1.07x as long at 2^14 as at 2^16.
+_ROUTE_BLOCK_CELLS = 1 << 14
 
 
 def _race_block(rng, shape: tuple[int, int, int], neg_inv_p: np.ndarray, k: int) -> np.ndarray:

@@ -295,7 +295,8 @@ def serialize_activation_sheet(sheet: ActivationSheet, desc: ModelDescriptor) ->
             f"{rec.pass_id},{rec.phase},{rec.batch_size},{rec.tokens_processed},"
             f"{rec.latency_s!r},{rec.kv_bytes_read},{bitmaps}"
         )
-    return "\n".join(out) + "\n"
+    out.append("")  # the trailing newline, without copying the joined text again
+    return "\n".join(out)
 
 
 def __getattr__(name: str):

@@ -2,9 +2,9 @@
 module-level definition is left that the package never reads.
 
 No linter ships with the toolchain, so these are the two dead-code rules.
-The unused-import rule (pyflakes F401), over the package, its tests and its
-scripts: a name bound by an import must be read somewhere in the module, in
-code or in a string annotation. A name
+The unused-import rule (pyflakes F401), over the package, its tests, its
+scripts and its benchmark harness: a name bound by an import must be read
+somewhere in the module, in code or in a string annotation. A name
 re-exported on purpose sits on a line marked ``# noqa: F401``. The
 unused-definition rule: a module-level ``_private`` function, class or
 constant must be read by some module of the package, so neither a helper
@@ -20,12 +20,12 @@ import pytest
 from conftest import REPO_ROOT
 
 MODULES = sorted((REPO_ROOT / "src" / "moemeter").glob("*.py"))
-# the package's modules by file name, the tests and scripts by their path
+# the package's modules by file name, the tests, scripts and bench files by their path
 IMPORTING = {
     **{path.name: path for path in MODULES},
     **{
         str(path.relative_to(REPO_ROOT)): path
-        for directory in ("tests", "scripts")
+        for directory in ("tests", "scripts", "bench")
         for path in sorted((REPO_ROOT / directory).glob("*.py"))
     },
 }

@@ -195,6 +195,21 @@ def test_record_packs_index_sets_into_bitmaps():
     assert rec.activated == {0: {0, 3}, 1: {0, 2}, 2: {70, 71}}
 
 
+def test_serialization_builds_the_text_once(r1_desc):
+    import tracemalloc
+
+    sheet = simulate_routing(r1_desc, 1, RoutingDistribution.zipf(1.1), 400, seed=3)
+    tracemalloc.start()
+    try:
+        text = serialize_activation_sheet(sheet, r1_desc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the lines and their join are two copies; appending the last newline
+    # to the joined text would be a third
+    assert peak < 2.5 * len(text)
+
+
 # SHA-256 of `moemeter simulate` output. The first five were computed before
 # activations were stored as bitmaps, the multi-block r1 prefill before
 # routing was drawn as an exponential race: neither may change a single byte.
@@ -455,14 +470,41 @@ def test_zero_uniform_is_dropped_as_numpys_gumbel_sampler_drops_it(r1_desc, monk
 def test_long_prefill_pass_memory_is_bounded(r1_desc):
     import tracemalloc
 
-    tracemalloc.start()
-    try:
-        simulate_routing(r1_desc, 1, RoutingDistribution.zipf(1.1), 1, seed=0, phase="prefill", tokens_per_pass=2048)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # one (2048, 58, 256) float64 draw alone would be 243 MB
-    assert peak < 64 * 2**20
+    dist = RoutingDistribution.zipf(1.1)
+    simulate_routing(r1_desc, 1, dist, 1, seed=0)  # loads numpy.random outside the trace
+    # a 2048-token prefill pass and a batch-64 decode pass
+    for batch, phase, tokens in ((1, "prefill", 2048), (64, "decode", None)):
+        tracemalloc.start()
+        try:
+            simulate_routing(r1_desc, batch, dist, 1, seed=0, phase=phase, tokens_per_pass=tokens)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one (2048, 58, 256) float64 draw alone would be 243 MB; a block of
+        # one r1 token (116 KiB) and its partition copy stay far below this
+        # bound, four tokens per block (1 MiB with the copy) do not
+        assert peak < 2**19, phase
+
+
+@pytest.mark.parametrize(
+    "model, batch, dist, phase, tokens",
+    [
+        ("deepseek-r1", 5, "zipf:1.1", "decode", None),
+        ("deepseek-r1", 5, "uniform", "decode", None),
+        # rare experts, so that 300 tokens do not activate every expert whatever the stream
+        ("toy-4x2", 2, "empirical:0.499,0.499,0.001,0.001", "prefill", 300),
+    ],
+)
+def test_block_size_never_changes_the_sheet(models_dir, monkeypatch, model, batch, dist, phase, tokens):
+    import moemeter.routing as routing
+    from moemeter.models import load_model_descriptor
+
+    desc = load_model_descriptor(models_dir / f"{model}.json")
+    sheets = []
+    for cells in (1, 4096, 1 << 14, 1 << 16):
+        monkeypatch.setattr(routing, "_ROUTE_BLOCK_CELLS", cells)
+        sheets.append(simulate_routing(desc, batch, _parse_dist_spec(dist), 3, seed=9, phase=phase, tokens_per_pass=tokens))
+    assert all(sheet == sheets[0] for sheet in sheets[1:])
 
 
 def test_simulate_insufficient_support_rejected(toy_desc):
