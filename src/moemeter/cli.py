@@ -14,7 +14,8 @@ Writing is one stage, in :func:`main`. A ``cmd_*`` function returns an
 ordered mapping of output path to document: a dict for a JSON report, a str
 for text (a CSV, a simulated trace). ``main`` renders every document first,
 so every check runs before any file exists and a run that exits 2 leaves
-nothing behind; then it writes the files and prints their paths in order.
+nothing behind; then it writes the files, removes the ones it wrote if a
+later write fails, and prints their paths in order once every write is done.
 
 Each subcommand imports the modules it runs inside its ``cmd_*`` function;
 at module level this file needs only what the parser does, so ``metrics``
@@ -46,8 +47,8 @@ EXIT_INVALID = 2
 # The interpreter's built-in SHA-256 (``_sha2`` from CPython 3.12, ``_sha256``
 # before) gives the same digest as ``hashlib.sha256``, which falls back to it
 # too. ``hashlib`` would load OpenSSL's ``_hashlib``: about 3 ms and 2.5 MB of
-# RSS, more than most commands use for their work. Only ``simulate`` loads
-# OpenSSL, through numpy.random (secrets -> hmac).
+# RSS, more than most commands use for their work. ``simulate`` keeps numpy.random
+# from loading it too (see ``_import_numpy_random``), so no command loads OpenSSL.
 try:
     from _sha2 import sha256 as _new_sha256
 except ImportError:
@@ -183,7 +184,31 @@ def cmd_plan(args: argparse.Namespace) -> dict:
     return outputs
 
 
+def _import_numpy_random() -> None:
+    """Import numpy.random with OpenSSL's ``_hashlib`` unimportable.
+
+    numpy.random imports ``secrets``, which imports ``hmac`` and through it
+    ``_hashlib`` and libcrypto, for hashes ``simulate`` never computes. On
+    Python 3.11 with numpy 2.4 (x86-64) that is 3.4 MB of the import's RSS
+    and 2.7-2.9 MB of a deepseek-r1 ``simulate`` child's peak RSS at batch 1
+    to 64 (35.2-35.4 -> 32.5-32.6 MB). Without ``_hashlib``, ``hashlib``
+    and ``hmac`` use the interpreter's built-in hashes, as CPython designs
+    them to. Only the CLI does this: it owns its process, while a library
+    must not change its host's ``hashlib``. When numpy.random or
+    ``_hashlib`` is already loaded, nothing is done.
+    """
+    if "numpy.random" in sys.modules or "_hashlib" in sys.modules:
+        return
+    # a None entry in sys.modules makes the import raise ImportError
+    sys.modules["_hashlib"] = None
+    try:
+        import numpy.random  # noqa: F401  (loaded for routing, which imports it again)
+    finally:
+        del sys.modules["_hashlib"]
+
+
 def cmd_simulate(args: argparse.Namespace) -> dict:
+    _import_numpy_random()
     desc = models.load_model_descriptor(args.model)
     dist = trace._parse_dist_spec(args.dist)
     sheet = trace.simulate_routing(
@@ -397,6 +422,25 @@ def _error_doc(kind: str, message: str, field: str | None = None) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
+def _write_outputs(texts: dict) -> None:
+    """Write each text to its path; if a write fails, remove the files
+    this run opened for writing and raise the error."""
+    written = []
+    try:
+        for path, text in texts.items():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            with open(path, "w", encoding="utf-8") as fh:
+                written.append(path)
+                fh.write(text)
+    except OSError:
+        for path in written:
+            try:
+                path.unlink()
+            except OSError:
+                pass
+        raise
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -411,9 +455,8 @@ def main(argv: list[str] | None = None) -> int:
         texts = {
             path: doc if isinstance(doc, str) else json_text(doc, path.name) for path, doc in args.func(args).items()
         }
-        for path, text in texts.items():
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text, encoding="utf-8")
+        _write_outputs(texts)
+        for path in texts:
             print(path)
         return EXIT_OK
     except ValidationError as exc:

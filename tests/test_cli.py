@@ -439,9 +439,56 @@ print(json.dumps("_hashlib" in sys.modules))
     assert result.returncode == 0, result.stderr
     *_, modules, openssl = result.stdout.splitlines()
     assert set(json.loads(modules)) == loaded
-    # input digests use the built-in SHA-256; only numpy.random (secrets -> hmac) loads OpenSSL
-    if command != "simulate":
-        assert not json.loads(openssl), f"{command} loaded _hashlib"
+    # input digests use the built-in SHA-256, and simulate imports numpy.random with _hashlib blocked
+    assert not json.loads(openssl), f"{command} loaded _hashlib"
+
+
+_TOY_MODEL = str(MODELS / "toy-4x2.json")
+
+
+@pytest.mark.parametrize(
+    "before, run, keeps_hashlib",
+    [
+        ("", "cli", False),
+        ("import numpy.random", "cli", True),
+        ("import _hashlib", "cli", True),
+        ("", "library", True),
+    ],
+    ids=["cli", "numpy.random-first", "_hashlib-first", "library"],
+)
+def test_simulate_guard_leaves_hashing_usable(tmp_path, before, run, keeps_hashlib):
+    from moemeter import models, routing, trace
+
+    out = str(tmp_path / "sim.trace")
+    if run == "cli":
+        argv = ["simulate", "--model", _TOY_MODEL, "--batch", "4", "--dist", "zipf:1.1", "--passes", "3",
+                "--seed", "5", "--out", out]
+        run = f"import moemeter.cli\nassert moemeter.cli.main({argv!r}) == 0"
+    else:
+        # the library path: only the CLI blocks _hashlib
+        run = f"""from moemeter import models, routing, trace
+desc = models.load_model_descriptor({_TOY_MODEL!r})
+sheet = routing.simulate_routing(desc, 4, routing.RoutingDistribution.zipf(1.1), 3, 5)
+open({out!r}, "w", encoding="utf-8").write(trace.serialize_activation_sheet(sheet, desc))"""
+    code = f"""
+import sys
+{before}
+{run}
+assert ("_hashlib" in sys.modules) == {keeps_hashlib!r}
+assert sys.modules.get("_hashlib", "absent") is not None, "the guard left its None entry"
+import _hashlib, hashlib, hmac, secrets
+import numpy.random
+assert hashlib.sha256(b"abc").hexdigest() == "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+assert hmac.new(b"k", b"m", "sha256").hexdigest() == (
+    "b60090e3052297aeb5a080889ce2fc4bca957e756faeb4df7d31800ca1e771ec")
+assert 0 <= secrets.randbits(64) < 2 ** 64
+assert numpy.random.SeedSequence().entropy > 0
+"""
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=REPO_ROOT)
+    assert result.returncode == 0, result.stderr
+    desc = models.load_model_descriptor(_TOY_MODEL)
+    sheet = routing.simulate_routing(desc, 4, routing.RoutingDistribution.zipf(1.1), 3, 5)
+    assert (tmp_path / "sim.trace").read_text(encoding="utf-8") == trace.serialize_activation_sheet(sheet, desc)
 
 
 _SHIPPED_INPUTS = sorted(
@@ -975,6 +1022,23 @@ def test_plan_sweep_overflow_exits_2_without_output(tmp_path, capsys):
     assert len(err) == 1
     assert json.loads(err[0])["error"]["field"] == "report"
     assert not out.exists()
+
+
+def test_failed_write_removes_the_runs_earlier_outputs(tmp_path, capsys):
+    from moemeter.cli import main
+
+    # the JSON report is written first; a directory in the CSV's place makes the second write fail
+    out = tmp_path / "out"
+    (out / "metrics_report.csv").mkdir(parents=True)
+    argv = ["metrics", "--model", MODELS / "toy-4x2.json", "--trace", TRACES / "sample_decode.trace",
+            "--catalog", CATALOG, "--device", "H100-SXM", "--bytes-per-param", "1.0", "--output-dir", out]
+    assert main([str(a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "input" and set(error) == {"type", "message"}
+    assert not (out / "metrics_report.json").exists()
+    assert (out / "metrics_report.csv").is_dir()
 
 
 def _csv_table(path):
