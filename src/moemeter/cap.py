@@ -21,7 +21,7 @@ import math
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import ValidationError, asdict, csv_text, load_json, record, record_from_json
+from .errors import ValidationError, csv_text, load_json, record, record_from_json
 
 # Axis -> each metric kind it accepts -> that kind's natural direction,
 # which a record may override.
@@ -42,7 +42,7 @@ _FIELD_PREFIX = {"cost": "cost", "accuracy": "accuracy", "performance": "perf"}
 LABEL_BY_SACRIFICED = {"cost": "PA", "accuracy": "PC", "performance": "CA"}
 
 
-@record(frozen=True)
+@record
 class CapRecord:
     """One system's raw (cost, accuracy, performance) triple."""
 
@@ -82,7 +82,7 @@ class CapRecord:
                 )
 
 
-@record(frozen=True)
+@record
 class RadarDataset:
     """Normalized three-axis coordinates (1.0 = best) plus the raw values
     and per-axis normalization bounds."""
@@ -204,7 +204,7 @@ def radar_to_csv(dataset: RadarDataset, labels: Mapping[str, str], header_commen
 # Decision rules
 # --------------------------------------------------------------------------
 
-@record(frozen=True)
+@record
 class DecisionRule:
     """One if-then deployment rule: under a hardware tier, batch range and
     constraint pair, recommend a system and configuration."""
@@ -235,7 +235,7 @@ class DecisionRule:
         )
 
 
-@record(frozen=True)
+@record
 class RecommendResult:
     matched: DecisionRule | None
     nearest: tuple[DecisionRule, ...]
@@ -293,7 +293,3 @@ def recommend(
         or (r.primary_constraint == primary and r.secondary_constraint == secondary)
     )
     return RecommendResult(matched=None, nearest=nearest)
-
-
-def rule_to_dict(rule: DecisionRule) -> dict:
-    return asdict(rule)

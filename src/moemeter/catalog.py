@@ -11,28 +11,33 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ValidationError, asdict, field, json_text, load_json, record, record_from_json
+from .errors import ValidationError, asdict, json_text, load_json, record, record_from_json
 
 DEVICE_CLASSES = ("edge", "low_power", "workstation", "datacenter")
 MEMORY_TIERS = ("HBM", "DRAM", "SSD")
+_EMPTY: Mapping = MappingProxyType({})  # the shared default of the dict fields, copied per spec
 
 
-@record(frozen=True)
+@record
 class HardwareSpec:
     name: str
     device_class: str
     peak_bandwidth_gbps: float
     tdp_watts: float
     price_usd: float
-    peak_flops_by_precision: dict[str, float] = field(default_factory=dict)
-    memory_gb: dict[str, float] = field(default_factory=dict)
+    peak_flops_by_precision: dict[str, float] = _EMPTY
+    memory_gb: dict[str, float] = _EMPTY
     offload_bandwidth_gbps: float | None = None
     aggregate: bool = False
     source_note: str = ""
 
     def __post_init__(self):
+        # a spec's own copies: a caller's later edit to its document changes no validated figure
+        object.__setattr__(self, "peak_flops_by_precision", dict(self.peak_flops_by_precision))
+        object.__setattr__(self, "memory_gb", dict(self.memory_gb))
         if "|" in self.name:  # the batch sweep CSV joins feasible device names with it
             raise ValidationError(f"device {self.name!r}: name must not contain '|'", field="name")
         if self.device_class not in DEVICE_CLASSES:

@@ -35,7 +35,7 @@ import sys
 from pathlib import Path
 
 from . import models, trace
-from .errors import ValidationError, json_text
+from .errors import ValidationError, asdict, json_text
 
 CATALOG_ENV_VAR = "MOEMETER_CATALOG"
 
@@ -258,8 +258,8 @@ def cmd_recommend(args: argparse.Namespace) -> dict:
             "primary_constraint": args.primary,
             "secondary_constraint": args.secondary,
         },
-        "matched": cap.rule_to_dict(result.matched) if result.matched else None,
-        "nearest": [cap.rule_to_dict(r) for r in result.nearest],
+        "matched": asdict(result.matched) if result.matched else None,
+        "nearest": [asdict(r) for r in result.nearest],
     }
     return {Path(args.output_dir) / "recommendation.json": doc}
 

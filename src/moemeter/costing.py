@@ -45,7 +45,7 @@ def _total(values):
     return reduce(operator.add, values)
 
 
-@record(frozen=True)
+@record
 class BillOfMaterials:
     """Dollar cost of one server, split into purchasable line items plus an
     informational decomposition of where the money goes."""
@@ -74,7 +74,7 @@ class BillOfMaterials:
             )
 
 
-@record(frozen=True)
+@record
 class PowerProfile:
     """Average power draw (watts) over the deployment runtime, per component."""
 
@@ -92,7 +92,7 @@ class PowerProfile:
         return _total(getattr(self, f.name) for f in fields(self))
 
 
-@record(frozen=True)
+@record
 class DeploymentEconomics:
     runtime_hours: float
     energy_price_usd_per_kwh: float

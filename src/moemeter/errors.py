@@ -34,27 +34,21 @@ class ValidationError(ValueError):
 # ``__init__``; the other methods are shared functions over the field tuple.
 
 
-MISSING = object()  # the default and default_factory of a field that has none
+MISSING = object()  # the default of a field that has none
 
 
 class FrozenRecordError(AttributeError):
-    """Assignment to, or deletion of, an attribute of a frozen record."""
+    """Assignment to, or deletion of, an attribute of a record."""
 
 
 class Field:
     """One record field: its ``name``, its annotation string ``type``, and
-    its ``default`` or ``default_factory`` (else :data:`MISSING`)."""
+    its ``default`` (else :data:`MISSING`)."""
 
-    __slots__ = ("name", "type", "default", "default_factory")
+    __slots__ = ("name", "type", "default")
 
-    def __init__(self, default=MISSING, default_factory=MISSING):
-        self.default = default
-        self.default_factory = default_factory
-
-
-def field(*, default_factory) -> Any:
-    """A field whose default is ``default_factory()``, called per instance."""
-    return Field(default_factory=default_factory)
+    def __init__(self, name: str, type: str, default=MISSING):
+        self.name, self.type, self.default = name, type, default
 
 
 def fields(rec) -> tuple[Field, ...]:
@@ -105,50 +99,36 @@ def _frozen_delattr(self, name):
     raise FrozenRecordError(f"cannot delete field {name!r}")
 
 
-def record(cls=None, /, *, frozen: bool = False):
-    """Make ``cls`` a record: every annotated name is a field, in order.
+def record(cls):
+    """Make ``cls`` a frozen record: every annotated name is a field, in order.
 
-    Used as ``@record`` or ``@record(frozen=True)``. The class gets an
-    ``__init__`` taking the fields (those with defaults last), which sets
-    them and then calls ``__post_init__`` if the class has one; ``__eq__``
-    and ``__repr__`` over the fields; and, if ``frozen``, ``__hash__`` over
-    the fields and a ``__setattr__`` and ``__delattr__`` that raise
-    :class:`FrozenRecordError` (a ``__post_init__`` sets a normalized field
-    with ``object.__setattr__``). A mutable record is unhashable. Instances
-    keep a ``__dict__``, so ``functools.cached_property`` works on either
-    kind.
+    Used as ``@record``. The class gets an ``__init__`` taking the fields
+    (those with defaults last), which sets them and then calls
+    ``__post_init__`` if the class has one; ``__eq__``, ``__hash__`` and
+    ``__repr__`` over the fields; and a ``__setattr__`` and ``__delattr__``
+    that raise :class:`FrozenRecordError`, so a ``__post_init__`` sets a
+    normalized field with ``object.__setattr__``. A record with a dict or
+    list field is unhashable. Instances keep a ``__dict__``, so
+    ``functools.cached_property`` works on them.
     """
-    if cls is None:
-        return lambda cls: record(cls, frozen=frozen)
     record_fields = []
     for name, annotation in cls.__dict__.get("__annotations__", {}).items():
-        f = cls.__dict__.get(name, MISSING)
-        if isinstance(f, Field):
-            delattr(cls, name)
-        else:
-            f = Field(default=f)
-        f.name, f.type = name, annotation
-        record_fields.append(f)
-    # Fields are set one by one, through object.__setattr__ when frozen: that
-    # keeps CPython's compact per-instance values, which a write through
+        record_fields.append(Field(name, annotation, cls.__dict__.get(name, MISSING)))
+    # Fields are set one by one through object.__setattr__: that keeps
+    # CPython's compact per-instance values, which a write through
     # self.__dict__ would turn into a full dict (64 more bytes for a 15-field
     # record on CPython 3.11).
     # A class body mangles names that start with __, so no field clashes
-    # with the `__set`, `__default_` and `__factory_` globals.
-    namespace = {"__MISSING": MISSING, "__set": object.__setattr__}
+    # with the `__set` and `__default_` globals.
+    namespace = {"__set": object.__setattr__}
     params, body = [], []
     for f in record_fields:
-        value = f.name
-        if f.default_factory is not MISSING:
-            namespace[f"__factory_{f.name}"] = f.default_factory
-            params.append(f"{f.name}=__MISSING")
-            value = f"__factory_{f.name}() if {f.name} is __MISSING else {f.name}"
-        elif f.default is not MISSING:
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
             namespace[f"__default_{f.name}"] = f.default
             params.append(f"{f.name}=__default_{f.name}")
-        else:
-            params.append(f.name)
-        body.append(f"__set(self, {f.name!r}, {value})" if frozen else f"self.{f.name} = {value}")
+        body.append(f"__set(self, {f.name!r}, {f.name})")
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
     source = f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(body)
@@ -158,11 +138,10 @@ def record(cls=None, /, *, frozen: bool = False):
     cls.__init__ = init
     cls.__record_fields__ = tuple(record_fields)
     cls.__eq__ = _eq
+    cls.__hash__ = _hash
     cls.__repr__ = _repr
-    cls.__hash__ = _hash if frozen else None
-    if frozen:
-        cls.__setattr__ = _frozen_setattr
-        cls.__delattr__ = _frozen_delattr
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
     return cls
 
 
@@ -268,7 +247,7 @@ def record_from_json(cls, doc: Any, field: str):
     kwargs = {}
     for name, f in by_name.items():
         if name not in doc:
-            if f.default is MISSING and f.default_factory is MISSING:
+            if f.default is MISSING:
                 raise ValidationError(f"{field}: missing required field {name!r}", field=name)
             continue
         value = doc[name]

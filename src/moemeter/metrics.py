@@ -31,9 +31,9 @@ from .errors import ValidationError, csv_text, fields, record
 from .models import (
     ModelDescriptor,
     Precision,
-    activated_bytes_for_pass,  # noqa: F401  (re-exported: metrics.activated_bytes_for_pass)
     dense_flops_per_token,
     fold_passes,
+    pass_bytes,
     sparse_flops_per_token,
     total_param_bytes,
     total_params,
@@ -58,6 +58,11 @@ def vanilla_mbu(
         raise ValidationError("kv_bytes must be finite and >= 0", field="kv_bytes")
     s_model = total_param_bytes(desc, prec)
     return _warn_if_over_one(_mbu(s_model + kv_bytes, tpot_s, hw_peak_bandwidth), "vanilla MBU")
+
+
+def activated_bytes_for_pass(rec: ForwardPassRecord, desc: ModelDescriptor, prec: Precision) -> float:
+    """Activated parameter bytes of one pass, the first figure of :func:`models.pass_bytes`."""
+    return pass_bytes(rec, desc, prec)[0]
 
 
 def s_mbu_per_pass(
@@ -90,7 +95,7 @@ def s_mbu_aggregate(
     return _warn_if_over_one(_mbu(total_bytes, total_latency, hw_peak_bandwidth), "aggregate S-MBU")
 
 
-@record(frozen=True)
+@record
 class ActivatedFractionReport:
     """Share of parameters a pass actually reads. ``per_pass`` counts every
     always-read component (attention, routers, shared experts, embeddings,
@@ -199,7 +204,7 @@ def _warn_passes_over_one(values: list[float], label: str) -> None:
 # Full per-trace report
 # --------------------------------------------------------------------------
 
-@record(frozen=True)
+@record
 class PassMetrics:
     pass_id: int
     phase: str
@@ -218,7 +223,7 @@ class PassMetrics:
     overestimation_mfu: float
 
 
-@record(frozen=True)
+@record
 class MetricReport:
     model_name: str
     peak_bandwidth_bytes_per_s: float

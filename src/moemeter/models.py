@@ -34,7 +34,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
-from .errors import ValidationError, fields, json_text, load_json, record, record_from_json
+from .errors import ValidationError, asdict, fields, json_text, load_json, record, record_from_json
 
 if TYPE_CHECKING:
     from .trace import ForwardPassRecord
@@ -63,7 +63,7 @@ DEFAULT_EFFICIENCY_MBU = 0.3558
 DEFAULT_SLO_TPOT_S = 0.1
 
 
-@record(frozen=True)
+@record
 class Precision:
     """Storage width of one parameter in bytes (4-, 8-, 16- or 32-bit)."""
 
@@ -90,7 +90,7 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
-@record(frozen=True)
+@record
 class ModelDescriptor:
     """Architecture and parameter accounting of one (possibly MoE) model.
 
@@ -342,11 +342,6 @@ def fold_passes(
     return per_pass, total_bytes, total_latency, total_tokens
 
 
-def activated_bytes_for_pass(rec: "ForwardPassRecord", desc: ModelDescriptor, prec: Precision) -> float:
-    """Activated parameter bytes of one pass, the first figure of :func:`pass_bytes`."""
-    return pass_bytes(rec, desc, prec)[0]
-
-
 # --------------------------------------------------------------------------
 # Bytes
 # --------------------------------------------------------------------------
@@ -409,20 +404,10 @@ def descriptor_from_dict(doc: Mapping) -> ModelDescriptor:
     return record_from_json(ModelDescriptor, doc, "document")
 
 
-def descriptor_to_dict(desc: ModelDescriptor) -> dict:
-    doc: dict = {}
-    for f in fields(ModelDescriptor):
-        value = getattr(desc, f.name)
-        if isinstance(value, tuple):
-            value = list(value)
-        doc[f.name] = value
-    return doc
-
-
 def load_model_descriptor(path: str | Path) -> ModelDescriptor:
     """Load and validate a descriptor JSON file."""
     return descriptor_from_dict(load_json(path))
 
 
 def serialize_model_descriptor(desc: ModelDescriptor) -> str:
-    return json_text(descriptor_to_dict(desc), "model descriptor")
+    return json_text(asdict(desc), "model descriptor")

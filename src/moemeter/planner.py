@@ -52,7 +52,6 @@ from .errors import ValidationError, asdict, csv_text, record
 from .models import (
     ACTIVATION_MODES,
     DEFAULT_EFFICIENCY_MBU,
-    DEFAULT_SLO_TPOT_S,  # noqa: F401  (re-exported: planner.DEFAULT_SLO_TPOT_S)
     GB,
     ModelDescriptor,
     Precision,
@@ -72,7 +71,7 @@ if TYPE_CHECKING:
 OPS_PRECISION = "fp16"
 
 
-@record(frozen=True)
+@record
 class SloSpec:
     """Latency service-level objective: seconds per output token."""
 
@@ -83,7 +82,7 @@ class SloSpec:
             raise ValidationError("tpot_s must be finite and > 0", field="tpot_s")
 
 
-@record(frozen=True)
+@record
 class DeploymentRequirement:
     """What one decode step needs. ``kv_bytes`` is the KV the step was
     charged: the ``kv_bytes`` argument, or in trace mode the mean over decode
@@ -225,7 +224,7 @@ def _expected_params(desc: ModelDescriptor, batch: int, dist: RoutingDistributio
 # Feasibility
 # --------------------------------------------------------------------------
 
-@record(frozen=True)
+@record
 class DeviceVerdict:
     name: str
     device_class: str
@@ -288,7 +287,7 @@ def feasibility(
 # Batch sweeps
 # --------------------------------------------------------------------------
 
-@record(frozen=True)
+@record
 class SweepPoint:
     batch: int
     expected_distinct_per_layer: float

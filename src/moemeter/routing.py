@@ -38,7 +38,7 @@ from .trace import PHASES, ActivationSheet, ForwardPassRecord
 # Routing distributions
 # --------------------------------------------------------------------------
 
-@record(frozen=True)
+@record
 class RoutingDistribution:
     """Per-token router behavior used by the simulator: each token draws
     top_k distinct experts by sequential probability-proportional sampling
@@ -250,7 +250,7 @@ def simulate_routing(
 # Expected distinct experts
 # --------------------------------------------------------------------------
 
-@record(frozen=True)
+@record
 class ExpectedDistinct:
     """Expected distinct routed experts per MoE layer, and its exact method."""
 

@@ -72,7 +72,7 @@ class ForwardPassRecord:
     def __post_init__(self):
         self._check_geometry()
         try:
-            self.bitmaps = {
+            bitmaps = {
                 int(layer): b if type(b) is int and b >= 0 else sum(1 << i for i in {operator.index(i) for i in b})
                 for layer, b in self.bitmaps.items()
             }
@@ -81,6 +81,7 @@ class ForwardPassRecord:
                 f"pass {self.pass_id}: activations must be bitmaps or non-negative integer expert indices",
                 field="activated",
             ) from None
+        object.__setattr__(self, "bitmaps", bitmaps)
 
     @classmethod
     def _from_packed(
@@ -92,8 +93,14 @@ class ForwardPassRecord:
         build. It skips the repacking (about 70 % of building an r1 record)
         and runs every other check."""
         rec = cls.__new__(cls)
-        rec.pass_id, rec.phase, rec.batch_size, rec.tokens_processed = pass_id, phase, batch_size, tokens_processed
-        rec.latency_s, rec.kv_bytes_read, rec.bitmaps = latency_s, kv_bytes_read, bitmaps
+        set_ = object.__setattr__
+        set_(rec, "pass_id", pass_id)
+        set_(rec, "phase", phase)
+        set_(rec, "batch_size", batch_size)
+        set_(rec, "tokens_processed", tokens_processed)
+        set_(rec, "latency_s", latency_s)
+        set_(rec, "kv_bytes_read", kv_bytes_read)
+        set_(rec, "bitmaps", bitmaps)
         rec._check_geometry()
         return rec
 

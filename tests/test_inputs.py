@@ -19,7 +19,6 @@ from moemeter.catalog import HardwareSpec
 from moemeter.costing import BillOfMaterials, DeploymentEconomics, PowerProfile
 from moemeter.errors import (
     JSON_TYPES,
-    MISSING,
     ValidationError,
     asdict,
     csv_text,
@@ -47,7 +46,6 @@ RECORD_CLASSES_ALL = sorted(
     },
     key=lambda c: (c.__module__, c.__name__),
 )
-MUTABLE_RECORDS = (trace.ForwardPassRecord, trace.ActivationSheet)
 
 
 @pytest.fixture(scope="module")
@@ -135,33 +133,43 @@ def test_record_classes_compare_hash_freeze_and_convert_by_their_fields(record_e
         changed = cls.__new__(cls)
         vars(changed).update(values, **{name: object()})
         assert changed != rec, name
-    if cls in MUTABLE_RECORDS:
+    try:
+        by_fields = hash(tuple(values.values()))
+    except TypeError:  # a dict or list field
         with pytest.raises(TypeError, match="unhashable"):
             hash(rec)
     else:
-        try:
-            by_fields = hash(tuple(values.values()))
-        except TypeError:  # a dict field
-            with pytest.raises(TypeError, match="unhashable"):
-                hash(rec)
-        else:
-            assert hash(copy) == hash(rec) == by_fields
+        assert hash(copy) == hash(rec) == by_fields
+    # every record is frozen, the sheet and its passes too
+    for target in (rec, copy):
         for name in names:
             with pytest.raises(AttributeError, match=f"cannot assign to field {name!r}"):
-                setattr(copy, name, values[name])
+                setattr(target, name, values[name])
             with pytest.raises(AttributeError, match=f"cannot delete field {name!r}"):
-                delattr(copy, name)
-        assert vars(copy) == values
+                delattr(target, name)
+    assert vars(copy) == values
+    assert {name: getattr(rec, name) for name in names} == values
     assert repr(rec) == f"{cls.__name__}(" + ", ".join(f"{n}={v!r}" for n, v in values.items()) + ")"
-    # a default factory runs per instance
-    made = {f.name: f.default_factory for f in fields(cls) if f.default_factory is not MISSING}
-    if made:
-        required = {n: v for n, v in values.items() if n not in made}
-        first, second = cls(**required), cls(**required)
-        for name, factory in made.items():
-            assert getattr(first, name) == factory() and getattr(first, name) is not getattr(second, name)
     # asdict recurses into nested records, lists, tuples and dicts
     _assert_plain(asdict(rec), rec)
+
+
+def test_hardware_spec_keeps_its_figures_when_the_callers_dicts_change():
+    doc = json.loads(CATALOG.read_text())[0]
+    flops, memory = dict(doc["peak_flops_by_precision"]), dict(doc["memory_gb"])
+    assert flops and memory
+    built = HardwareSpec(**doc)
+    loaded = catalog.load_catalog([doc])[0]
+    assert built == loaded
+    doc["peak_flops_by_precision"]["fp16"] = math.nan
+    doc["memory_gb"].clear()
+    for spec in (built, loaded):
+        assert spec.peak_flops_by_precision == flops and spec.memory_gb == memory
+    # the dict fields default to an empty dict of the spec's own
+    required = {k: v for k, v in doc.items() if k not in ("peak_flops_by_precision", "memory_gb")}
+    first, second = HardwareSpec(**required), HardwareSpec(**required)
+    assert first.peak_flops_by_precision == {} and type(first.memory_gb) is dict
+    assert first.peak_flops_by_precision is not second.peak_flops_by_precision
 
 
 def _rule(**overrides):

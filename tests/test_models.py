@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from moemeter.errors import ValidationError, fields
+from moemeter.errors import ValidationError, asdict, fields
 from moemeter.models import (
     _COUNT_FIELDS,
     ModelDescriptor,
@@ -14,7 +14,6 @@ from moemeter.models import (
     attn_flops_per_token,
     dense_flops_per_token,
     descriptor_from_dict,
-    descriptor_to_dict,
     fold_passes,
     kv_cache_bytes,
     load_model_descriptor,
@@ -66,14 +65,14 @@ def test_degenerate_descriptor_total_equals_active():
 # ---------------------------------------------------------------------------
 
 def test_missing_field_names_field(toy_desc):
-    doc = descriptor_to_dict(toy_desc)
+    doc = asdict(toy_desc)
     del doc["n_expert"]
     with pytest.raises(ValidationError, match="n_expert"):
         descriptor_from_dict(doc)
 
 
 def test_unknown_key_rejected(toy_desc):
-    doc = descriptor_to_dict(toy_desc)
+    doc = asdict(toy_desc)
     doc["surprise"] = 1
     with pytest.raises(ValidationError, match="surprise"):
         descriptor_from_dict(doc)
