@@ -1,7 +1,7 @@
-"""Shared exception types, the ``record`` decorator every record class is
-built with, and the package's strict edges: the JSON reader, the one reader
-that turns a JSON object into a record, and the report renderers, which
-refuse a non-finite number naming ``report``."""
+"""Shared exception types, the ``record`` decorator that makes every record
+class a frozen one, and the package's strict edges: the JSON reader, the one
+reader that turns a JSON object into a record, and the report renderers,
+which refuse a non-finite number naming ``report``."""
 
 from __future__ import annotations
 
@@ -148,7 +148,16 @@ def record(cls):
 def load_json(path: str | Path) -> Any:
     """Read a JSON file as strict JSON: malformed text, NaN and Infinity
     literals, and numbers (integers too) too large for a double are
-    validation errors naming the file."""
+    validation errors naming the file, and a key given twice in one object
+    is one naming that key."""
+
+    def unique_keys(pairs: list) -> dict:
+        doc = dict(pairs)
+        if len(doc) < len(pairs):
+            keys = [k for k, _ in pairs]
+            key = next(k for i, k in enumerate(keys) if k in keys[:i])
+            raise ValidationError(f"{path}: key {key!r} appears twice in one object", field=key)
+        return doc
 
     def reject_constant(literal: str):
         raise ValidationError(f"{path}: {literal} is not a JSON number", field="document")
@@ -169,7 +178,10 @@ def load_json(path: str | Path) -> Any:
 
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh, parse_constant=reject_constant, parse_float=finite_float, parse_int=finite_int)
+            return json.load(
+                fh, object_pairs_hook=unique_keys, parse_constant=reject_constant,
+                parse_float=finite_float, parse_int=finite_int,
+            )
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: invalid JSON ({exc})", field="document") from None
 

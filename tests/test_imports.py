@@ -9,11 +9,15 @@ re-exported on purpose sits on a line marked ``# noqa: F401``. The
 unused-definition rule: a module-level ``_private`` function, class or
 constant must be read by some module of the package, so neither a helper
 left behind by a refactor nor code only a test calls stays in ``src/``.
+
+The same files must also parse as the oldest Python that ``pyproject.toml``
+admits, which the host interpreter, being newer, would not check.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 
 import pytest
 
@@ -29,6 +33,22 @@ IMPORTING = {
         for path in sorted((REPO_ROOT / directory).glob("*.py"))
     },
 }
+PYTHON_FLOOR = (3, 10)
+
+
+def test_the_floor_is_the_declared_one():
+    declared = re.search(r'requires-python = ">=(\d+)\.(\d+)"', (REPO_ROOT / "pyproject.toml").read_text())
+    assert tuple(map(int, declared.groups())) == PYTHON_FLOOR
+
+
+def test_the_floor_check_finds_newer_syntax():
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=PYTHON_FLOOR)
+
+
+@pytest.mark.parametrize("name", IMPORTING)
+def test_file_parses_at_the_python_floor(name):
+    ast.parse(IMPORTING[name].read_text(encoding="utf-8"), feature_version=PYTHON_FLOOR)
 
 
 def _string_annotation_names(tree: ast.AST) -> set[str]:

@@ -34,6 +34,8 @@ RECORD_CLASSES = (
 )
 MODELS = REPO_ROOT / "models"
 CATALOG = REPO_ROOT / "catalog" / "default.json"
+RADAR = REPO_ROOT / "bundles" / "radar_serving_systems.json"
+RULES = REPO_ROOT / "rules" / "decision_matrix.json"
 
 
 # every record class in the package, found by the attribute `record` sets
@@ -59,8 +61,8 @@ def record_examples() -> dict:
     zipf = routing.RoutingDistribution.zipf(1.1)
     requirement = planner.plan_requirement(toy, int8, slo, "trace", sheet=sheet, include_ops=True)
     report = metrics.compute_metric_report(sheet, toy, int8, 3.35e12, 1.979e15)
-    records = cap.load_cap_records(REPO_ROOT / "bundles" / "radar_serving_systems.json")
-    rules = cap.load_decision_rules(REPO_ROOT / "rules" / "decision_matrix.json")
+    records = cap.load_cap_records(RADAR)
+    rules = cap.load_decision_rules(RULES)
     rule = rules[0]
     examples = [
         int8,
@@ -267,6 +269,50 @@ def test_malformed_document_exits_2_naming_its_field(tmp_path, capsys, kind, doc
     captured = capsys.readouterr()
     err = json.loads(captured.err)["error"]
     assert err["type"] == "validation" and err["field"] == field
+    assert captured.out == "" and not out.exists()
+
+
+def _with_duplicate(doc, key: str, value, inside=lambda doc: doc) -> str:
+    """The JSON text of ``doc`` with ``key`` given a second time, as ``value``,
+    in the object ``inside(doc)``."""
+    marker = "@duplicate"
+    inside(doc)[marker] = value
+    return json.dumps(doc).replace(json.dumps(marker), json.dumps(key))
+
+
+@pytest.mark.parametrize(
+    "kind, text, field",
+    [
+        ("model", _with_duplicate(_descriptor(), "n_expert", 8), "n_expert"),
+        ("catalog", _with_duplicate(_catalog(), "tdp_watts", 1.0, lambda doc: doc[0]), "tdp_watts"),
+        ("cost", _with_duplicate(_cost_inputs(), "runtime_hours", 1, lambda doc: doc["economics"]), "runtime_hours"),
+        (
+            "radar",
+            _with_duplicate(json.loads(RADAR.read_text()), "system_name", "other", lambda doc: doc[0]),
+            "system_name",
+        ),
+        ("rules", _with_duplicate(json.loads(RULES.read_text()), "reason", "other", lambda doc: doc[0]), "reason"),
+    ],
+    ids=["model", "catalog", "cost", "radar", "rules"],
+)
+def test_a_key_given_twice_exits_2_naming_it(tmp_path, capsys, kind, text, field):
+    from moemeter.cli import main
+
+    path = tmp_path / f"{kind}.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    argv = {
+        "model": ["plan", "--model", path, "--catalog", CATALOG, "--output-dir", out],
+        "catalog": ["plan", "--model", MODELS / "toy-4x2.json", "--catalog", path, "--output-dir", out],
+        "cost": ["cost", "--inputs", path, "--output-dir", out],
+        "radar": ["radar", "--records", path, "--output-dir", out],
+        "rules": ["recommend", "--rules", path, "--tier", "edge", "--batch", 1, "--primary", "cost",
+                  "--secondary", "accuracy", "--output-dir", out],
+    }[kind]
+    assert main([str(a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)["error"]
+    assert err["type"] == "validation" and err["field"] == field and "appears twice" in err["message"]
     assert captured.out == "" and not out.exists()
 
 
