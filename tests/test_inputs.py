@@ -240,6 +240,15 @@ def _catalog(**fields):
     return [{**devices[0], **fields}, *devices[1:]]
 
 
+def _twice(kind: str, doc, key: str, value, inside=lambda doc: doc):
+    """A case whose document is the JSON text of ``doc`` with ``key`` given
+    a second time, as ``value``, in the object ``inside(doc)``."""
+    marker = "@duplicate"
+    inside(doc)[marker] = value
+    text = json.dumps(doc).replace(json.dumps(marker), json.dumps(key))
+    return pytest.param(kind, text, key, id=f"{kind}-{key}-twice")
+
+
 @pytest.mark.parametrize(
     "kind, doc, field",
     [
@@ -252,54 +261,19 @@ def _catalog(**fields):
         ("catalog", _catalog(name=[1]), "name"),
         ("cost", 5, "document"),
         ("cost", _cost_inputs(token_throughput_tps=True), "token_throughput_tps"),
+        # a duplicate key would otherwise pass: the reader kept the last value
+        _twice("model", _descriptor(), "n_expert", 8),
+        _twice("catalog", _catalog(), "tdp_watts", 1.0, lambda doc: doc[0]),
+        _twice("cost", _cost_inputs(), "runtime_hours", 1, lambda doc: doc["economics"]),
+        _twice("radar", json.loads(RADAR.read_text()), "system_name", "other", lambda doc: doc[0]),
+        _twice("rules", json.loads(RULES.read_text()), "reason", "other", lambda doc: doc[0]),
     ],
 )
 def test_malformed_document_exits_2_naming_its_field(tmp_path, capsys, kind, doc, field):
     from moemeter.cli import main
 
     path = tmp_path / f"{kind}.json"
-    path.write_text(json.dumps(doc))
-    out = tmp_path / "out"
-    argv = {
-        "model": ["plan", "--model", path, "--catalog", CATALOG, "--output-dir", out],
-        "catalog": ["plan", "--model", MODELS / "toy-4x2.json", "--catalog", path, "--output-dir", out],
-        "cost": ["cost", "--inputs", path, "--output-dir", out],
-    }[kind]
-    assert main([str(a) for a in argv]) == 2
-    captured = capsys.readouterr()
-    err = json.loads(captured.err)["error"]
-    assert err["type"] == "validation" and err["field"] == field
-    assert captured.out == "" and not out.exists()
-
-
-def _with_duplicate(doc, key: str, value, inside=lambda doc: doc) -> str:
-    """The JSON text of ``doc`` with ``key`` given a second time, as ``value``,
-    in the object ``inside(doc)``."""
-    marker = "@duplicate"
-    inside(doc)[marker] = value
-    return json.dumps(doc).replace(json.dumps(marker), json.dumps(key))
-
-
-@pytest.mark.parametrize(
-    "kind, text, field",
-    [
-        ("model", _with_duplicate(_descriptor(), "n_expert", 8), "n_expert"),
-        ("catalog", _with_duplicate(_catalog(), "tdp_watts", 1.0, lambda doc: doc[0]), "tdp_watts"),
-        ("cost", _with_duplicate(_cost_inputs(), "runtime_hours", 1, lambda doc: doc["economics"]), "runtime_hours"),
-        (
-            "radar",
-            _with_duplicate(json.loads(RADAR.read_text()), "system_name", "other", lambda doc: doc[0]),
-            "system_name",
-        ),
-        ("rules", _with_duplicate(json.loads(RULES.read_text()), "reason", "other", lambda doc: doc[0]), "reason"),
-    ],
-    ids=["model", "catalog", "cost", "radar", "rules"],
-)
-def test_a_key_given_twice_exits_2_naming_it(tmp_path, capsys, kind, text, field):
-    from moemeter.cli import main
-
-    path = tmp_path / f"{kind}.json"
-    path.write_text(text)
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     out = tmp_path / "out"
     argv = {
         "model": ["plan", "--model", path, "--catalog", CATALOG, "--output-dir", out],
@@ -312,7 +286,7 @@ def test_a_key_given_twice_exits_2_naming_it(tmp_path, capsys, kind, text, field
     assert main([str(a) for a in argv]) == 2
     captured = capsys.readouterr()
     err = json.loads(captured.err)["error"]
-    assert err["type"] == "validation" and err["field"] == field and "appears twice" in err["message"]
+    assert err["type"] == "validation" and err["field"] == field
     assert captured.out == "" and not out.exists()
 
 
