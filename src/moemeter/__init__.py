@@ -27,15 +27,13 @@ _EXPORTS = {
         "normalize_radar",
         "recommend",
     ),
-    "catalog": ("HardwareSpec", "filter_devices", "get_device", "load_catalog"),
+    "catalog": ("HardwareSpec", "get_device", "load_catalog"),
     "costing": (
         "BillOfMaterials",
         "DeploymentEconomics",
         "PowerProfile",
         "cost_per_token",
-        "energy_cost_kwh",
         "load_cost_inputs",
-        "power_profile_from_tdp",
         "purchase_cost",
     ),
     "errors": ("ValidationError",),
@@ -56,7 +54,6 @@ _EXPORTS = {
         "ModelDescriptor",
         "Precision",
         "active_param_bytes_analytic",
-        "attn_flops_per_token",
         "dense_flops_per_token",
         "kv_cache_bytes",
         "load_model_descriptor",
@@ -74,8 +71,6 @@ _EXPORTS = {
         "batch_sweep",
         "feasibility",
         "plan_requirement",
-        "practical_bandwidth",
-        "practical_ops",
         "theoretical_bandwidth_gbps",
     ),
     "routing": (

@@ -18,7 +18,7 @@ from .errors import ValidationError, asdict, json_text, load_json, record, recor
 
 DEVICE_CLASSES = ("edge", "low_power", "workstation", "datacenter")
 MEMORY_TIERS = ("HBM", "DRAM", "SSD")
-_EMPTY: Mapping = MappingProxyType({})  # the shared default of the dict fields, copied per spec
+_EMPTY: Mapping = MappingProxyType({})  # the shared default of the mapping fields, copied per spec
 
 
 @record
@@ -28,16 +28,17 @@ class HardwareSpec:
     peak_bandwidth_gbps: float
     tdp_watts: float
     price_usd: float
-    peak_flops_by_precision: dict[str, float] = _EMPTY
-    memory_gb: dict[str, float] = _EMPTY
+    peak_flops_by_precision: Mapping[str, float] = _EMPTY
+    memory_gb: Mapping[str, float] = _EMPTY
     offload_bandwidth_gbps: float | None = None
     aggregate: bool = False
     source_note: str = ""
 
     def __post_init__(self):
-        # a spec's own copies: a caller's later edit to its document changes no validated figure
-        object.__setattr__(self, "peak_flops_by_precision", dict(self.peak_flops_by_precision))
-        object.__setattr__(self, "memory_gb", dict(self.memory_gb))
+        # a spec's own read-only copies: no later edit, to its document or to
+        # the spec, changes a validated figure
+        object.__setattr__(self, "peak_flops_by_precision", MappingProxyType(dict(self.peak_flops_by_precision)))
+        object.__setattr__(self, "memory_gb", MappingProxyType(dict(self.memory_gb)))
         if "|" in self.name:  # the batch sweep CSV joins feasible device names with it
             raise ValidationError(f"device {self.name!r}: name must not contain '|'", field="name")
         if self.device_class not in DEVICE_CLASSES:
@@ -102,26 +103,3 @@ def get_device(catalog: Sequence[HardwareSpec], name: str) -> HardwareSpec:
         if spec.name == name:
             return spec
     raise ValidationError(f"device {name!r} not in catalog", field="device")
-
-
-def filter_devices(
-    catalog: Sequence[HardwareSpec],
-    device_class: str | None = None,
-    min_bandwidth_gbps: float | None = None,
-    max_tdp_watts: float | None = None,
-    max_price_usd: float | None = None,
-) -> list[HardwareSpec]:
-    """Filter by class / bandwidth / power / price; stable (class, name) order."""
-    out = []
-    for spec in catalog:
-        if device_class is not None and spec.device_class != device_class:
-            continue
-        if min_bandwidth_gbps is not None and spec.peak_bandwidth_gbps < min_bandwidth_gbps:
-            continue
-        if max_tdp_watts is not None and spec.tdp_watts > max_tdp_watts:
-            continue
-        if max_price_usd is not None and spec.price_usd > max_price_usd:
-            continue
-        out.append(spec)
-    out.sort(key=lambda s: (DEVICE_CLASSES.index(s.device_class), s.name))
-    return out

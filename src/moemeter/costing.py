@@ -24,9 +24,6 @@ from .errors import ValidationError, fields, load_json, record, record_from_json
 
 SECONDS_PER_HOUR = 3600.0
 
-# Fraction of TDP drawn on average when only a TDP figure is available.
-DEFAULT_TDP_UTILIZATION = 0.6
-
 # BillOfMaterials line items, each its field name without ``_usd``.
 PURCHASED_ITEMS = ("gpu", "cpu", "motherboard", "dram", "ssd")
 INFORMATIONAL_ITEMS = ("hbm", "nvlink", "chip_to_memory", "pcie")
@@ -116,13 +113,6 @@ def purchase_cost(bom: BillOfMaterials) -> float:
     return _total(_items_usd(bom, PURCHASED_ITEMS).values())
 
 
-def energy_cost_kwh(power: PowerProfile, runtime_hours: float) -> float:
-    """Energy consumed over the runtime, in kWh."""
-    if not 0 < runtime_hours < math.inf:
-        raise ValidationError("runtime_hours must be finite and > 0", field="runtime_hours")
-    return power.total_watts / 1000.0 * runtime_hours
-
-
 def cost_per_token(
     bom: BillOfMaterials, power: PowerProfile, econ: DeploymentEconomics
 ) -> float:
@@ -130,27 +120,6 @@ def cost_per_token(
     over every token produced during the deployment runtime; the
     ``cost_per_token_usd`` of :func:`cost_report`."""
     return cost_report(bom, power, econ)["cost_per_token_usd"]
-
-
-def power_profile_from_tdp(
-    gpu_tdp_watts: float,
-    utilization: float = DEFAULT_TDP_UTILIZATION,
-    cpu_watts: float = 0.0,
-    chip_to_memory_watts: float = 0.0,
-    pcie_watts: float = 0.0,
-    nvlink_watts: float = 0.0,
-) -> PowerProfile:
-    """Seed an average power profile from a device TDP figure, scaled by a
-    documented utilization factor (overridable per run)."""
-    if not 0 < utilization <= 1:
-        raise ValidationError("utilization must be in (0, 1]", field="utilization")
-    return PowerProfile(
-        gpu_watts=gpu_tdp_watts * utilization,
-        cpu_watts=cpu_watts,
-        chip_to_memory_watts=chip_to_memory_watts,
-        pcie_watts=pcie_watts,
-        nvlink_watts=nvlink_watts,
-    )
 
 
 # --------------------------------------------------------------------------
@@ -176,7 +145,7 @@ def load_cost_inputs(path: str | Path) -> tuple[BillOfMaterials, PowerProfile, D
 def cost_report(bom: BillOfMaterials, power: PowerProfile, econ: DeploymentEconomics) -> dict:
     """Totals plus per-term breakdown for all three cost quantities."""
     purchase_usd = purchase_cost(bom)
-    kwh = energy_cost_kwh(power, econ.runtime_hours)
+    kwh = power.total_watts / 1000.0 * econ.runtime_hours
     energy_usd = kwh * econ.energy_price_usd_per_kwh
     tokens = econ.token_throughput_tps * econ.runtime_hours * SECONDS_PER_HOUR
     return {

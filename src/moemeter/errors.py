@@ -58,7 +58,8 @@ def fields(rec) -> tuple[Field, ...]:
 
 def asdict(rec) -> dict:
     """A record as a dict of its fields, recursing into records, lists,
-    tuples and dicts; other values are shared, not copied."""
+    tuples and mappings (each rendered as a dict); other values are shared,
+    not copied."""
     return {f.name: _plain(getattr(rec, f.name)) for f in rec.__record_fields__}
 
 
@@ -67,7 +68,7 @@ def _plain(value):
         return asdict(value)
     if type(value) in (list, tuple):
         return type(value)(map(_plain, value))
-    if type(value) is dict:
+    if isinstance(value, Mapping):
         return {_plain(k): _plain(v) for k, v in value.items()}
     return value
 
@@ -107,9 +108,9 @@ def record(cls):
     ``__post_init__`` if the class has one; ``__eq__``, ``__hash__`` and
     ``__repr__`` over the fields; and a ``__setattr__`` and ``__delattr__``
     that raise :class:`FrozenRecordError`, so a ``__post_init__`` sets a
-    normalized field with ``object.__setattr__``. A record with a dict or
-    list field is unhashable. Instances keep a ``__dict__``, so
-    ``functools.cached_property`` works on them.
+    normalized field with ``object.__setattr__``. A record holding a dict, a
+    list or a read-only view of a dict is unhashable. Instances keep a
+    ``__dict__``, so ``functools.cached_property`` works on them.
     """
     record_fields = []
     for name, annotation in cls.__dict__.get("__annotations__", {}).items():
@@ -236,7 +237,7 @@ JSON_TYPES = {
         "a list of true/false", lambda v: isinstance(v, (list, tuple)) and all(isinstance(x, bool) for x in v)
     ),
     "tuple[int, ...]": ("a list of integers", lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v))),
-    "dict[str, float]": ("an object of numbers", lambda v: isinstance(v, dict) and all(map(_is_number, v.values()))),
+    "Mapping[str, float]": ("an object of numbers", lambda v: isinstance(v, dict) and all(map(_is_number, v.values()))),
 }
 
 

@@ -11,10 +11,12 @@ All functions are pure; peak bandwidth is in bytes/s and peak compute in
 FLOP/s. Values above 1.0 are reported (with a RuntimeWarning), never
 clamped, since they signal inconsistent inputs rather than physics.
 
-The report, the aggregate and per-pass S-MBU, the activated-parameter
-fraction and planner trace mode are views over one fold,
-:func:`models.fold_passes`: it charges each pass by
-:func:`models.pass_bytes` and sums bytes, latency and tokens. Every MBU is
+The report, the aggregate and per-pass S-MBU and planner trace mode are
+views over one fold, :func:`models.fold_passes`: it charges each pass by
+:func:`models.pass_bytes` and sums bytes, latency and tokens. The
+activated-parameter fraction is a view over the kernel under both,
+:func:`models.activated_params_from_sets`: integer parameter counts, so
+it stays exact past 2**53 parameters. Every MBU is
 bytes / seconds / peak (``_mbu``) and every MFU tokens/s * FLOPs / peak
 (``_mfu``), whether standalone, per pass or aggregate. A report's per-pass
 and aggregate figures are one rate rule, ``_rates``, over (bytes read,
@@ -31,6 +33,7 @@ from .errors import ValidationError, csv_text, fields, record
 from .models import (
     ModelDescriptor,
     Precision,
+    activated_params_from_sets,
     dense_flops_per_token,
     fold_passes,
     pass_bytes,
@@ -109,15 +112,16 @@ class ActivatedFractionReport:
 
 
 def activated_fraction(sheet: ActivationSheet, desc: ModelDescriptor) -> ActivatedFractionReport:
-    """Each pass's parameters read over the model's: the fold's activated
-    bytes at one byte per parameter, over :func:`models.total_params`."""
+    """Each pass's parameters read, :func:`models.activated_params_from_sets`,
+    over :func:`models.total_params`: a quotient of integers, correctly
+    rounded however large the counts."""
     validate_sheet(sheet, desc)
-    per_pass, *_ = fold_passes(sheet.passes, desc, Precision(1.0))
+    acts = [activated_params_from_sets(desc, rec.bitmaps) for rec in sheet.passes]
     total = total_params(desc)
     expert_total = len(desc.moe_layers) * (sum(desc.routed_expert_sizes) + desc.n_shared * desc.params_shared_expert)
-    fracs = tuple(act / total for act, _ in per_pass)
+    fracs = tuple(act / total for act in acts)
     # every pass reads all non-expert parameters, total - expert_total
-    experts = tuple((act - total + expert_total) / expert_total if expert_total > 0 else 1.0 for act, _ in per_pass)
+    experts = tuple((act - total + expert_total) / expert_total if expert_total > 0 else 1.0 for act in acts)
     return ActivatedFractionReport(fracs, sum(fracs) / len(fracs), experts, sum(experts) / len(experts))
 
 

@@ -41,16 +41,6 @@ if TYPE_CHECKING:
 
 ALLOWED_BYTES_PER_PARAM = (0.5, 1.0, 2.0, 4.0)
 
-PRECISION_NAMES = {
-    "int4": 0.5,
-    "fp4": 0.5,
-    "int8": 1.0,
-    "fp8": 1.0,
-    "fp16": 2.0,
-    "bf16": 2.0,
-    "fp32": 4.0,
-}
-
 # Planning conventions. They live here, not in planner, so that the CLI can
 # build its parser and run the non-planning commands without importing it.
 GB = 1e9
@@ -77,13 +67,6 @@ class Precision:
                 field="bytes_per_param",
             )
         object.__setattr__(self, "bytes_per_param", float(self.bytes_per_param))
-
-    @classmethod
-    def from_name(cls, name: str) -> "Precision":
-        try:
-            return cls(PRECISION_NAMES[name.lower()])
-        except KeyError:
-            raise ValidationError(f"unknown precision name {name!r}", field="precision") from None
 
 
 def _is_count(value) -> bool:
@@ -167,11 +150,6 @@ class ModelDescriptor:
     @cached_property
     def moe_layers(self) -> tuple[int, ...]:
         return tuple(i for i, moe in enumerate(self.moe_layer_mask) if moe)
-
-    @property
-    def k_expert(self) -> int:
-        """Experts activated per token in one MoE layer: top_k routed plus shared."""
-        return self.top_k + self.n_shared
 
     @cached_property
     def routed_expert_sizes(self) -> tuple[int, ...]:
@@ -376,12 +354,6 @@ def _context_flops(desc: ModelDescriptor, seq_len: int) -> float:
     return 4.0 * desc.n_layer * seq_len * desc.d_model
 
 
-def attn_flops_per_token(desc: ModelDescriptor, seq_len: int) -> float:
-    """Attention FLOPs per decoded token: 2 FLOPs per projection parameter
-    plus the context-length-dependent score/value terms."""
-    return 2.0 * desc.n_layer * desc.params_attn_layer + _context_flops(desc, seq_len)
-
-
 def sparse_flops_per_token(desc: ModelDescriptor, seq_len: int) -> float:
     """FLOPs per token counting only the experts a token actually activates
     (top_k routed, shared experts at their size) plus the router and
@@ -400,13 +372,9 @@ def dense_flops_per_token(desc: ModelDescriptor, seq_len: int) -> float:
 # Descriptor I/O
 # --------------------------------------------------------------------------
 
-def descriptor_from_dict(doc: Mapping) -> ModelDescriptor:
-    return record_from_json(ModelDescriptor, doc, "document")
-
-
 def load_model_descriptor(path: str | Path) -> ModelDescriptor:
     """Load and validate a descriptor JSON file."""
-    return descriptor_from_dict(load_json(path))
+    return record_from_json(ModelDescriptor, load_json(path), "document")
 
 
 def serialize_model_descriptor(desc: ModelDescriptor) -> str:

@@ -2,9 +2,10 @@
 
 Turns a model descriptor, an activation assumption and a latency target
 into hardware requirements. Theoretical bandwidth is the bytes a decode
-step must move divided by the TPOT target; the practical requirement
-divides by an achievable-utilization efficiency (a fraction in (0, 1]),
-since real systems never sustain a device's peak.
+step must move divided by the TPOT target; the practical requirement,
+which :func:`plan_requirement` computes alongside it, divides that by an
+achievable-utilization efficiency (a fraction in (0, 1]), since real
+systems never sustain a device's peak.
 
 Every requirement is built by :func:`plan_requirement`, and the other
 functions are views over it under the same plan settings (``efficiency_mbu``,
@@ -112,20 +113,6 @@ def theoretical_bandwidth_gbps(
     return plan_requirement(desc, prec, slo, activation_mode, **plan).theoretical_bandwidth_gbps
 
 
-def practical_bandwidth(theoretical_gbps: float, s_mbu_efficiency: float) -> float:
-    """Requirement after dividing by the achievable bandwidth utilization."""
-    if not 0 < s_mbu_efficiency <= 1:
-        raise ValidationError("efficiency must be in (0, 1]", field="s_mbu_efficiency")
-    return theoretical_gbps / s_mbu_efficiency
-
-
-def practical_ops(theoretical_ops: float, s_mfu_efficiency: float) -> float:
-    """Requirement after dividing by the achievable compute utilization."""
-    if not 0 < s_mfu_efficiency <= 1:
-        raise ValidationError("efficiency must be in (0, 1]", field="s_mfu_efficiency")
-    return theoretical_ops / s_mfu_efficiency
-
-
 def plan_requirement(
     desc: ModelDescriptor,
     prec: Precision,
@@ -142,7 +129,12 @@ def plan_requirement(
 ) -> DeploymentRequirement:
     """Bandwidth (and optionally OPS) requirement of one decode step: the
     bytes and tokens of the step, per TPOT target, then divided by the
-    achievable efficiency."""
+    achievable efficiency: ``efficiency_mbu`` for bandwidth, and for OPS
+    ``efficiency_mfu``, else ``efficiency_mbu``. Each efficiency given must
+    be in (0, 1], whether or not OPS are asked for."""
+    for name, efficiency in (("efficiency_mbu", efficiency_mbu), ("efficiency_mfu", efficiency_mfu)):
+        if efficiency is not None and not 0 < efficiency <= 1:
+            raise ValidationError(f"{name} must be in (0, 1], got {efficiency!r}", field=name)
     if activation_mode not in ACTIVATION_MODES:
         raise ValidationError(
             f"activation_mode must be one of {ACTIVATION_MODES}", field="activation_mode"
@@ -182,7 +174,7 @@ def plan_requirement(
     if include_ops:
         eff_mfu = efficiency_mfu if efficiency_mfu is not None else efficiency_mbu
         theo_ops = sparse_flops_per_token(desc, seq_len) * tokens / slo.tpot_s
-        prac_ops = practical_ops(theo_ops, eff_mfu)
+        prac_ops = theo_ops / eff_mfu
     return DeploymentRequirement(
         model_name=desc.name,
         activation_mode=activation_mode,
@@ -190,7 +182,7 @@ def plan_requirement(
         bytes_per_param=prec.bytes_per_param,
         kv_bytes=kv_bytes,
         theoretical_bandwidth_gbps=theoretical,
-        practical_bandwidth_gbps=practical_bandwidth(theoretical, efficiency_mbu),
+        practical_bandwidth_gbps=theoretical / efficiency_mbu,
         efficiency_mbu=efficiency_mbu,
         theoretical_ops=theo_ops,
         practical_ops=prac_ops,

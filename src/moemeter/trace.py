@@ -56,9 +56,9 @@ class ForwardPassRecord:
     bitmap per MoE layer (routed expert i at bit i).
 
     ``bitmaps`` also takes an iterable of expert indices per layer, packed
-    once here into a new dict. ``activated`` unpacks the bitmaps into index
-    sets on access, for readers; validation and accounting work on the
-    bitmaps.
+    once here into a new dict, which the record holds behind a read-only
+    view. ``activated`` unpacks the bitmaps into index sets on access, for
+    readers; validation and accounting work on the bitmaps.
     """
 
     pass_id: int
@@ -67,7 +67,7 @@ class ForwardPassRecord:
     tokens_processed: int
     latency_s: float
     kv_bytes_read: int
-    bitmaps: dict[int, int]
+    bitmaps: Mapping[int, int]
 
     def __post_init__(self):
         self._check_geometry()
@@ -81,17 +81,17 @@ class ForwardPassRecord:
                 f"pass {self.pass_id}: activations must be bitmaps or non-negative integer expert indices",
                 field="activated",
             ) from None
-        object.__setattr__(self, "bitmaps", bitmaps)
+        object.__setattr__(self, "bitmaps", MappingProxyType(bitmaps))
 
     @classmethod
     def _from_packed(
         cls, pass_id: int, phase: str, batch_size: int, tokens_processed: int, latency_s: float,
         kv_bytes_read: int, bitmaps: dict[int, int],
     ) -> ForwardPassRecord:
-        """A record that keeps ``bitmaps`` as given: a new dict from int layer
-        to non-negative int bitmap, such as the parser and ``simulate``
-        build. It skips the repacking (about 70 % of building an r1 record)
-        and runs every other check."""
+        """A record that holds ``bitmaps`` unrepacked, behind a read-only view:
+        a new dict from int layer to non-negative int bitmap, such as the
+        parser and ``simulate`` build. It skips the repacking (about 70 % of
+        building an r1 record) and runs every other check."""
         rec = cls.__new__(cls)
         set_ = object.__setattr__
         set_(rec, "pass_id", pass_id)
@@ -100,7 +100,7 @@ class ForwardPassRecord:
         set_(rec, "tokens_processed", tokens_processed)
         set_(rec, "latency_s", latency_s)
         set_(rec, "kv_bytes_read", kv_bytes_read)
-        set_(rec, "bitmaps", bitmaps)
+        set_(rec, "bitmaps", MappingProxyType(bitmaps))
         rec._check_geometry()
         return rec
 
@@ -137,9 +137,10 @@ class ForwardPassRecord:
 @record
 class ActivationSheet:
     model_name: str
-    passes: list[ForwardPassRecord]
+    passes: tuple[ForwardPassRecord, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "passes", tuple(self.passes))
         if not self.passes:
             raise ValidationError("activation sheet must contain at least one pass", field="passes")
 

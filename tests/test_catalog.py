@@ -4,7 +4,6 @@ import pytest
 
 from moemeter.catalog import (
     HardwareSpec,
-    filter_devices,
     get_device,
     load_catalog,
     serialize_catalog,
@@ -78,32 +77,6 @@ def test_pipe_in_device_name_rejected():
 def test_unknown_class_rejected():
     with pytest.raises(ValidationError, match="device_class"):
         HardwareSpec(name="x", device_class="mainframe", peak_bandwidth_gbps=1, tdp_watts=1, price_usd=1)
-
-
-def test_filter_datacenter_includes_dgx(shipped):
-    names = [s.name for s in filter_devices(shipped, device_class="datacenter")]
-    assert "DGX-H100" in names
-
-
-def test_filter_absurd_bandwidth_empty(shipped):
-    assert filter_devices(shipped, min_bandwidth_gbps=1e30) == []
-
-
-def test_filter_low_power_returns_only_edge_classes(shipped):
-    under_60w = filter_devices(shipped, max_tdp_watts=60.0)
-    assert under_60w, "expected some low-power devices in the shipped catalog"
-    assert {s.device_class for s in under_60w} <= {"edge", "low_power"}
-    assert {s.name for s in under_60w} == {"Orin-AGX", "Orin-NX"}
-
-
-def test_filters_return_subsets_in_stable_order(shipped):
-    out = filter_devices(shipped)
-    assert set(s.name for s in out) == set(s.name for s in shipped)
-    classes = [s.device_class for s in out]
-    order = ("edge", "low_power", "workstation", "datacenter")
-    assert classes == sorted(classes, key=order.index)
-    priced = filter_devices(shipped, max_price_usd=2_500)
-    assert set(s.name for s in priced) <= set(s.name for s in shipped)
 
 
 def test_catalog_roundtrip_byte_stable(catalog_path):

@@ -292,6 +292,10 @@ def test_recommend_match(tmp_path):
         ("plan", ["--mode", "expected", "--batch", 4]),
         ("plan", ["--mode", "expected", "--dist", "uniform"]),
         ("plan", ["--fig2", "--mode", "expected", "--dist", "uniform"]),
+        # an efficiency outside (0, 1], named by its flag, OPS asked for or not
+        ("plan", ["--efficiency-mbu", "0"]),
+        ("plan", ["--with-ops", "--efficiency-mfu", "2"]),
+        ("plan", ["--efficiency-mfu", "2"]),
     ],
 )
 def test_malformed_routing_arguments_exit_2(tmp_path, command, extra):
@@ -306,6 +310,10 @@ def test_malformed_routing_arguments_exit_2(tmp_path, command, extra):
         assert err["error"]["field"] == "batch"
     elif "expected" in extra and "--dist" not in extra:
         assert err["error"]["field"] == "dist"
+    elif "--efficiency-mbu" in extra:
+        assert err["error"]["field"] == "efficiency_mbu"
+    elif "--efficiency-mfu" in extra:
+        assert err["error"]["field"] == "efficiency_mfu"
     assert not list(tmp_path.iterdir())
 
 

@@ -14,14 +14,18 @@ from moemeter.costing import (
     PowerProfile,
     cost_per_token,
     cost_report,
-    energy_cost_kwh,
     load_cost_inputs,
-    power_profile_from_tdp,
     purchase_cost,
 )
 from moemeter.errors import ValidationError, fields
 
 HOURS_PER_YEAR = 8760.0
+
+
+def _energy_kwh(power: PowerProfile, runtime_hours: float) -> float:
+    """The energy a cost report charges for ``power`` over ``runtime_hours``."""
+    econ = DeploymentEconomics(runtime_hours, 0.1, 1.0)
+    return cost_report(BillOfMaterials(0, 0, 0, 0, 0), power, econ)["energy_kwh"]
 
 
 def test_purchase_all_zero():
@@ -66,11 +70,11 @@ def test_informational_decomposition_must_fit_line_items():
 
 def test_energy_hand_arithmetic():
     power = PowerProfile(gpu_watts=400, cpu_watts=100)
-    assert energy_cost_kwh(power, HOURS_PER_YEAR) == pytest.approx(4380.0)
+    assert _energy_kwh(power, HOURS_PER_YEAR) == pytest.approx(4380.0)
 
 
 def test_energy_zero_power():
-    assert energy_cost_kwh(PowerProfile(0, 0), 100.0) == 0.0
+    assert _energy_kwh(PowerProfile(0, 0), 100.0) == 0.0
 
 
 def test_cpu_share_of_draw_can_rival_gpu():
@@ -130,8 +134,8 @@ def test_linearity(gpu, cpu, runtime):
     double = BillOfMaterials(2 * gpu, 2 * cpu, 0, 0, 0)
     assert purchase_cost(double) == pytest.approx(2 * purchase_cost(bom), rel=1e-12, abs=1e-9)
     p = PowerProfile(gpu_watts=gpu, cpu_watts=cpu)
-    assert energy_cost_kwh(p, 2 * runtime) == pytest.approx(
-        2 * energy_cost_kwh(p, runtime), rel=1e-12, abs=1e-9
+    assert _energy_kwh(p, 2 * runtime) == pytest.approx(
+        2 * _energy_kwh(p, runtime), rel=1e-12, abs=1e-9
     )
 
 
@@ -142,7 +146,7 @@ def test_cost_identity_totals():
     econ = DeploymentEconomics(5_000.0, 0.15, 800.0)
     tokens = econ.token_throughput_tps * econ.runtime_hours * 3600.0
     lhs = cost_per_token(bom, power, econ) * tokens
-    rhs = purchase_cost(bom) + energy_cost_kwh(power, econ.runtime_hours) * 0.15
+    rhs = purchase_cost(bom) + _energy_kwh(power, econ.runtime_hours) * 0.15
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -169,13 +173,6 @@ def test_totals_add_left_to_right_from_the_first_item():
     # 1e16 + 1 rounds back to 1e16 twice; an exact or compensated sum (the
     # sum() of Python 3.12 on) gives 1.0000000000000002e16
     assert purchase_cost(BillOfMaterials(1e16, 1, 1, 0, 0)) == 1e16
-
-
-def test_power_profile_from_tdp_default_factor():
-    profile = power_profile_from_tdp(450.0)
-    assert profile.gpu_watts == pytest.approx(270.0)
-    with pytest.raises(ValidationError):
-        power_profile_from_tdp(450.0, utilization=1.5)
 
 
 def test_economics_validation():

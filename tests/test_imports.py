@@ -1,5 +1,5 @@
-"""No module of the package imports a name it never uses, and no private
-module-level definition is left that the package never reads.
+"""No module of the package imports a name it never uses, and no
+definition is left that nothing runs.
 
 No linter ships with the toolchain, so these are the two dead-code rules.
 The unused-import rule (pyflakes F401), over the package, its tests, its
@@ -7,8 +7,10 @@ scripts and its benchmark harness: a name bound by an import must be read
 somewhere in the module, in code or in a string annotation. A name
 re-exported on purpose sits on a line marked ``# noqa: F401``. The
 unused-definition rule: a module-level ``_private`` function, class or
-constant must be read by some module of the package, so neither a helper
-left behind by a refactor nor code only a test calls stays in ``src/``.
+constant must be read by some module of the package, and a public one, or a
+public method or property, by the package, its scripts, its benchmark
+harness or the acceptance tests, so neither a helper left behind by a
+refactor nor code only its own unit tests call stays in ``src/``.
 
 The same files must also parse as the oldest Python that ``pyproject.toml``
 admits, which the host interpreter, being newer, would not check.
@@ -108,9 +110,10 @@ def test_module_imports_no_unused_name(name):
     assert unused_imports(IMPORTING[name].read_text(encoding="utf-8")) == []
 
 
-def _private_definitions(tree: ast.Module) -> list[str]:
-    """The ``_private`` (not dunder) names a module defines at its top level,
-    looking into top-level ``if`` and ``try`` blocks."""
+def _definitions(tree: ast.Module) -> list[str]:
+    """The names a module defines at its top level, looking into top-level
+    ``if`` and ``try`` blocks, and ``Class.name`` for each public method or
+    property of a public class defined there; dunder names are left out."""
     names, body = [], list(tree.body)
     while body:
         node = body.pop(0)
@@ -119,17 +122,49 @@ def _private_definitions(tree: ast.Module) -> list[str]:
                      *(s for h in getattr(node, "handlers", []) for s in h.body)]
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.append(node.name)
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                names += [
+                    f"{node.name}.{m.name}" for m in node.body
+                    if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)) and not m.name.startswith("_")
+                ]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names += [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
-    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
 
 
-def unused_definitions(sources: dict[str, str]) -> list[str]:
-    """``module.name`` for each private module-level definition in
-    ``sources`` (module name -> source) that no module reads: not by name
-    in its own module, not through an import from it, and not as an
-    attribute anywhere."""
+# a string that names something: `getattr`'s second argument, or a dotted path
+_IDENTIFIER_PATH = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def _public_reads(tree: ast.AST) -> set[str]:
+    """Every name ``tree`` reads: by name, as an attribute, as a name it
+    imports, in a string annotation, or as an identifier string (each part
+    of a dotted one)."""
+    reads = _string_annotation_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            reads.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            reads.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and _IDENTIFIER_PATH.fullmatch(node.value):
+            reads.update(node.value.split("."))
+    return reads
+
+
+def unused_definitions(sources: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """``module.name`` for each definition in ``sources`` (module name ->
+    source) that nothing reads.
+
+    A private module-level function, class or constant must be read by some
+    module of ``sources``: by name in its own module, through an import from
+    it, or as an attribute anywhere. A public one, and a public method or
+    property (``module.Class.name``), may also be read by ``readers`` (file
+    -> source), and in any way :func:`_public_reads` finds. ``__init__``
+    only maps the package's names to their modules, so it reads none.
+    """
     trees = {module: ast.parse(source) for module, source in sources.items()}
     attributes = {node.attr for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     imported = {
@@ -139,14 +174,20 @@ def unused_definitions(sources: dict[str, str]) -> list[str]:
         if isinstance(node, ast.ImportFrom) and node.level == 1
         for alias in node.names
     }
+    public_reads = set().union(
+        *(_public_reads(tree) for module, tree in trees.items() if module != "__init__"),
+        *(_public_reads(ast.parse(source)) for source in readers.values()),
+    )
     unused = []
     for module, tree in trees.items():
         loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         read = loaded | _string_annotation_names(tree) | attributes
-        unused += [
-            f"{module}.{name}" for name in _private_definitions(tree)
-            if name not in read and (module, name) not in imported
-        ]
+        for name in _definitions(tree):
+            if name.startswith("_"):
+                if name not in read and (module, name) not in imported:
+                    unused.append(f"{module}.{name}")
+            elif name.split(".")[-1] not in public_reads:
+                unused.append(f"{module}.{name}")
     return unused
 
 
@@ -167,12 +208,37 @@ def test_the_check_finds_an_unused_definition():
             "    def _checked_only(): ...\n"
             "def _imported(): ...\n"
             "def _as_attribute(): ...\n"
+            "def _script_only(): ...\n"
             "def public(arg: '_Annotated') -> None: ...\n"
+            "PUBLIC_UNREAD = 3\n"
+            "class Thing:\n"
+            "    def __init__(self): ...\n"
+            "    def _helper(self): ...\n"
+            "    def used(self): ...\n"
+            "    @property\n"
+            "    def unread(self): ...\n"
+            "def in_a_path(): ...\n"
         ),
         "b": "from . import a\nfrom .a import _imported\n_imported(a._as_attribute)\n",
+        "__init__": "_EXPORTS = {'a': ('PUBLIC_UNREAD',)}\n__all__ = list(_EXPORTS)\n",
     }
-    assert unused_definitions(sources) == ["a._UNUSED", "a._x", "a._y", "a._dead", "a._checked_only"]
+    readers = {
+        "script.py": (
+            "from a import Thing, _script_only\n"
+            "import a\n"
+            "Thing().used(getattr(a, 'public'), _script_only)\n"
+            "SPANS = ('a.in_a_path',)\n"
+        ),
+    }
+    assert unused_definitions(sources, readers) == [
+        "a._UNUSED", "a._x", "a._y", "a._dead", "a._script_only", "a.PUBLIC_UNREAD", "a.Thing.unread", "a._checked_only",
+    ]
 
 
-def test_package_defines_no_unused_private_name():
-    assert unused_definitions({path.stem: path.read_text(encoding="utf-8") for path in MODULES}) == []
+def test_package_defines_no_unread_name():
+    package = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    readers = {
+        name: path.read_text(encoding="utf-8") for name, path in IMPORTING.items()
+        if name.startswith(("scripts/", "bench/")) or name == "tests/test_acceptance.py"
+    }
+    assert unused_definitions(package, readers) == []

@@ -9,6 +9,8 @@ import csv
 import io
 import json
 import math
+from types import MappingProxyType
+from typing import Mapping
 
 import pytest
 
@@ -92,16 +94,18 @@ def record_examples() -> dict:
 
 def _assert_plain(value, original):
     """``value`` is ``original`` with every record turned into a new dict of
-    its fields and every list, tuple and dict into a new one of its type;
-    any other value is shared."""
+    its fields, every list and tuple into a new one of its type, and every
+    mapping (a dict or a read-only view of one) into a new dict; any other
+    value is shared."""
     if hasattr(type(original), "__record_fields__"):
         assert type(value) is dict and list(value) == [f.name for f in fields(original)]
         for f in fields(original):
             _assert_plain(value[f.name], getattr(original, f.name))
-    elif type(original) in (list, tuple, dict):
-        assert type(value) is type(original) and len(value) == len(original)
+    elif type(original) in (list, tuple) or isinstance(original, Mapping):
+        assert type(value) is (dict if isinstance(original, Mapping) else type(original))
+        assert len(value) == len(original)
         assert value is not original or original == ()  # () is a singleton
-        if type(original) is dict:
+        if isinstance(original, Mapping):
             assert list(value) == list(original)
             value, original = list(value.values()), list(original.values())
         for v, o in zip(value, original):
@@ -137,7 +141,7 @@ def test_record_classes_compare_hash_freeze_and_convert_by_their_fields(record_e
         assert changed != rec, name
     try:
         by_fields = hash(tuple(values.values()))
-    except TypeError:  # a dict or list field
+    except TypeError:  # a field holding a dict, a list or a read-only view of a dict
         with pytest.raises(TypeError, match="unhashable"):
             hash(rec)
     else:
@@ -167,11 +171,32 @@ def test_hardware_spec_keeps_its_figures_when_the_callers_dicts_change():
     doc["memory_gb"].clear()
     for spec in (built, loaded):
         assert spec.peak_flops_by_precision == flops and spec.memory_gb == memory
-    # the dict fields default to an empty dict of the spec's own
+    # the mapping fields default to an empty read-only view of the spec's own
     required = {k: v for k, v in doc.items() if k not in ("peak_flops_by_precision", "memory_gb")}
     first, second = HardwareSpec(**required), HardwareSpec(**required)
-    assert first.peak_flops_by_precision == {} and type(first.memory_gb) is dict
+    assert first.peak_flops_by_precision == {} and type(first.memory_gb) is MappingProxyType
     assert first.peak_flops_by_precision is not second.peak_flops_by_precision
+
+
+def test_validated_records_refuse_edits_to_their_containers():
+    doc = json.loads(CATALOG.read_text())[0]
+    toy = models.load_model_descriptor(MODELS / "toy-4x2.json")
+    parsed = trace.load_activation_sheet(REPO_ROOT / "traces" / "sample_decode.trace", toy)
+    built = trace.ActivationSheet(toy.name, [trace.ForwardPassRecord(0, "decode", 1, 1, 0.01, 0, {0: {0, 1}, 1: {2}})])
+    for spec in (catalog.load_catalog([doc])[0], HardwareSpec(**doc)):
+        with pytest.raises(TypeError, match="does not support item assignment"):
+            spec.peak_flops_by_precision["fp16"] = math.nan
+        with pytest.raises(TypeError, match="does not support item assignment"):
+            spec.memory_gb["HBM"] = 0.0
+        assert spec == HardwareSpec(**doc)
+    for sheet in (parsed, built):  # bitmaps held as parsed, and as packed from index sets
+        count = len(sheet.passes)
+        with pytest.raises(TypeError, match="does not support item assignment"):
+            sheet.passes[0].bitmaps[0] = 1 << 300
+        with pytest.raises(AttributeError, match="clear"):
+            sheet.passes.clear()
+        assert len(sheet.passes) == count and max(sheet.passes[0].bitmaps.values()) < 1 << toy.n_expert
+    trace.validate_sheet(parsed, toy)
 
 
 def _rule(**overrides):
@@ -334,10 +359,8 @@ _TOY = models.load_model_descriptor(MODELS / "toy-4x2.json")
 _NUMERIC_ARGUMENTS = [
     (metrics.s_mfu, "throughput_tokens_per_s", dict(desc=_TOY, seq_len=1, hw_peak_flops=1e15)),
     (metrics.vanilla_mfu, "throughput_tokens_per_s", dict(desc=_TOY, seq_len=1, hw_peak_flops=1e15)),
-    (costing.energy_cost_kwh, "runtime_hours", dict(power=PowerProfile(400, 100))),
     (models.kv_cache_bytes, "seq_len", dict(desc=_TOY, batch=1, prec=models.Precision(1.0))),
     (models.kv_cache_bytes, "batch", dict(desc=_TOY, seq_len=1, prec=models.Precision(1.0))),
-    (models.attn_flops_per_token, "seq_len", dict(desc=_TOY)),
     (models.sparse_flops_per_token, "seq_len", dict(desc=_TOY)),
     (models.dense_flops_per_token, "seq_len", dict(desc=_TOY)),
 ]

@@ -564,13 +564,15 @@ def test_overflowing_latency_total_is_named():
     sets = {0: frozenset({0, 1}), 1: frozenset({2, 3})}
     passes = [ForwardPassRecord(i, "decode", 1, 1, 1e308, 0, sets) for i in range(3)]
     sheet = ActivationSheet(desc.name, passes)
-    # trace mode and the activated fraction read no latency, but fold the same passes
+    # trace mode reads no latency, but folds the same passes
     for compute in (
         lambda: s_mbu_aggregate(sheet, desc, INT8, 1e12),
         lambda: compute_metric_report(sheet, desc, INT8, 1e12, 1e15),
         lambda: plan_requirement(desc, INT8, SloSpec(0.1), "trace", sheet=sheet),
-        lambda: activated_fraction(sheet, desc),
     ):
         with pytest.raises(ValidationError) as info:
             compute()
         assert info.value.field == "latency_s"
+    # the activated fraction counts parameters alone, so no latency can overflow it
+    short = ActivationSheet(desc.name, [ForwardPassRecord(i, "decode", 1, 1, 0.01, 0, sets) for i in range(3)])
+    assert activated_fraction(sheet, desc) == activated_fraction(short, desc)

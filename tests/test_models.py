@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from moemeter.errors import ValidationError, asdict, fields
+from moemeter.errors import ValidationError, asdict, fields, record_from_json
 from moemeter.models import (
     _COUNT_FIELDS,
     ModelDescriptor,
@@ -11,9 +11,7 @@ from moemeter.models import (
     active_param_bytes_analytic,
     active_params_analytic,
     activated_params_from_sets,
-    attn_flops_per_token,
     dense_flops_per_token,
-    descriptor_from_dict,
     fold_passes,
     kv_cache_bytes,
     load_model_descriptor,
@@ -68,14 +66,14 @@ def test_missing_field_names_field(toy_desc):
     doc = asdict(toy_desc)
     del doc["n_expert"]
     with pytest.raises(ValidationError, match="n_expert"):
-        descriptor_from_dict(doc)
+        record_from_json(ModelDescriptor, doc, "document")
 
 
 def test_unknown_key_rejected(toy_desc):
     doc = asdict(toy_desc)
     doc["surprise"] = 1
     with pytest.raises(ValidationError, match="surprise"):
-        descriptor_from_dict(doc)
+        record_from_json(ModelDescriptor, doc, "document")
 
 
 def test_top_k_exceeding_experts_names_field():
@@ -207,27 +205,32 @@ def test_sparse_flops_single_layer_toy():
         params_attn_layer=500_000_000,
         params_embed=0,
     )
-    assert desc.k_expert == 3
     assert sparse_flops_per_token(desc, seq_len=1) == 1e9 + 2e6 + 2 * 3 * 1e7
     assert sparse_flops_per_token(desc, seq_len=1) == 1.062e9
 
 
+def _attn_flops(desc: ModelDescriptor, seq_len: int) -> float:
+    """Attention FLOPs per token as the models module documents them: 2 per
+    projection parameter plus 4 * seq_len * d_model, in every layer."""
+    return 2.0 * desc.n_layer * desc.params_attn_layer + 4.0 * desc.n_layer * seq_len * desc.d_model
+
+
 def test_sparse_flops_zero_expert_params():
     desc = make_desc(params_expert=0, params_shared_expert=0, d_model=0)
-    expected = attn_flops_per_token(desc, 1) + 2 * 2 * desc.params_router
+    expected = _attn_flops(desc, 1) + 2 * 2 * desc.params_router
     assert sparse_flops_per_token(desc, 1) == expected
 
 
 def test_sparse_flops_dense_special_case():
     desc = make_desc(n_expert=1, top_k=1, params_router=0, d_model=0)
-    assert sparse_flops_per_token(desc, 1) == attn_flops_per_token(desc, 1) + 2 * 2 * desc.params_expert
+    assert sparse_flops_per_token(desc, 1) == _attn_flops(desc, 1) + 2 * 2 * desc.params_expert
     assert sparse_flops_per_token(desc, 1) == dense_flops_per_token(desc, 1)
 
 
 def test_attn_flops_seq_term():
     desc = make_desc(d_model=64)
-    base = attn_flops_per_token(desc, 1)
-    assert attn_flops_per_token(desc, 11) - base == 4 * desc.n_layer * 10 * 64
+    for flops in (sparse_flops_per_token, dense_flops_per_token):
+        assert flops(desc, 11) - flops(desc, 1) == 4 * desc.n_layer * 10 * 64
 
 
 def test_sparse_flops_strictly_increasing_in_top_k():
@@ -319,15 +322,6 @@ def test_bytes_linear_in_precision(desc, bpp):
 def test_precision_rejects_odd_widths():
     with pytest.raises(ValidationError):
         Precision(3.0)
-
-
-def test_precision_names():
-    assert Precision.from_name("int8").bytes_per_param == 1.0
-    assert Precision.from_name("fp16").bytes_per_param == 2.0
-    assert Precision.from_name("bf16").bytes_per_param == 2.0
-    assert Precision.from_name("int4").bytes_per_param == 0.5
-    with pytest.raises(ValidationError):
-        Precision.from_name("fp13")
 
 
 @given(st.data())

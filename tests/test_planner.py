@@ -22,8 +22,6 @@ from moemeter.planner import (
     batch_sweep,
     feasibility,
     plan_requirement,
-    practical_bandwidth,
-    practical_ops,
     sweep_to_csv,
     theoretical_bandwidth_gbps,
 )
@@ -171,23 +169,22 @@ def test_trace_mode_ops_use_mean_tokens_per_decode_pass(toy_desc, traces_dir):
 # ---------------------------------------------------------------------------
 
 def test_practical_bandwidth_headline_values(r1_desc):
-    batch1 = practical_bandwidth(
-        theoretical_bandwidth_gbps(r1_desc, INT8, SLO, "batch1_analytic"), 0.3558
-    )
-    assert batch1 == pytest.approx(1040.0, rel=0.01)
-    full = practical_bandwidth(
-        theoretical_bandwidth_gbps(r1_desc, INT8, SLO, "full_activation"), 0.3558
-    )
-    assert full == pytest.approx(18_901.0, rel=0.01)
+    batch1 = plan_requirement(r1_desc, INT8, SLO, "batch1_analytic", efficiency_mbu=0.3558)
+    assert batch1.practical_bandwidth_gbps == pytest.approx(1040.0, rel=0.01)
+    full = plan_requirement(r1_desc, INT8, SLO, "full_activation", efficiency_mbu=0.3558)
+    assert full.practical_bandwidth_gbps == pytest.approx(18_901.0, rel=0.01)
 
 
-def test_practical_bandwidth_half_efficiency_doubles():
-    assert practical_bandwidth(400.0, 0.5) == 800.0
+def test_practical_bandwidth_half_efficiency_doubles(toy_desc):
+    req = plan_requirement(toy_desc, INT8, SLO, "batch1_analytic", efficiency_mbu=0.5)
+    assert req.practical_bandwidth_gbps == 2 * req.theoretical_bandwidth_gbps
 
 
-def test_practical_ops_arithmetic():
-    assert practical_ops(1e12, 0.5) == 2e12
-    assert practical_ops(3.3e13, 1.0) == 3.3e13
+def test_practical_ops_arithmetic(toy_desc):
+    half = plan_requirement(toy_desc, INT8, SLO, "batch1_analytic", include_ops=True, efficiency_mfu=0.5)
+    assert half.practical_ops == 2 * half.theoretical_ops
+    whole = plan_requirement(toy_desc, INT8, SLO, "batch1_analytic", include_ops=True, efficiency_mfu=1.0)
+    assert whole.practical_ops == whole.theoretical_ops
 
 
 def test_practical_ops_from_sparse_flops(toy_desc):
@@ -201,13 +198,19 @@ def test_practical_ops_from_sparse_flops(toy_desc):
     assert req.practical_ops == pytest.approx(4 * theoretical, rel=1e-12)
 
 
-def test_efficiency_domain_errors():
-    with pytest.raises(ValidationError):
-        practical_bandwidth(100.0, 0.0)
-    with pytest.raises(ValidationError):
-        practical_bandwidth(100.0, 1.2)
-    with pytest.raises(ValidationError):
-        practical_ops(100.0, -0.1)
+def test_efficiency_domain_errors(toy_desc):
+    # each is refused at entry, naming the argument, with or without OPS:
+    # expected mode lacks its batch and distribution, which it would name later
+    for plan, field in [
+        (dict(efficiency_mbu=0.0), "efficiency_mbu"),
+        (dict(efficiency_mbu=1.2), "efficiency_mbu"),
+        (dict(efficiency_mbu=math.nan), "efficiency_mbu"),
+        (dict(efficiency_mfu=-0.1), "efficiency_mfu"),
+        (dict(efficiency_mfu=-0.1, include_ops=True), "efficiency_mfu"),
+    ]:
+        with pytest.raises(ValidationError, match="must be in \\(0, 1\\]") as info:
+            plan_requirement(toy_desc, INT8, SLO, "expected", **plan)
+        assert info.value.field == field
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +320,8 @@ def test_empty_catalog_rejected(toy_desc):
 
 def test_sweep_batch1_matches_analytic(toy_desc):
     points = batch_sweep(toy_desc, RoutingDistribution.uniform(), [1], SLO, INT8, efficiency_mbu=0.5)
-    analytic = practical_bandwidth(
-        theoretical_bandwidth_gbps(toy_desc, INT8, SLO, "batch1_analytic"), 0.5
-    )
-    assert points[0].practical_bandwidth_gbps == pytest.approx(analytic, rel=1e-12)
+    analytic = plan_requirement(toy_desc, INT8, SLO, "batch1_analytic", efficiency_mbu=0.5)
+    assert points[0].practical_bandwidth_gbps == pytest.approx(analytic.practical_bandwidth_gbps, rel=1e-12)
 
 
 def test_sweep_monotone_and_bounded(r1_desc):
@@ -329,8 +330,8 @@ def test_sweep_monotone_and_bounded(r1_desc):
     )
     bws = [p.practical_bandwidth_gbps for p in points]
     assert bws == sorted(bws)
-    lo = practical_bandwidth(theoretical_bandwidth_gbps(r1_desc, INT8, SLO, "batch1_analytic"), 0.3558)
-    hi = practical_bandwidth(theoretical_bandwidth_gbps(r1_desc, INT8, SLO, "full_activation"), 0.3558)
+    lo = plan_requirement(r1_desc, INT8, SLO, "batch1_analytic", efficiency_mbu=0.3558).practical_bandwidth_gbps
+    hi = plan_requirement(r1_desc, INT8, SLO, "full_activation", efficiency_mbu=0.3558).practical_bandwidth_gbps
     assert all(lo - 1e-9 <= b <= hi + 1e-9 for b in bws)
 
 

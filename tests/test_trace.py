@@ -802,6 +802,19 @@ def test_fraction_hand_computed():
     assert report.per_pass_expert_only[0] == pytest.approx(15 / 30, rel=1e-12)
 
 
+def test_fraction_is_exact_past_two_to_the_53():
+    # 10**17 + 1 parameters in all, 3 of the 6 expert ones read: past 2**53 a
+    # double cannot hold the pass's count, and the share would round to 1.0
+    desc = make_desc(n_layer=1, moe_layer_mask=(True,), n_expert=2, top_k=1, params_expert=3, params_embed=10**17 + 1)
+    rec = ForwardPassRecord(0, "decode", 1, 1, 0.01, 0, {0: {0}})
+    report = activated_fraction(ActivationSheet(desc.name, [rec]), desc)
+    assert report.per_pass_expert_only == (0.5,)
+    from moemeter.models import total_params
+
+    total = total_params(desc)
+    assert total > 2**53 and report.per_pass == ((total - 3) / total,)
+
+
 def test_fraction_batch1_deepseek_r1(r1_desc):
     sheet = simulate_routing(r1_desc, 1, RoutingDistribution.uniform(), 1, seed=0)
     report = activated_fraction(sheet, r1_desc)
