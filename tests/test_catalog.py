@@ -12,6 +12,7 @@ from moemeter.cap import load_cap_records, load_decision_rules
 from moemeter.costing import load_cost_inputs
 from moemeter.errors import ValidationError
 from moemeter.models import load_model_descriptor
+from moemeter.planner import DeploymentRequirement, feasibility
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +78,44 @@ def test_pipe_in_device_name_rejected():
 def test_unknown_class_rejected():
     with pytest.raises(ValidationError, match="device_class"):
         HardwareSpec(name="x", device_class="mainframe", peak_bandwidth_gbps=1, tdp_watts=1, price_usd=1)
+
+
+def _requirement(bandwidth_gbps: float) -> DeploymentRequirement:
+    return DeploymentRequirement(
+        model_name="toy",
+        activation_mode="batch1_analytic",
+        tpot_s=0.1,
+        bytes_per_param=1.0,
+        kv_bytes=0.0,
+        theoretical_bandwidth_gbps=bandwidth_gbps,
+        practical_bandwidth_gbps=bandwidth_gbps,
+        efficiency_mbu=1.0,
+    )
+
+
+def test_filter_absurd_bandwidth_empty(shipped):
+    verdicts = feasibility(_requirement(1e30), shipped)
+    assert sorted(v.name for v in verdicts) == sorted(s.name for s in shipped)
+    assert not any(v.satisfied or v.bandwidth_ok for v in verdicts)
+
+
+def test_filter_low_power_returns_only_edge_classes(shipped):
+    under_60w = [s for s in shipped if s.tdp_watts <= 60.0]
+    assert {s.device_class for s in under_60w} == {"edge"}
+    assert {s.name for s in under_60w} == {"Orin-AGX", "Orin-NX"}
+
+
+def test_filters_return_subsets_in_stable_order(shipped):
+    # a wider margin admits a superset of devices, and the verdicts keep
+    # one per device in (TDP, price) order whatever the margin
+    previous: set[str] = set()
+    for margin in (0.0, 0.05, 0.5, 0.9):
+        verdicts = feasibility(_requirement(1000.0), shipped, margin=margin)
+        assert [(v.tdp_watts, v.price_usd) for v in verdicts] == sorted((s.tdp_watts, s.price_usd) for s in shipped)
+        passing = {v.name for v in verdicts if v.satisfied}
+        assert previous <= passing
+        previous = passing
+    assert previous == {s.name for s in shipped}
 
 
 def test_catalog_roundtrip_byte_stable(catalog_path):

@@ -235,10 +235,18 @@ def test_the_check_finds_an_unused_definition():
     ]
 
 
-def test_package_defines_no_unread_name():
+def _package_unread() -> list[str]:
     package = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     readers = {
         name: path.read_text(encoding="utf-8") for name, path in IMPORTING.items()
         if name.startswith(("scripts/", "bench/")) or name == "tests/test_acceptance.py"
     }
-    assert unused_definitions(package, readers) == []
+    return unused_definitions(package, readers)
+
+
+def test_package_defines_no_unused_private_name():
+    assert [name for name in _package_unread() if name.split(".")[-1].startswith("_")] == []
+
+
+def test_package_defines_no_unread_public_name():
+    assert [name for name in _package_unread() if not name.split(".")[-1].startswith("_")] == []

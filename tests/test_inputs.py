@@ -355,10 +355,22 @@ def test_renderers_refuse_non_finite_numbers(value):
 
 
 _TOY = models.load_model_descriptor(MODELS / "toy-4x2.json")
+
+
+def energy_cost_kwh(power: PowerProfile, runtime_hours: float) -> float:
+    """The energy ``cost_report`` charges for ``power`` over ``runtime_hours``;
+    ``DeploymentEconomics`` checks the runtime."""
+    econ = DeploymentEconomics(runtime_hours, 0.1, 1.0)
+    return costing.cost_report(BillOfMaterials(0, 0, 0, 0, 0), power, econ)["energy_kwh"]
+
+
 # (function, the argument under test, the other arguments)
 _NUMERIC_ARGUMENTS = [
     (metrics.s_mfu, "throughput_tokens_per_s", dict(desc=_TOY, seq_len=1, hw_peak_flops=1e15)),
     (metrics.vanilla_mfu, "throughput_tokens_per_s", dict(desc=_TOY, seq_len=1, hw_peak_flops=1e15)),
+    (energy_cost_kwh, "runtime_hours", dict(power=PowerProfile(400, 100))),
+    (DeploymentEconomics, "energy_price_usd_per_kwh", dict(runtime_hours=1.0, token_throughput_tps=1.0)),
+    (DeploymentEconomics, "token_throughput_tps", dict(runtime_hours=1.0, energy_price_usd_per_kwh=0.1)),
     (models.kv_cache_bytes, "seq_len", dict(desc=_TOY, batch=1, prec=models.Precision(1.0))),
     (models.kv_cache_bytes, "batch", dict(desc=_TOY, seq_len=1, prec=models.Precision(1.0))),
     (models.sparse_flops_per_token, "seq_len", dict(desc=_TOY)),
