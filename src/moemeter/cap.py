@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .errors import ValidationError, csv_text, load_json, record, record_from_json
@@ -88,11 +89,20 @@ class RadarDataset:
     and per-axis normalization bounds."""
 
     systems: tuple[str, ...]
-    axis_kinds: dict[str, str]
-    axis_directions: dict[str, str]
-    normalized: dict[str, dict[str, float]]
-    raw: dict[str, dict[str, float]]
-    bounds: dict[str, tuple[float, float]]
+    axis_kinds: Mapping[str, str]
+    axis_directions: Mapping[str, str]
+    normalized: Mapping[str, Mapping[str, float]]
+    raw: Mapping[str, Mapping[str, float]]
+    bounds: Mapping[str, tuple[float, float]]
+
+    def __post_init__(self):
+        # the dataset's own read-only copies, per system too: no later edit
+        # changes a normalized coordinate or the figures it came from
+        for name in ("axis_kinds", "axis_directions", "bounds"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+        for name in ("normalized", "raw"):
+            per_system = {system: MappingProxyType(dict(axes)) for system, axes in getattr(self, name).items()}
+            object.__setattr__(self, name, MappingProxyType(per_system))
 
 
 def normalize_radar(records: Sequence[CapRecord]) -> RadarDataset:
@@ -181,8 +191,8 @@ def radar_to_dict(dataset: RadarDataset, labels: Mapping[str, str]) -> dict:
         "systems": [
             {
                 "name": name,
-                "raw": dataset.raw[name],
-                "normalized": dataset.normalized[name],
+                "raw": dict(dataset.raw[name]),
+                "normalized": dict(dataset.normalized[name]),
                 "label": labels[name],
             }
             for name in dataset.systems

@@ -16,6 +16,11 @@ for text (a CSV, a simulated trace). ``main`` renders every document first,
 so every check runs before any file exists and a run that exits 2 leaves
 nothing behind; then it writes the files, removes the ones it wrote if a
 later write fails, and prints their paths in order once every write is done.
+``main`` returns the exit code and never ends the process, so a library
+caller keeps control. ``python -m moemeter`` and the installed script end
+through :func:`moemeter.__main__.run`, which flushes stdout and stderr and
+then skips the interpreter's teardown: by the time ``main`` returns, every
+output file is closed.
 
 Each subcommand imports the modules it runs inside its ``cmd_*`` function;
 at module level this file needs only what the parser does, so ``metrics``

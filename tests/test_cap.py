@@ -182,6 +182,19 @@ def test_radar_to_dict_shape(serving_records):
     assert all("label" in s for s in doc["systems"])
 
 
+def test_radar_dataset_refuses_edits_to_its_mappings(serving_records):
+    dataset = normalize_radar(serving_records)
+    before = radar_to_dict(dataset, classify_tradeoff(dataset))
+    with pytest.raises(TypeError, match="does not support item assignment"):
+        dataset.normalized["sglang"]["cost"] = 99.0
+    for field in ("axis_kinds", "axis_directions", "normalized", "raw", "bounds"):
+        with pytest.raises(TypeError, match="does not support item assignment"):
+            getattr(dataset, field)["cost"] = None
+    with pytest.raises(TypeError, match="does not support item assignment"):
+        dataset.raw["sglang"]["cost"] = 99.0
+    assert radar_to_dict(dataset, classify_tradeoff(dataset)) == before
+
+
 # ---------------------------------------------------------------------------
 # Decision rules
 # ---------------------------------------------------------------------------

@@ -1308,3 +1308,123 @@ def test_exclude_embed_equals_a_descriptor_without_embedding(tmp_path, capsys, m
             assert main([str(a) for a in argv]) == 0, capsys.readouterr().err
             outputs.append(_outputs_without_inputs(out))
         assert outputs[0] == outputs[1]
+
+
+# ---------------------------------------------------------------------------
+# How a CLI process ends: flush, then os._exit, skipping interpreter teardown
+# ---------------------------------------------------------------------------
+
+_METRICS_ARGV = ["metrics", "--model", MODELS / "toy-4x2.json", "--trace", TRACES / "sample_decode.trace",
+                 "--catalog", CATALOG, "--bytes-per-param", 2]
+
+
+def _buffered_env():
+    import os
+
+    # without PYTHONUNBUFFERED a piped stdout and stderr hold what is printed
+    # until a flush, which the hard exit must not skip
+    return {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+def test_hard_exit_delivers_buffered_streams(tmp_path):
+    ok = subprocess.run(
+        [sys.executable, "-m", "moemeter", *map(str, _METRICS_ARGV), "--device", "H100-SXM", "--output-dir", tmp_path],
+        capture_output=True, text=True, env=_buffered_env(), cwd=REPO_ROOT,
+    )
+    assert (ok.returncode, ok.stderr) == (0, "")
+    assert ok.stdout.splitlines() == [str(tmp_path / "metrics_report.json"), str(tmp_path / "metrics_report.csv")]
+    bad = subprocess.run(
+        [sys.executable, "-m", "moemeter", *map(str, _METRICS_ARGV), "--device", "nope", "--output-dir", tmp_path / "x"],
+        capture_output=True, text=True, env=_buffered_env(), cwd=REPO_ROOT,
+    )
+    assert (bad.returncode, bad.stdout) == (2, "")
+    assert json.loads(bad.stderr) == {
+        "error": {"field": "device", "message": "device 'nope' not in catalog", "type": "validation"}
+    }
+
+
+def test_commands_register_no_atexit_callback(tmp_path):
+    # the hard exit skips every atexit callback, so a dependency that starts
+    # registering one must be noticed here before its work is lost
+    sweep = ["plan", "--model", MODELS / "deepseek-r1.json", "--catalog", CATALOG, "--mode", "expected",
+             "--batch", 8, "--dist", "zipf:1.1", "--sweep-batches", "1,8", "--fig2"]
+    simulate = ["simulate", "--model", MODELS / "toy-4x2.json", "--batch", 4, "--dist", "zipf:0.7", "--passes", 3,
+                "--seed", 1, "--out", tmp_path / "s.trace"]
+    metrics = [*_METRICS_ARGV, "--device", "H100-SXM"]
+    runs = [[str(a) for a in argv] for argv in (metrics, [*sweep, "--output-dir", tmp_path], simulate)]
+    code = f"""
+import atexit
+before = atexit._ncallbacks()
+import moemeter.cli
+for argv in {runs!r}:
+    assert moemeter.cli.main(argv) == 0, argv[0]
+    assert atexit._ncallbacks() == before, (argv[0], before, atexit._ncallbacks())
+"""
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=REPO_ROOT)
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("extra, code, fires", [
+    (["--device", "H100-SXM"], 0, False),  # the hard exit
+    (["--device", "nope"], 2, False),  # an exit-2 run ends the same way
+    (["--frob"], 2, True),  # argparse leaves main by SystemExit: the normal exit
+])
+def test_cli_process_skips_teardown_only_after_main_returns(tmp_path, extra, code, fires):
+    argv = [str(a) for a in [*_METRICS_ARGV, *extra, "--output-dir", tmp_path]]
+    script = f"""
+import atexit, runpy, sys
+atexit.register(print, "teardown ran", file=sys.stderr)
+sys.argv = ["moemeter", *{argv!r}]
+runpy.run_module("moemeter", run_name="__main__", alter_sys=True)
+"""
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, cwd=REPO_ROOT)
+    assert result.returncode == code, result.stderr
+    assert ("teardown ran" in result.stderr) is fires
+
+
+def test_closed_stdout_ends_as_before(tmp_path):
+    import os
+
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child starts, so its printed paths cannot be delivered
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "moemeter", *map(str, _METRICS_ARGV), "--device", "H100-SXM",
+             "--output-dir", tmp_path],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=_buffered_env(), cwd=REPO_ROOT,
+        )
+    finally:
+        os.close(write_end)
+    # Python's own end for an unflushable stdout: the error is reported and the status is 120
+    assert result.returncode == 120, result.stderr
+    assert "BrokenPipeError: [Errno 32] Broken pipe" in result.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics_report.csv", "metrics_report.json"]
+
+
+def test_process_without_stdout_still_writes_and_exits_0(tmp_path):
+    argv = [str(a) for a in [*_METRICS_ARGV, "--device", "H100-SXM", "--output-dir", tmp_path]]
+    script = f"""
+import runpy, sys
+sys.stdout = None  # as when the process starts with descriptor 1 closed
+sys.argv = ["moemeter", *{argv!r}]
+runpy.run_module("moemeter", run_name="__main__", alter_sys=True)
+"""
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, cwd=REPO_ROOT)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics_report.csv", "metrics_report.json"]
+
+
+def test_console_script_is_the_function_main_module_runs():
+    import ast
+    import re
+
+    scripts = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8").split("[project.scripts]", 1)[1]
+    target = re.search(r'^moemeter\s*=\s*"([\w.]+):(\w+)"', scripts, re.MULTILINE)
+    main_module = REPO_ROOT / "src" / "moemeter" / "__main__.py"
+    guarded = [
+        node for node in ast.parse(main_module.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    assert len(guarded) == 1
+    calls = [node.func.id for node in ast.walk(guarded[0]) if isinstance(node, ast.Call)]
+    assert target is not None and (target.group(1), calls) == ("moemeter.__main__", [target.group(2)])
