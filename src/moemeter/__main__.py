@@ -9,11 +9,13 @@ module nor numpy registers an ``atexit`` callback. The skipped finalizers
 and ``atexit`` callbacks include a coverage tool's, so such a tool records
 nothing from these processes.
 
-A flush that fails (a closed stdout, say) ends through the normal exit
-instead, so the message and the status are Python's own, as before. An
-argparse usage error, ``--help`` and an interrupt leave ``main`` by an
-exception and exit normally too. ``cli.main`` called as a library returns
-its code and never ends the process.
+A stdout that cannot take the printed paths (a closed pipe, say) ends the
+process with status 120, Python's own for a stdout it cannot flush at exit,
+after one line naming the error on stderr. ``PYTHONUNBUFFERED`` does not
+change that: the paths fail either as ``main`` prints them or as they are
+flushed here. An argparse usage error, ``--help`` and an interrupt leave
+``main`` by an exception and exit normally. ``cli.main`` called as a library
+returns its code and never ends the process.
 """
 
 import os
@@ -23,13 +25,17 @@ from .cli import main
 
 
 def run() -> None:
-    code = main()
     try:
+        code = main()
         for stream in (sys.stdout, sys.stderr):
             if stream is not None:  # None when the process started without that descriptor
                 stream.flush()
-    except (OSError, ValueError):  # ValueError: the stream was closed
-        raise SystemExit(code) from None
+    except (OSError, ValueError) as exc:  # ValueError: the stream was closed
+        try:
+            print(f"{type(exc).__name__}: {exc}", file=sys.stderr, flush=True)
+        except (OSError, ValueError):
+            pass
+        code = 120
     os._exit(code)
 
 

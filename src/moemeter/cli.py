@@ -16,11 +16,13 @@ for text (a CSV, a simulated trace). ``main`` renders every document first,
 so every check runs before any file exists and a run that exits 2 leaves
 nothing behind; then it writes the files, removes the ones it wrote if a
 later write fails, and prints their paths in order once every write is done.
-``main`` returns the exit code and never ends the process, so a library
-caller keeps control. ``python -m moemeter`` and the installed script end
-through :func:`moemeter.__main__.run`, which flushes stdout and stderr and
-then skips the interpreter's teardown: by the time ``main`` returns, every
-output file is closed.
+A stdout that cannot take the paths is no input error: its ``OSError``
+reaches the caller. ``main`` returns the exit code and never ends the
+process, so a library caller keeps control. ``python -m moemeter``, ``python
+-m moemeter.cli`` and the installed script end through
+:func:`moemeter.__main__.run`, which flushes stdout and stderr and then
+skips the interpreter's teardown: by the time ``main`` returns, every output
+file is closed.
 
 Each subcommand imports the modules it runs inside its ``cmd_*`` function;
 at module level this file needs only what the parser does, so ``metrics``
@@ -213,9 +215,10 @@ def _import_numpy_random() -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> dict:
-    _import_numpy_random()
+    # the inputs first: a malformed one exits 2 without numpy's import
     desc = models.load_model_descriptor(args.model)
     dist = trace._parse_dist_spec(args.dist)
+    _import_numpy_random()
     sheet = trace.simulate_routing(
         desc,
         batch=args.batch,
@@ -461,9 +464,6 @@ def main(argv: list[str] | None = None) -> int:
             path: doc if isinstance(doc, str) else json_text(doc, path.name) for path, doc in args.func(args).items()
         }
         _write_outputs(texts)
-        for path in texts:
-            print(path)
-        return EXIT_OK
     except ValidationError as exc:
         print(_error_doc("validation", str(exc), exc.field), file=sys.stderr)
         return EXIT_INVALID
@@ -478,7 +478,12 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(_error_doc("internal", f"{type(exc).__name__}: {exc}"), file=sys.stderr)
         return EXIT_INTERNAL
+    for path in texts:  # outside the try, as a closed stdout is no input error
+        print(path)
+    return EXIT_OK
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    from .__main__ import run
+
+    run()

@@ -136,10 +136,12 @@ def _check_support(p: np.ndarray, top_k: int) -> np.ndarray:
 # cells, 116 KiB of doubles). Measured on a 2-core x86-64 host, r1
 # zipf:1.1, for 2^13 / 2^14 / 2^15 / 2^16 / 2^17 cells:
 #   tracemalloc peak of a batch-64 pass  0.34 / 0.34 / 0.58 / 1.06 / 2.02 MiB
-#   batch 1-64, 24 passes each, median   597 / 560 / 535 / 517 / 553 ms
-#   child peak RSS, batch-64 simulate    36.29 / 36.25 / 36.44 / 36.92 MB (to 2^16)
-# The time is in-process and drifts by more than the spread here; a
-# 2048-token prefill pass took 1.07x as long at 2^14 as at 2^16.
+#   batch 1-64, 24 passes each, median   638 / 682 / 605 / 652 / 710 ms
+#   child peak RSS, batch-64 simulate    31.97 / 31.93 / 32.22 / 32.65 / 33.64 MB
+# The times (in-process, one pinned CPU, 11 rounds interleaved per batch,
+# identical sheets) overlap in their quartiles up to 2^16, and 2^14 beat 2^16
+# in 3 of 11 rounds: no size below 2^17 is measurably fastest, and 2^14 has
+# the smallest peak. A 2048-token prefill pass took 1.07x as long at 2^14.
 _ROUTE_BLOCK_CELLS = 1 << 14
 
 
@@ -242,7 +244,7 @@ def simulate_routing(
         hit = _route_pass(rng, shape, neg_inv_p, desc.top_k)
         packed = np.packbits(hit, axis=-1, bitorder="little")
         bitmaps = {layer: int.from_bytes(row.tobytes(), "little") for layer, row in zip(moe_layers, packed)}
-        passes.append(ForwardPassRecord._from_packed(pass_id, phase, batch, tokens, latency_s, 0, bitmaps))
+        passes.append(ForwardPassRecord(pass_id, phase, batch, tokens, latency_s, 0, bitmaps))
     return ActivationSheet(model_name=desc.name, passes=passes)
 
 

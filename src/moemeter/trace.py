@@ -23,10 +23,12 @@ code adds them analytically.
 In memory a pass holds the same numbers: one packed Python ``int`` per MoE
 layer, routed expert i at bit i. Parsing is ``int(hex, 16)``, validation is
 ``bit_length``/``bit_count``, and accounting is a popcount times the expert
-size (the sizes of the set bits when expert sizes differ). The integer
-fields and layer indices must be bare ASCII digits and the latency may
-hold no ``_`` or non-ASCII character: ``int`` and ``float`` alone would
-also read ``1_0`` as 10 and an Arabic-Indic ``٣`` as 3.
+size (the sizes of the set bits when expert sizes differ). Parsed and
+simulated passes are built by the record's constructor and pass its checks
+like any other. The integer fields and layer indices must be bare ASCII
+digits and the latency may hold no ``_`` or non-ASCII character: ``int``
+and ``float`` alone would also read ``1_0`` as 10 and an Arabic-Indic ``٣``
+as 3.
 
 The routing names that used to live here (``RoutingDistribution``,
 ``simulate_routing``, ``expected_distinct_experts`` and the rest) still
@@ -55,10 +57,11 @@ class ForwardPassRecord:
     """One forward pass: batch geometry, wall time, and one activation
     bitmap per MoE layer (routed expert i at bit i).
 
-    ``bitmaps`` also takes an iterable of expert indices per layer, packed
-    once here into a new dict, which the record holds behind a read-only
-    view. ``activated`` unpacks the bitmaps into index sets on access, for
-    readers; validation and accounting work on the bitmaps.
+    Its constructor is the one way to build a pass. ``bitmaps`` is copied
+    into a new dict, held behind a read-only view, and a layer given as an
+    iterable of expert indices is packed. ``activated`` unpacks the bitmaps
+    into index sets on access, for readers; validation and accounting work
+    on the bitmaps.
     """
 
     pass_id: int
@@ -70,41 +73,6 @@ class ForwardPassRecord:
     bitmaps: Mapping[int, int]
 
     def __post_init__(self):
-        self._check_geometry()
-        try:
-            bitmaps = {
-                int(layer): b if type(b) is int and b >= 0 else sum(1 << i for i in {operator.index(i) for i in b})
-                for layer, b in self.bitmaps.items()
-            }
-        except (TypeError, ValueError):
-            raise ValidationError(
-                f"pass {self.pass_id}: activations must be bitmaps or non-negative integer expert indices",
-                field="activated",
-            ) from None
-        object.__setattr__(self, "bitmaps", MappingProxyType(bitmaps))
-
-    @classmethod
-    def _from_packed(
-        cls, pass_id: int, phase: str, batch_size: int, tokens_processed: int, latency_s: float,
-        kv_bytes_read: int, bitmaps: dict[int, int],
-    ) -> ForwardPassRecord:
-        """A record that holds ``bitmaps`` unrepacked, behind a read-only view:
-        a new dict from int layer to non-negative int bitmap, such as the
-        parser and ``simulate`` build. It skips the repacking (about 70 % of
-        building an r1 record) and runs every other check."""
-        rec = cls.__new__(cls)
-        set_ = object.__setattr__
-        set_(rec, "pass_id", pass_id)
-        set_(rec, "phase", phase)
-        set_(rec, "batch_size", batch_size)
-        set_(rec, "tokens_processed", tokens_processed)
-        set_(rec, "latency_s", latency_s)
-        set_(rec, "kv_bytes_read", kv_bytes_read)
-        set_(rec, "bitmaps", MappingProxyType(bitmaps))
-        rec._check_geometry()
-        return rec
-
-    def _check_geometry(self):
         if self.phase not in PHASES:
             raise ValidationError(
                 f"pass {self.pass_id}: phase must be one of {PHASES}, got {self.phase!r}",
@@ -128,6 +96,21 @@ class ForwardPassRecord:
                 f"pass {self.pass_id}: prefill pass must have tokens_processed >= batch_size",
                 field="tokens_processed",
             )
+        bitmaps = dict(self.bitmaps)
+        # int layers to non-negative int bitmaps (the parser's and simulate's) are kept as copied;
+        # the types come first (a bool is not a bitmap), since min() would compare sets
+        if not ({*map(type, bitmaps), *map(type, bitmaps.values())} <= {int} and min(bitmaps.values(), default=0) >= 0):
+            try:
+                bitmaps = {
+                    int(layer): b if type(b) is int and b >= 0 else sum(1 << i for i in {operator.index(i) for i in b})
+                    for layer, b in bitmaps.items()
+                }
+            except (TypeError, ValueError):
+                raise ValidationError(
+                    f"pass {self.pass_id}: activations must be bitmaps or non-negative integer expert indices",
+                    field="activated",
+                ) from None
+        object.__setattr__(self, "bitmaps", MappingProxyType(bitmaps))
 
     @property
     def activated(self) -> Mapping[int, frozenset[int]]:
@@ -279,7 +262,7 @@ def parse_activation_sheet(source: str, desc: ModelDescriptor | None = None) -> 
         except ValueError as exc:
             raise ValidationError(f"line {lineno}: malformed field ({exc})", field="record") from None
         bitmaps = _parse_activations(parts[6], pass_id)
-        passes.append(ForwardPassRecord._from_packed(pass_id, phase, batch_size, tokens, latency_s, kv_bytes, bitmaps))
+        passes.append(ForwardPassRecord(pass_id, phase, batch_size, tokens, latency_s, kv_bytes, bitmaps))
     if model_name is None:
         raise ValidationError("trace has no 'model=' header", field="model")
     sheet = ActivationSheet(model_name=model_name, passes=passes)

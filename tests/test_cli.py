@@ -1382,25 +1382,6 @@ runpy.run_module("moemeter", run_name="__main__", alter_sys=True)
     assert ("teardown ran" in result.stderr) is fires
 
 
-def test_closed_stdout_ends_as_before(tmp_path):
-    import os
-
-    read_end, write_end = os.pipe()
-    os.close(read_end)  # closed before the child starts, so its printed paths cannot be delivered
-    try:
-        result = subprocess.run(
-            [sys.executable, "-m", "moemeter", *map(str, _METRICS_ARGV), "--device", "H100-SXM",
-             "--output-dir", tmp_path],
-            stdout=write_end, stderr=subprocess.PIPE, text=True, env=_buffered_env(), cwd=REPO_ROOT,
-        )
-    finally:
-        os.close(write_end)
-    # Python's own end for an unflushable stdout: the error is reported and the status is 120
-    assert result.returncode == 120, result.stderr
-    assert "BrokenPipeError: [Errno 32] Broken pipe" in result.stderr
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics_report.csv", "metrics_report.json"]
-
-
 def test_process_without_stdout_still_writes_and_exits_0(tmp_path):
     argv = [str(a) for a in [*_METRICS_ARGV, "--device", "H100-SXM", "--output-dir", tmp_path]]
     script = f"""
@@ -1428,3 +1409,41 @@ def test_console_script_is_the_function_main_module_runs():
     assert len(guarded) == 1
     calls = [node.func.id for node in ast.walk(guarded[0]) if isinstance(node, ast.Call)]
     assert target is not None and (target.group(1), calls) == ("moemeter.__main__", [target.group(2)])
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_closed_stdout_ends_alike_buffered_or_not(tmp_path, buffered):
+    import os
+
+    env = _buffered_env() if buffered else {**os.environ, "PYTHONUNBUFFERED": "1"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "moemeter", *map(str, _METRICS_ARGV), "--device", "H100-SXM",
+             "--output-dir", tmp_path],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, cwd=REPO_ROOT,
+        )
+    finally:
+        os.close(write_end)
+    # every file was written, so the closed stdout is not an input error (exit 2) in either mode
+    assert (result.returncode, result.stderr) == (120, "BrokenPipeError: [Errno 32] Broken pipe\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics_report.csv", "metrics_report.json"]
+
+
+@pytest.mark.parametrize(
+    "dist, field", [("zipf:x", "dist"), ("zipf:-1", "zipf_s"), ("empirical:0.5", "weights"), ("lognormal", "dist")]
+)
+def test_malformed_dist_exits_2_before_importing_numpy(tmp_path, dist, field):
+    argv = ["simulate", "--model", str(MODELS / "toy-4x2.json"), "--batch", "2", "--dist", dist,
+            "--passes", "1", "--seed", "1", "--out", str(tmp_path / "x.trace")]
+    code = f"""
+import json, sys
+import moemeter.cli
+status = moemeter.cli.main({argv!r})
+print(json.dumps([status, "numpy" in sys.modules]))
+"""
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=REPO_ROOT)
+    assert json.loads(result.stdout) == [2, False], result.stderr
+    assert json.loads(result.stderr)["error"]["field"] == field
+    assert not list(tmp_path.iterdir())

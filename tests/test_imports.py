@@ -14,6 +14,11 @@ refactor nor code only its own unit tests call stays in ``src/``.
 
 The same files must also parse as the oldest Python that ``pyproject.toml``
 admits, which the host interpreter, being newer, would not check.
+
+One more rule keeps every record behind its own checks: no module of the
+package reads a ``__new__`` attribute, nor a ``__setattr__`` one (such as
+``object.__setattr__``) outside a ``__post_init__`` and ``errors.record``,
+so no record is built or edited around its ``__init__``.
 """
 
 from __future__ import annotations
@@ -250,3 +255,54 @@ def test_package_defines_no_unused_private_name():
 
 def test_package_defines_no_unread_public_name():
     assert [name for name in _package_unread() if not name.split(".")[-1].startswith("_")] == []
+
+
+def record_bypasses(sources: dict[str, str]) -> list[str]:
+    """``module:line expression`` for each read of a ``__new__`` attribute in
+    ``sources`` (module name -> source), and of a ``__setattr__`` one outside
+    a ``__post_init__`` and outside ``errors.record``, which builds every
+    record's ``__init__`` from ``object.__setattr__``. A read, not only a
+    call, so an alias such as ``set_ = object.__setattr__`` is found too."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        exempt = {"__post_init__", "record"} if module == "errors" else {"__post_init__"}
+        allowed = {
+            id(inner)
+            for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name in exempt
+            for inner in ast.walk(node)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and (
+                node.attr == "__new__" or (node.attr == "__setattr__" and id(node) not in allowed)
+            ):
+                found.append((module, node.lineno, ast.unparse(node)))
+    return [f"{module}:{line} {expression}" for module, line, expression in sorted(found)]
+
+
+def test_the_check_finds_a_record_bypass():
+    sources = {
+        "a": (
+            "class R:\n"
+            "    def __post_init__(self):\n"
+            "        object.__setattr__(self, 'x', 1)\n"
+            "    @classmethod\n"
+            "    def fast(cls):\n"
+            "        rec = cls.__new__(cls)\n"
+            "        set_ = object.__setattr__\n"
+            "        set_(rec, 'x', 1)\n"
+            "        return rec\n"
+            "def edit(rec):\n"
+            "    super(R, rec).__setattr__('x', 2)\n"
+            "def record(cls):\n"
+            "    return object.__setattr__\n"
+        ),
+        "errors": "def record(cls):\n    namespace = {'__set': object.__setattr__}\n",
+    }
+    assert record_bypasses(sources) == [
+        "a:6 cls.__new__", "a:7 object.__setattr__", "a:11 super(R, rec).__setattr__", "a:13 object.__setattr__",
+    ]
+
+
+def test_package_builds_records_only_through_their_constructor():
+    assert record_bypasses({path.stem: path.read_text(encoding="utf-8") for path in MODULES}) == []

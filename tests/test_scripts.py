@@ -1,5 +1,6 @@
-"""Smoke tests of the planner scripts under ``scripts/``: each runs to exit 0
-and writes the documented files per model, pinned by SHA-256."""
+"""Smoke tests of the scripts under ``scripts/``: each planner script runs to
+exit 0 and writes the documented files per model, pinned by SHA-256, and the
+shipped-data script rewrites every shipped data file byte for byte."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -64,3 +66,19 @@ def test_planner_script_writes_its_documented_files(tmp_path, script, digests):
         path.relative_to(tmp_path).as_posix(): _digest(path) for path in tmp_path.rglob("*") if path.is_file()
     }
     assert written == digests
+
+
+def test_shipped_data_script_reproduces_every_shipped_file(tmp_path):
+    # a copy of the script and the package, so the run writes under tmp_path and not the checkout
+    import shutil
+
+    for directory in ("scripts", "src"):
+        shutil.copytree(REPO_ROOT / directory, tmp_path / directory, ignore=shutil.ignore_patterns("__pycache__"))
+    result = subprocess.run(
+        [sys.executable, str(tmp_path / "scripts" / "make_shipped_data.py")], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    written = sorted(Path(line).relative_to(tmp_path).as_posix() for line in result.stdout.splitlines())
+    assert len(written) == 14
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (REPO_ROOT / name).read_bytes(), name
