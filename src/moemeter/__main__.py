@@ -13,9 +13,11 @@ A stdout that cannot take the printed paths (a closed pipe, say) ends the
 process with status 120, Python's own for a stdout it cannot flush at exit,
 after one line naming the error on stderr. ``PYTHONUNBUFFERED`` does not
 change that: the paths fail either as ``main`` prints them or as they are
-flushed here. An argparse usage error, ``--help`` and an interrupt leave
-``main`` by an exception and exit normally. ``cli.main`` called as a library
-returns its code and never ends the process.
+flushed here. A stderr that cannot take its lines changes no status: a run
+that failed validation still exits 2. An argparse usage error, ``--help``
+and an interrupt leave ``main`` by an exception and exit normally.
+``cli.main`` called as a library returns its code and never ends the
+process.
 """
 
 import os
@@ -25,17 +27,19 @@ from .cli import main
 
 
 def run() -> None:
+    note = ""
     try:
         code = main()
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:  # None when the process started without that descriptor
-                stream.flush()
+        if sys.stdout is not None:  # None when the process started without descriptor 1
+            sys.stdout.flush()
     except (OSError, ValueError) as exc:  # ValueError: the stream was closed
-        try:
-            print(f"{type(exc).__name__}: {exc}", file=sys.stderr, flush=True)
-        except (OSError, ValueError):
-            pass
-        code = 120
+        code, note = 120, f"{type(exc).__name__}: {exc}\n"
+    try:
+        if sys.stderr is not None:
+            sys.stderr.write(note)
+            sys.stderr.flush()
+    except (OSError, ValueError):
+        pass  # a stderr that cannot be written leaves the code as it is
     os._exit(code)
 
 

@@ -430,6 +430,17 @@ def _error_doc(kind: str, message: str, field: str | None = None) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
+def _print_error(kind: str, message: str, field: str | None = None) -> None:
+    """Print the JSON error document on stderr. A stderr that cannot take it
+    changes nothing: the exit code still says what failed."""
+    if sys.stderr is None:  # the process started without descriptor 2; print would fall back to stdout
+        return
+    try:
+        print(_error_doc(kind, message, field), file=sys.stderr)
+    except (OSError, ValueError):  # ValueError: the stream was closed
+        pass
+
+
 def _write_outputs(texts: dict) -> None:
     """Write each text to its path; if a write fails, remove the files
     this run opened for writing and raise the error."""
@@ -454,10 +465,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = build_parser(argv).parse_args(argv)
     if getattr(args, "catalog", "unset") is None:
-        print(
-            _error_doc("validation", f"no catalog given and ${CATALOG_ENV_VAR} is not set", "catalog"),
-            file=sys.stderr,
-        )
+        _print_error("validation", f"no catalog given and ${CATALOG_ENV_VAR} is not set", "catalog")
         return EXIT_INVALID
     try:
         texts = {
@@ -465,18 +473,18 @@ def main(argv: list[str] | None = None) -> int:
         }
         _write_outputs(texts)
     except ValidationError as exc:
-        print(_error_doc("validation", str(exc), exc.field), file=sys.stderr)
+        _print_error("validation", str(exc), exc.field)
         return EXIT_INVALID
     except OSError as exc:
-        print(_error_doc("input", str(exc)), file=sys.stderr)
+        _print_error("input", str(exc))
         return EXIT_INVALID
     except OverflowError:
         # finite inputs can still overflow a derived figure before it reaches a renderer
         message = "a figure derived from the inputs overflows a double; an input is out of range"
-        print(_error_doc("validation", message, "report"), file=sys.stderr)
+        _print_error("validation", message, "report")
         return EXIT_INVALID
     except Exception as exc:  # pragma: no cover - defensive
-        print(_error_doc("internal", f"{type(exc).__name__}: {exc}"), file=sys.stderr)
+        _print_error("internal", f"{type(exc).__name__}: {exc}")
         return EXIT_INTERNAL
     for path in texts:  # outside the try, as a closed stdout is no input error
         print(path)

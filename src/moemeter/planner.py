@@ -205,7 +205,7 @@ def _expected_params(desc: ModelDescriptor, batch: int, dist: RoutingDistributio
     distinct = trace.expected_distinct_experts(desc.n_expert, desc.top_k, batch, dist).value
     sizes = desc.routed_expert_sizes
     if desc.heterogeneous_experts:
-        hit = trace._batch_hit_probs(desc.n_expert, desc.top_k, batch, dist).tolist()
+        hit = trace._batch_hit_probs(desc.n_expert, desc.top_k, batch, dist)
         routed = sum(size * h for size, h in zip(sizes, hit))
     else:
         routed = distinct * sizes[0]

@@ -5,8 +5,12 @@ what one recorded (``trace``): the routing distributions, the simulator
 that synthesizes activation sheets from them, and the expected number of
 distinct experts a batch activates. Expected activation is exact, not
 sampled: a closed form under uniform routing and an exponential-race
-quadrature otherwise. numpy is imported inside the functions that need it,
-so uniform expected-mode planning loads this module but not numpy.
+quadrature otherwise. The quadrature has two evaluators of one grid and
+recurrence: a small grid (at most ``_LIST_RACE_CELLS`` experts x top_k x
+nodes) runs over Python lists through ``math``, a larger one through the
+numpy kernel. numpy is imported inside the functions that need it, so
+uniform expected-mode planning, and zipf or empirical planning of a small
+model, load this module but not numpy.
 
 Simulation determinism: pass ``i`` draws from
 ``numpy.random.default_rng(SeedSequence(seed).spawn(n_passes)[i])``, so
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+from operator import add, mul, neg, sub
 from typing import Sequence
 
 from .errors import ValidationError, record
@@ -86,14 +91,36 @@ class RoutingDistribution:
             with np.errstate(over="ignore"):
                 w = 1.0 / np.arange(1, n_expert + 1, dtype=float) ** self.zipf_s
             return w / w.sum()
+        w = np.asarray(self._weights_for(n_expert), dtype=float)
+        return w / w.sum()
+
+    def probability_list(self, n_expert: int) -> list[float]:
+        """``probabilities`` without numpy: libm's pow and a correctly
+        rounded sum, so a weight may differ from it in the last bit."""
+        if self.kind == "uniform":
+            return [1.0 / n_expert] * n_expert
+        if self.kind == "zipf":
+            w = [_zipf_weight(rank, self.zipf_s) for rank in range(1, n_expert + 1)]
+        else:
+            w = self._weights_for(n_expert)
+        total = math.fsum(w)
+        return [x / total for x in w]
+
+    def _weights_for(self, n_expert: int) -> tuple[float, ...]:
         assert self.weights is not None
         if len(self.weights) != n_expert:
             raise ValidationError(
                 f"empirical weight vector has length {len(self.weights)}, expected {n_expert}",
                 field="weights",
             )
-        w = np.asarray(self.weights, dtype=float)
-        return w / w.sum()
+        return self.weights
+
+
+def _zipf_weight(rank: int, s: float) -> float:
+    try:
+        return 1.0 / float(rank) ** s
+    except OverflowError:  # rank**s beyond a double: the correctly rounded weight is 0
+        return 0.0
 
 
 def _parse_number(text: str, cast: type, field: str):
@@ -118,14 +145,18 @@ def _parse_dist_spec(spec: str) -> RoutingDistribution:
 # Simulation
 # --------------------------------------------------------------------------
 
-def _check_support(p: np.ndarray, top_k: int) -> np.ndarray:
-    import numpy as np
-
-    if int((p > 0).sum()) < top_k:
+def _require_support(n_positive: int, top_k: int) -> None:
+    if n_positive < top_k:
         raise ValidationError(
             f"distribution has fewer than top_k={top_k} experts with positive weight",
             field="weights",
         )
+
+
+def _check_support(p: np.ndarray, top_k: int) -> np.ndarray:
+    import numpy as np
+
+    _require_support(int((p > 0).sum()), top_k)
     with np.errstate(divide="ignore"):
         return np.where(p > 0, np.log(p), -np.inf)
 
@@ -350,11 +381,93 @@ def _topk_inclusion_probs(p: np.ndarray, k: int) -> np.ndarray:
     return r
 
 
+def _race_grid(log_p: Sequence[float]) -> tuple[float, int]:
+    """First node and node count of the quadrature grid: np.arange's length
+    and nodes start + j * step. Outside this range every integrand is below
+    e^-40 of its peak."""
+    start = -max(log_p) - 40.0
+    return start, math.ceil((-min(log_p) + 4.0 - start) / _RACE_STEP)
+
+
+# Largest positive experts x top_k x grid nodes given to the list evaluator;
+# above it numpy's import pays for itself. Measured on a 2-core x86-64 host
+# (Python 3.11, numpy 2.4), zipf:1.1: the first ``_inclusion_probs`` call
+# in a fresh process, numpy's import included, median of 11-15 alternated
+# runs on one pinned CPU:
+#   (E, k)                    cells    list      numpy
+#   mixtral-8x7b (8, 2)        5.9k    4.3 ms    95 ms
+#   qwen1.5-moe (60, 4)         93k     40 ms    71 ms
+#   deepseek-v2-lite (64, 6)   149k     58 ms    74 ms   list won 14 of 15
+#   (64, 7)                    174k     64 ms    65 ms   list won 8 of 15
+#   (64, 8)                    199k     72 ms    65 ms   list won 4 of 15
+#   deepseek-r1 (256, 8)       821k   ~300 ms    ~95 ms  (in-process, plus the import)
+# The list evaluator costs about 0.37 us a cell, numpy about 65-95 ms of
+# import plus 0.02 us a cell; they cross near 174k cells. A whole v2-lite
+# plan command read 185 ms on the list against 191 ms on numpy (median of
+# 21), so a larger constant would gain nothing.
+_LIST_RACE_CELLS = 170_000
+
+
+def _race_inclusion_list(p: Sequence[float], k: int) -> list[float]:
+    """``_topk_inclusion_probs`` over Python lists, each vectorized across
+    the node grid: the same grid, truncated prefix/suffix recurrence and cap
+    min(step * sum, 1), with math's exp, expm1 and log (libm) and
+    ``math.fsum`` over the nodes. r_i agrees with the numpy kernel to about
+    1e-15 relative, not bit for bit. Prefix rows are kept for every expert,
+    so memory is O(E k nodes): callers keep the grid small."""
+    positive = [i for i, w in enumerate(p) if w > 0]
+    _require_support(len(positive), k)
+    log_p = [math.log(p[i]) for i in positive]
+    start, n = _race_grid(log_p)
+    s = [start + j * _RACE_STEP for j in range(n)]
+    fired, idle, weight = [], [], []
+    for lp in log_p:
+        # x = p t from log space, capped where e^-x is already 0 so it stays finite
+        log_x = list(map(lp.__add__, s))
+        x = list(map(math.exp, log_x if log_x[-1] < 700.0 else [min(v, 700.0) for v in log_x]))
+        neg_x = list(map(neg, x))
+        fired.append(list(map(neg, map(math.expm1, neg_x))))
+        idle.append(list(map(math.exp, neg_x)))
+        weight.append(list(map(math.exp, map(sub, log_x, x))))
+
+    def step(row, f, d):
+        # count row after one more expert: row[c] is P(exactly c fired), c < k
+        return [list(map(mul, row[0], d))] + [
+            list(map(add, map(mul, row[c], d), map(mul, row[c - 1], f))) for c in range(1, k)
+        ]
+
+    row = [[1.0] * n] + [[0.0] * n for _ in range(k - 1)]  # of no experts, none fired
+    prefix = []
+    for f, d in zip(fired, idle):
+        prefix.append(row)
+        row = step(row, f, d)
+    r = [0.0] * len(p)
+    suffix = [[1.0] * n] + [[0.0] * n for _ in range(k - 1)]
+    for j in reversed(range(len(positive))):
+        # P(at most k-1 others) = sum_c prefix[j, c] * P(at most k-1-c of j+1.. fired)
+        tail = [suffix[0]]
+        for c in range(1, k):
+            tail.append(list(map(add, tail[-1], suffix[c])))
+        others = list(map(mul, prefix[j][0], tail[k - 1]))
+        for c in range(1, k):
+            others = list(map(add, others, map(mul, prefix[j][c], tail[k - 1 - c])))
+        r[positive[j]] = min(_RACE_STEP * math.fsum(map(mul, weight[j], others)), 1.0)
+        suffix = step(suffix, fired[j], idle[j])
+    return r
+
+
 @functools.lru_cache(maxsize=32)
-def _inclusion_probs(n_expert: int, top_k: int, dist: RoutingDistribution) -> np.ndarray:
-    """``_topk_inclusion_probs`` for one routing setting, computed once per
-    process: r_i does not depend on the batch, so a sweep pays for one
-    quadrature. Read-only, because every caller shares the array."""
+def _inclusion_probs(n_expert: int, top_k: int, dist: RoutingDistribution) -> tuple[float, ...] | np.ndarray:
+    """r_i for one routing setting, computed once per process: r_i does not
+    depend on the batch, so a sweep pays for one quadrature. A tuple from
+    the list evaluator when the grid has at most ``_LIST_RACE_CELLS`` cells,
+    else a read-only array from ``_topk_inclusion_probs``; every caller
+    shares the result."""
+    p = dist.probability_list(n_expert)
+    log_p = [math.log(w) for w in p if w > 0]
+    _require_support(len(log_p), top_k)
+    if len(log_p) * top_k * _race_grid(log_p)[1] <= _LIST_RACE_CELLS:
+        return tuple(_race_inclusion_list(p, top_k))
     r = _topk_inclusion_probs(dist.probabilities(n_expert), top_k)
     r.flags.writeable = False
     return r
@@ -382,18 +495,27 @@ def expected_distinct_experts(
     if dist.kind == "uniform":
         value = n_expert * (1.0 - (1.0 - top_k / n_expert) ** batch)
         return ExpectedDistinct(value=value, method="closed_form")
-    return ExpectedDistinct(value=float(_batch_hit_probs(n_expert, top_k, batch, dist).sum()), method="quadrature")
+    hit = _hit_probs(n_expert, top_k, batch, dist)
+    value = math.fsum(hit) if isinstance(hit, list) else float(hit.sum())
+    return ExpectedDistinct(value=value, method="quadrature")
 
 
-def _batch_hit_probs(n_expert: int, top_k: int, batch: int, dist: RoutingDistribution) -> np.ndarray:
+def _batch_hit_probs(n_expert: int, top_k: int, batch: int, dist: RoutingDistribution) -> list[float]:
     """1 - (1 - r_i)^batch for each expert i: the probability that at least
     one of ``batch`` independent tokens routes to it, r_i being its top-k
     inclusion probability (exactly k/E under uniform routing)."""
+    hit = _hit_probs(n_expert, top_k, batch, dist)
+    return hit if isinstance(hit, list) else hit.tolist()
+
+
+def _hit_probs(n_expert: int, top_k: int, batch: int, dist: RoutingDistribution) -> list[float] | np.ndarray:
+    """``_batch_hit_probs`` in the form its evaluator gives: a list through
+    ``math``, or an array where r_i came from the numpy kernel."""
+    r = (top_k / n_expert,) * n_expert if dist.kind == "uniform" else _inclusion_probs(n_expert, top_k, dist)
+    if isinstance(r, tuple):
+        # log1p(-1) raises where numpy gives -inf: an expert every token routes to is hit
+        return [1.0 if ri == 1.0 else -math.expm1(batch * math.log1p(-ri)) for ri in r]
     import numpy as np
 
-    if dist.kind == "uniform":
-        r = np.full(n_expert, top_k / n_expert)
-    else:
-        r = _inclusion_probs(n_expert, top_k, dist)
     with np.errstate(divide="ignore"):
         return -np.expm1(batch * np.log1p(-r))

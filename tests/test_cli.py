@@ -403,7 +403,8 @@ _CLI_MODULES = {"moemeter", "moemeter.cli", "moemeter.errors", "moemeter.models"
         ("import moemeter.cli", _CLI_MODULES),
         ("simulate", _CLI_MODULES | {"moemeter.routing", "numpy"}),
         ("metrics", _CLI_MODULES | {"moemeter.catalog", "moemeter.metrics"}),
-        ("plan", _CLI_MODULES | {"moemeter.catalog", "moemeter.planner", "moemeter.routing", "numpy"}),
+        # a mixtral-size quadrature runs through math; deepseek-r1's grid is large enough for numpy
+        ("plan", _CLI_MODULES | {"moemeter.catalog", "moemeter.planner", "moemeter.routing"}),
         ("radar", _CLI_MODULES | {"moemeter.cap"}),
         ("plan --mode trace", _CLI_MODULES | {"moemeter.catalog", "moemeter.planner"}),
         ("plan --fig2", _CLI_MODULES | {"moemeter.catalog", "moemeter.planner"}),
@@ -411,6 +412,7 @@ _CLI_MODULES = {"moemeter", "moemeter.cli", "moemeter.errors", "moemeter.models"
          {"moemeter", "moemeter.errors", "moemeter.metrics", "moemeter.models", "moemeter.trace"}),
         ("cost", _CLI_MODULES | {"moemeter.costing"}),
         ("recommend", _CLI_MODULES | {"moemeter.cap"}),
+        ("plan r1", _CLI_MODULES | {"moemeter.catalog", "moemeter.planner", "moemeter.routing", "numpy"}),
     ],
 )
 def test_each_command_loads_only_its_modules(tmp_path, command, loaded):
@@ -423,6 +425,8 @@ def test_each_command_loads_only_its_modules(tmp_path, command, loaded):
                     "--output-dir", tmp_path],
         "plan": [*plan, "--mode", "expected", "--batch", 4, "--dist", "zipf:1.1", "--sweep-batches", "1,2",
                  "--fig2"],
+        "plan r1": ["plan", "--model", MODELS / "deepseek-r1.json", "--catalog", CATALOG, "--mode", "expected",
+                    "--batch", 2, "--dist", "zipf:1.1", "--output-dir", tmp_path],
         "radar": ["radar", "--records", BUNDLES / "radar_serving_systems.json", "--output-dir", tmp_path],
         "plan --mode trace": ["plan", "--model", MODELS / "toy-4x2.json", "--catalog", CATALOG, "--mode", "trace",
                               "--trace", TRACES / "sample_decode.trace", "--with-ops", "--output-dir", tmp_path],
@@ -1395,6 +1399,20 @@ runpy.run_module("moemeter", run_name="__main__", alter_sys=True)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics_report.csv", "metrics_report.json"]
 
 
+def test_process_without_stderr_keeps_stdout_for_paths(tmp_path):
+    argv = [str(a) for a in [*_METRICS_ARGV, "--device", "nope", "--output-dir", tmp_path / "out"]]
+    script = f"""
+import runpy, sys
+sys.stderr = None  # as when the process starts with descriptor 2 closed
+sys.argv = ["moemeter", *{argv!r}]
+runpy.run_module("moemeter", run_name="__main__", alter_sys=True)
+"""
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, cwd=REPO_ROOT)
+    # the error document has nowhere to go; it must not land among the output paths
+    assert (result.returncode, result.stdout) == (2, "")
+    assert not (tmp_path / "out").exists()
+
+
 def test_console_script_is_the_function_main_module_runs():
     import ast
     import re
@@ -1429,6 +1447,51 @@ def test_closed_stdout_ends_alike_buffered_or_not(tmp_path, buffered):
     # every file was written, so the closed stdout is not an input error (exit 2) in either mode
     assert (result.returncode, result.stderr) == (120, "BrokenPipeError: [Errno 32] Broken pipe\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics_report.csv", "metrics_report.json"]
+
+
+def test_small_expected_plan_bytes_do_not_follow_numpy_dispatch(tmp_path):
+    import os
+
+    # numpy's AVX-512 exp, log and expm1 differ from the other paths by 1 ulp;
+    # a mixtral-size quadrature runs through math, so switching them off moves no byte
+    argv = ["plan", "--model", MODELS / "mixtral-8x7b.json", "--catalog", CATALOG, "--mode", "expected",
+            "--batch", 4, "--dist", "zipf:1.1", "--sweep-batches", "1,2,4,8,16,32,64"]
+    written = []
+    for out, extra in (("native", {}), ("no-avx512", {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"})):
+        result = run_cli(*argv, "--output-dir", tmp_path / out, env_extra=extra)
+        assert result.returncode == 0, result.stderr
+        written.append({path.name: path.read_bytes() for path in (tmp_path / out).iterdir()})
+    assert sorted(written[0]) == ["batch_sweep.csv", "plan_report.json"] and written[0] == written[1]
+
+
+def test_overflowing_batch_on_the_list_quadrature_exits_2(tmp_path, capsys):
+    from moemeter.cli import main
+
+    argv = ["plan", "--model", MODELS / "toy-4x2.json", "--catalog", CATALOG, "--mode", "expected",
+            "--batch", 10**400, "--dist", "zipf:0.7", "--output-dir", tmp_path / "out"]
+    assert main([str(a) for a in argv]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["field"] == "report"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_closed_stderr_keeps_the_validation_exit(tmp_path, buffered):
+    import os
+
+    env = _buffered_env() if buffered else {**os.environ, "PYTHONUNBUFFERED": "1"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "moemeter", *map(str, _METRICS_ARGV), "--device", "nope",
+             "--output-dir", tmp_path / "out"],
+            stdout=subprocess.PIPE, stderr=write_end, text=True, env=env, cwd=REPO_ROOT,
+        )
+    finally:
+        os.close(write_end)
+    # the error document cannot be written, but the code still says the input was invalid
+    assert (result.returncode, result.stdout) == (2, "")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -16,8 +16,12 @@ from moemeter.routing import (
     RoutingDistribution,
     expected_distinct_experts,
     simulate_routing,
+    _RACE_STEP,
+    _batch_hit_probs,
     _parse_dist_spec,
     _race_block,
+    _race_grid,
+    _race_inclusion_list,
     _route_pass,
     _topk_inclusion_probs,
 )
@@ -649,6 +653,79 @@ def test_quadrature_values_are_pinned(kind, s, n_expert, k, digest):
     else:
         p = np.array([0.5, 0.5 - 1e-320, 1e-320, 0.0])
     assert hashlib.sha256(_topk_inclusion_probs(p, k).tobytes()).hexdigest() == digest
+
+
+def _result_or_error(call):
+    """What ``call`` returns, or the (message, field) of its ValidationError."""
+    try:
+        return call()
+    except ValidationError as exc:
+        return str(exc), exc.field
+
+
+# zero, subnormal and ordinary raw weights, normalized before use
+_RAW_WEIGHTS = st.one_of(st.just(0.0), st.sampled_from([5e-324, 1e-320, 2.5e-310]), st.floats(1e-6, 1.0))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_list_evaluator_matches_numpy_kernel(data):
+    n_expert = data.draw(st.integers(1, 16))
+    k = data.draw(st.integers(1, n_expert))
+    if data.draw(st.booleans()):
+        dist = RoutingDistribution.zipf(data.draw(st.floats(0.0, 1000.0)))
+    else:
+        raw = data.draw(st.lists(_RAW_WEIGHTS, min_size=n_expert, max_size=n_expert).filter(any))
+        dist = RoutingDistribution.empirical([w / math.fsum(raw) for w in raw])
+        wrong = _result_or_error(lambda: dist.probabilities(n_expert + 1))
+        assert isinstance(wrong, tuple) and _result_or_error(lambda: dist.probability_list(n_expert + 1)) == wrong
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = _result_or_error(lambda: _topk_inclusion_probs(dist.probabilities(n_expert), k).tolist())
+        got = _result_or_error(lambda: _race_inclusion_list(dist.probability_list(n_expert), k))
+    if isinstance(want, tuple):  # fewer than k positive weights, rejected alike
+        assert got == want
+        return
+    assert isinstance(got, list)
+    # the list evaluator's nodes are the kernel's np.arange grid
+    log_p = [math.log(w) for w in dist.probability_list(n_expert) if w > 0]
+    start, n = _race_grid(log_p)
+    assert np.arange(start, -min(log_p) + 4.0, _RACE_STEP).tolist() == [start + j * _RACE_STEP for j in range(n)]
+    for g, w in zip(got, want):
+        assert g == pytest.approx(w, rel=1e-14, abs=0.0)
+    assert abs(math.fsum(got) - k) <= 1e-12 * k
+
+
+# SHA-256 of the list evaluator's r_i as little-endian doubles (glibc libm,
+# x86-64). Its bits come from math alone, so numpy's SIMD dispatch cannot
+# move them; a refactor must keep them.
+_PINNED_LIST_QUADRATURE = [
+    (8, 2, 1.1, "22dab5750a1a7780a604050f2c8c575f7158acbd5fedce2755ac9ca22434d69b"),  # mixtral-8x7b
+    (4, 2, 0.7, "4411851cce1c4d91b51c3fa00cfe8d492e29bf6d083e523a96248a01b6587a63"),  # toy-4x2
+]
+
+
+@pytest.mark.parametrize("n_expert, k, s, digest", _PINNED_LIST_QUADRATURE)
+def test_list_evaluator_values_are_pinned(n_expert, k, s, digest):
+    import struct
+
+    r = _race_inclusion_list(RoutingDistribution.zipf(s).probability_list(n_expert), k)
+    assert hashlib.sha256(struct.pack(f"<{n_expert}d", *r)).hexdigest() == digest
+
+
+def test_list_path_edges_match_numpy():
+    # an expert every token routes to has r_i = 1 exactly: math.log1p(-1.0)
+    # raises where numpy gives -inf, and its hit probability is 1
+    certain = RoutingDistribution.empirical([0.5, 0.5, 0.0, 0.0])
+    assert _race_inclusion_list(certain.probability_list(4), 2) == [1.0, 1.0, 0.0, 0.0]
+    assert _batch_hit_probs(4, 2, 3, certain) == [1.0, 1.0, 0.0, 0.0]
+    assert expected_distinct_experts(4, 2, 3, certain).value == 2.0
+    # a rank whose power overflows a double gets weight 0, as under numpy
+    steep = RoutingDistribution.zipf(1000.0)
+    assert steep.probability_list(4) == steep.probabilities(4).tolist() == [1.0, 2.0**-1000, 0.0, 0.0]
+    # k = E: every expert is in every token's set
+    every = expected_distinct_experts(4, 4, 5, RoutingDistribution.zipf(0.7))
+    assert every.value == pytest.approx(4.0, rel=1e-14)
 
 
 def test_quadrature_memory_is_bounded():
