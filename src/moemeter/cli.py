@@ -14,8 +14,10 @@ Writing is one stage, in :func:`main`. A ``cmd_*`` function returns an
 ordered mapping of output path to document: a dict for a JSON report, a str
 for text (a CSV, a simulated trace). ``main`` renders every document first,
 so every check runs before any file exists and a run that exits 2 leaves
-nothing behind; then it writes the files, removes the ones it wrote if a
-later write fails, and prints their paths in order once every write is done.
+nothing behind; then it writes each file under a temporary name beside
+its path, renames all of them into place once every one is written, and
+prints their paths in order. A failed write removes only the temporaries,
+so an exit-2 run leaves a report from an earlier run as it was.
 A stdout that cannot take the paths is no input error: its ``OSError``
 reaches the caller. ``main`` returns the exit code and never ends the
 process, so a library caller keeps control. ``python -m moemeter``, ``python
@@ -35,6 +37,7 @@ parser fills in only the arguments of the subcommand being run.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import re
@@ -442,20 +445,31 @@ def _print_error(kind: str, message: str, field: str | None = None) -> None:
 
 
 def _write_outputs(texts: dict) -> None:
-    """Write each text to its path; if a write fails, remove the files
-    this run opened for writing and raise the error."""
-    written = []
+    """Write every text whole before any takes its final name. Each goes to
+    a temporary file beside its path; once all are written and no path is a
+    directory, each is renamed into place. A failure removes the temporaries
+    and raises the error, so a report an earlier run left at a path stays as
+    it was, and no report is seen half-written under its name. Only a rename
+    that fails after the check (a race, a filesystem fault) leaves the paths
+    renamed before it holding their new text, whole."""
+    temps = []
     try:
         for path, text in texts.items():
             path.parent.mkdir(parents=True, exist_ok=True)
-            with open(path, "w", encoding="utf-8") as fh:
-                written.append(path)
+            temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            with open(temp, "w", encoding="utf-8") as fh:
+                temps.append(temp)
                 fh.write(text)
+        for path in texts:  # before the first rename, so none has replaced a file when one fails
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        for temp, path in zip(temps, texts):
+            os.replace(temp, path)
     except OSError:
-        for path in written:
+        for temp in temps:
             try:
-                path.unlink()
-            except OSError:
+                os.unlink(temp)
+            except OSError:  # already renamed into place
                 pass
         raise
 

@@ -4,13 +4,17 @@ Everything here models how a router picks experts, as opposed to reading
 what one recorded (``trace``): the routing distributions, the simulator
 that synthesizes activation sheets from them, and the expected number of
 distinct experts a batch activates. Expected activation is exact, not
-sampled: a closed form under uniform routing and an exponential-race
-quadrature otherwise. The quadrature has two evaluators of one grid and
-recurrence: a small grid (at most ``_LIST_RACE_CELLS`` experts x top_k x
-nodes) runs over Python lists through ``math``, a larger one through the
-numpy kernel. numpy is imported inside the functions that need it, so
-uniform expected-mode planning, and zipf or empirical planning of a small
-model, load this module but not numpy.
+sampled: a closed form under uniform routing, the weights themselves at
+top_k = 1, and an exponential-race quadrature otherwise. The quadrature's
+grid (``_race_grid``) starts only as far left of the largest weight's scale
+as a stated bound on the dropped nodes needs, and adds those nodes' sum in
+closed form. Two evaluators sum it with one recurrence: a small grid (at
+most ``_LIST_RACE_CELLS`` experts x top_k x nodes) runs over Python lists
+through ``math``, a larger one through the numpy kernel. Both take the
+weights of ``probability_list`` and give one tuple. numpy is imported inside
+the functions that need it, so uniform expected-mode planning, and zipf or
+empirical planning of a model up to deepseek-v2-lite's size, load this
+module but not numpy.
 
 Simulation determinism: pass ``i`` draws from
 ``numpy.random.default_rng(SeedSequence(seed).spawn(n_passes)[i])``, so
@@ -145,20 +149,15 @@ def _parse_dist_spec(spec: str) -> RoutingDistribution:
 # Simulation
 # --------------------------------------------------------------------------
 
-def _require_support(n_positive: int, top_k: int) -> None:
-    if n_positive < top_k:
+def _support(p: Sequence[float], top_k: int) -> list[int]:
+    """Indices of the positive weights; fewer than top_k of them are rejected."""
+    positive = [i for i, w in enumerate(p) if w > 0]
+    if len(positive) < top_k:
         raise ValidationError(
             f"distribution has fewer than top_k={top_k} experts with positive weight",
             field="weights",
         )
-
-
-def _check_support(p: np.ndarray, top_k: int) -> np.ndarray:
-    import numpy as np
-
-    _require_support(int((p > 0).sum()), top_k)
-    with np.errstate(divide="ignore"):
-        return np.where(p > 0, np.log(p), -np.inf)
+    return positive
 
 
 # Uniform cells (tokens x layers x experts) drawn at a time: a pass's memory
@@ -261,7 +260,7 @@ def simulate_routing(
         raise ValidationError("tokens_per_pass must be >= batch", field="tokens_per_pass")
 
     p = dist.probabilities(desc.n_expert)
-    _check_support(p, desc.top_k)
+    _support(p, desc.top_k)
     # 1/p up to the exact factor 2^-64, which keeps it finite for subnormal
     # weights and never reorders race times
     with np.errstate(divide="ignore"):
@@ -298,15 +297,54 @@ _RACE_STEP = 0.125
 # stays below this. The cut sets how each expert's sum over nodes is
 # grouped, so changing it changes the last bits of r_i.
 _RACE_BLOCK_CELLS = 1 << 20
+# Largest relative error in r_i that the grid's left margin may leave: the
+# left tail's terms past the two it sums in closed form (see _race_grid).
+_RACE_TAIL_TOL = 2.0**-53
+
+
+def _race_grid(log_p: Sequence[float], k: int) -> tuple[list[float], list[float]]:
+    """Nodes s_j = ln t_j of the quadrature over the positive weights
+    p_i = e^log_p[i] at top_k = k >= 2, and each expert's closed-form sum
+    over the nodes left of the first.
+
+    The nodes run from s_0 = -ln p_max - L in steps of h = ``_RACE_STEP``
+    up to -ln p_min + 4, right of which every integrand is below e^-49 of
+    its peak. The nodes left of s_0, s_0 - jh for j >= 1, have
+    x = p_i t = x_0 q^j with x_0 = p_i t_0 <= e^-L and q = e^-h. There the
+    integrand x e^-x P(at most k-1 others fired by t) differs from x - x^2
+    by at most x^3/2 + x t^k/k!, since at least k others have fired with
+    probability at most e_k(p_j t) <= (t sum p_j)^k/k! <= t^k/k!. So those
+    nodes sum to x_0 q/(1 - q) - x_0^2 q^2/(1 - q^2), the tail returned
+    here, which the step h weighs like any node. What the tail leaves out,
+    h times that bound summed over j, is at most this fraction of r_i >= p_i:
+
+        t_0^(k+1)/(k+1)! + e^(-2L) t_0/6,    t_0 = e^-L/p_max.
+
+    L is the smallest multiple of h that holds each term to half of
+    ``_RACE_TAIL_TOL``. Small k and flat weights (a small p_max, so a large
+    t_0) need the widest margin: zipf:0 at (E, k) = (512, 2) takes
+    L = 18.125 (177 nodes). At deepseek-r1's zipf:1.1 (256, 8) the second
+    term sets L = 12.5 (181 nodes, against 401 on a fixed e^-40 margin).
+    """
+    top, ln_half_tol = max(log_p), math.log(_RACE_TAIL_TOL / 2)
+    margin = max((-ln_half_tol - math.lgamma(k + 2)) / (k + 1) - top, (-ln_half_tol - math.log(6.0) - top) / 3)
+    start = -top - _RACE_STEP * math.ceil(margin / _RACE_STEP)
+    n = math.ceil((-min(log_p) + 4.0 - start) / _RACE_STEP)
+    # q / (1 - q) = 1 / (e^h - 1), q^2 / (1 - q^2) = 1 / (e^2h - 1)
+    x0 = [math.exp(lp + start) for lp in log_p]
+    tail = [x / math.expm1(_RACE_STEP) - x * x / math.expm1(2 * _RACE_STEP) for x in x0]
+    return [start + j * _RACE_STEP for j in range(n)], tail
 
 
 def _topk_inclusion_probs(p: np.ndarray, k: int) -> np.ndarray:
     """r_i = P(expert i is among one token's k sequential weighted draws
-    without replacement); fewer than k positive weights are rejected.
+    without replacement); fewer than k positive weights are rejected. At
+    k = 1 that is p_i itself, returned as given.
 
     Exponential race: expert i fires at an Exp(p_i) time and the k earliest
     win, so r_i = integral over ln t of p_i t e^(-p_i t) P(at most k-1 others
-    fired by t). That count is Poisson-binomial in 1 - e^(-p_j t); the counts
+    fired by t), summed on ``_race_grid``'s nodes plus its closed-form left
+    tail. That count is Poisson-binomial in 1 - e^(-p_j t); the counts
     among the experts before i (prefix) and after i (suffix), truncated at k,
     give it for every i without division. All terms are positive, so tiny
     r_i keep full precision.
@@ -324,10 +362,12 @@ def _topk_inclusion_probs(p: np.ndarray, k: int) -> np.ndarray:
     """
     import numpy as np
 
-    positive = np.flatnonzero(p > 0)
-    log_p = _check_support(p, k)[positive]
-    # Outside this range every integrand is below e^-40 of its peak.
-    s = np.arange(-log_p.max() - 40.0, -log_p.min() + 4.0, _RACE_STEP)
+    positive = _support(p, k)
+    if k == 1:  # a single draw picks i with probability p_i
+        return np.array(p, dtype=float)
+    log_p = [math.log(p[i]) for i in positive]
+    nodes, tail = _race_grid(log_p, k)
+    log_p, s = np.array(log_p), np.array(nodes)
     # the full length sets the node blocks, so each sum is grouped as if every expert were swept
     n_blocks = -(-len(s) * (len(p) + 1) * k // _RACE_BLOCK_CELLS)
     m = len(log_p)
@@ -371,55 +411,50 @@ def _topk_inclusion_probs(p: np.ndarray, k: int) -> np.ndarray:
             carry = suffix[0].copy()
             # P(at most k-1 others) = sum_c prefix[i, c] * P(at most k-1-c of i+1.. fired).
             # The cumulative sum over c overwrites suffix rows the next segment rewrites.
-            tail = suffix[1 : n + 1]
+            tail_rows = suffix[1 : n + 1]
             for c in range(1, k):
-                tail[:, c] += tail[:, c - 1]
-            others = np.einsum("ict,ict->it", prefix[:n], tail[:, ::-1])
+                tail_rows[:, c] += tail_rows[:, c - 1]
+            others = np.einsum("ict,ict->it", prefix[:n], tail_rows[:, ::-1])
             total[lo : lo + n] += (np.exp(log_w) * others).sum(axis=1)
     r = np.zeros(len(p))
-    r[positive] = np.minimum(_RACE_STEP * total, 1.0)
+    r[positive] = np.minimum(_RACE_STEP * (total + tail), 1.0)
     return r
-
-
-def _race_grid(log_p: Sequence[float]) -> tuple[float, int]:
-    """First node and node count of the quadrature grid: np.arange's length
-    and nodes start + j * step. Outside this range every integrand is below
-    e^-40 of its peak."""
-    start = -max(log_p) - 40.0
-    return start, math.ceil((-min(log_p) + 4.0 - start) / _RACE_STEP)
 
 
 # Largest positive experts x top_k x grid nodes given to the list evaluator;
 # above it numpy's import pays for itself. Measured on a 2-core x86-64 host
-# (Python 3.11, numpy 2.4), zipf:1.1: the first ``_inclusion_probs`` call
-# in a fresh process, numpy's import included, median of 11-15 alternated
-# runs on one pinned CPU:
+# (Python 3.11, numpy 2.4), zipf:1.1, on the trimmed grid of _race_grid:
+# one evaluator call in a fresh process, numpy's import included, median
+# of 11 alternated runs on one pinned CPU:
 #   (E, k)                    cells    list      numpy
-#   mixtral-8x7b (8, 2)        5.9k    4.3 ms    95 ms
-#   qwen1.5-moe (60, 4)         93k     40 ms    71 ms
-#   deepseek-v2-lite (64, 6)   149k     58 ms    74 ms   list won 14 of 15
-#   (64, 7)                    174k     64 ms    65 ms   list won 8 of 15
-#   (64, 8)                    199k     72 ms    65 ms   list won 4 of 15
-#   deepseek-r1 (256, 8)       821k   ~300 ms    ~95 ms  (in-process, plus the import)
-# The list evaluator costs about 0.37 us a cell, numpy about 65-95 ms of
-# import plus 0.02 us a cell; they cross near 174k cells. A whole v2-lite
-# plan command read 185 ms on the list against 191 ms on numpy (median of
-# 21), so a larger constant would gain nothing.
+#   mixtral-8x7b (8, 2)        2.5k    1.1 ms    49 ms   list won 11 of 11
+#   qwen1.5-moe (60, 4)         40k     14 ms    50 ms   list won 11 of 11
+#   deepseek-v2-lite (64, 6)    65k     22 ms    50 ms   list won 11 of 11
+#   (112, 8)                   155k     50 ms    52 ms   list won 11 of 11
+#   (120, 8)                   167k     54 ms    52 ms   list won 0 of 11
+#   (128, 8)                   179k     58 ms    52 ms   list won 0 of 11
+#   deepseek-r1 (256, 8)       371k    123 ms    56 ms   (median of 3)
+# The list evaluator costs about 0.32 us a cell, numpy 48-52 ms of import
+# plus 0.02 us a cell in that run; they cross near 160k cells. On the
+# earlier e^-40 grid numpy's import read 65-95 ms and the crossing 174k,
+# so the constant sits inside the import's spread and stays.
 _LIST_RACE_CELLS = 170_000
 
 
 def _race_inclusion_list(p: Sequence[float], k: int) -> list[float]:
     """``_topk_inclusion_probs`` over Python lists, each vectorized across
-    the node grid: the same grid, truncated prefix/suffix recurrence and cap
-    min(step * sum, 1), with math's exp, expm1 and log (libm) and
-    ``math.fsum`` over the nodes. r_i agrees with the numpy kernel to about
-    1e-15 relative, not bit for bit. Prefix rows are kept for every expert,
-    so memory is O(E k nodes): callers keep the grid small."""
-    positive = [i for i, w in enumerate(p) if w > 0]
-    _require_support(len(positive), k)
+    the node grid: the same grid and tail, truncated prefix/suffix
+    recurrence and cap min(step * sum, 1), with math's exp, expm1 and log
+    (libm) and ``math.fsum`` over the nodes. r_i agrees with the numpy
+    kernel to about 1e-15 relative, not bit for bit. Prefix rows are kept
+    for every expert, so memory is O(E k nodes): callers keep the grid
+    small."""
+    positive = _support(p, k)
+    if k == 1:  # a single draw picks i with probability p_i
+        return list(p)
     log_p = [math.log(p[i]) for i in positive]
-    start, n = _race_grid(log_p)
-    s = [start + j * _RACE_STEP for j in range(n)]
+    s, tail = _race_grid(log_p, k)
+    n = len(s)
     fired, idle, weight = [], [], []
     for lp in log_p:
         # x = p t from log space, capped where e^-x is already 0 so it stays finite
@@ -445,32 +480,32 @@ def _race_inclusion_list(p: Sequence[float], k: int) -> list[float]:
     suffix = [[1.0] * n] + [[0.0] * n for _ in range(k - 1)]
     for j in reversed(range(len(positive))):
         # P(at most k-1 others) = sum_c prefix[j, c] * P(at most k-1-c of j+1.. fired)
-        tail = [suffix[0]]
+        tail_rows = [suffix[0]]
         for c in range(1, k):
-            tail.append(list(map(add, tail[-1], suffix[c])))
-        others = list(map(mul, prefix[j][0], tail[k - 1]))
+            tail_rows.append(list(map(add, tail_rows[-1], suffix[c])))
+        others = list(map(mul, prefix[j][0], tail_rows[k - 1]))
         for c in range(1, k):
-            others = list(map(add, others, map(mul, prefix[j][c], tail[k - 1 - c])))
-        r[positive[j]] = min(_RACE_STEP * math.fsum(map(mul, weight[j], others)), 1.0)
+            others = list(map(add, others, map(mul, prefix[j][c], tail_rows[k - 1 - c])))
+        r[positive[j]] = min(_RACE_STEP * (math.fsum(map(mul, weight[j], others)) + tail[j]), 1.0)
         suffix = step(suffix, fired[j], idle[j])
     return r
 
 
 @functools.lru_cache(maxsize=32)
-def _inclusion_probs(n_expert: int, top_k: int, dist: RoutingDistribution) -> tuple[float, ...] | np.ndarray:
+def _inclusion_probs(n_expert: int, top_k: int, dist: RoutingDistribution) -> tuple[float, ...]:
     """r_i for one routing setting, computed once per process: r_i does not
-    depend on the batch, so a sweep pays for one quadrature. A tuple from
-    the list evaluator when the grid has at most ``_LIST_RACE_CELLS`` cells,
-    else a read-only array from ``_topk_inclusion_probs``; every caller
-    shares the result."""
+    depend on the batch, so a sweep pays for one quadrature. The weights
+    come from ``probability_list``. The list evaluator takes top_k = 1,
+    which needs no grid, and every grid of at most ``_LIST_RACE_CELLS``
+    cells; the numpy kernel takes the rest, on an array of the same
+    weights. Every caller shares the tuple."""
     p = dist.probability_list(n_expert)
-    log_p = [math.log(w) for w in p if w > 0]
-    _require_support(len(log_p), top_k)
-    if len(log_p) * top_k * _race_grid(log_p)[1] <= _LIST_RACE_CELLS:
+    log_p = [math.log(p[i]) for i in _support(p, top_k)]
+    if top_k == 1 or len(log_p) * top_k * len(_race_grid(log_p, top_k)[0]) <= _LIST_RACE_CELLS:
         return tuple(_race_inclusion_list(p, top_k))
-    r = _topk_inclusion_probs(dist.probabilities(n_expert), top_k)
-    r.flags.writeable = False
-    return r
+    import numpy as np
+
+    return tuple(_topk_inclusion_probs(np.array(p), top_k).tolist())
 
 
 def expected_distinct_experts(
@@ -495,27 +530,13 @@ def expected_distinct_experts(
     if dist.kind == "uniform":
         value = n_expert * (1.0 - (1.0 - top_k / n_expert) ** batch)
         return ExpectedDistinct(value=value, method="closed_form")
-    hit = _hit_probs(n_expert, top_k, batch, dist)
-    value = math.fsum(hit) if isinstance(hit, list) else float(hit.sum())
-    return ExpectedDistinct(value=value, method="quadrature")
+    return ExpectedDistinct(value=math.fsum(_batch_hit_probs(n_expert, top_k, batch, dist)), method="quadrature")
 
 
 def _batch_hit_probs(n_expert: int, top_k: int, batch: int, dist: RoutingDistribution) -> list[float]:
     """1 - (1 - r_i)^batch for each expert i: the probability that at least
     one of ``batch`` independent tokens routes to it, r_i being its top-k
     inclusion probability (exactly k/E under uniform routing)."""
-    hit = _hit_probs(n_expert, top_k, batch, dist)
-    return hit if isinstance(hit, list) else hit.tolist()
-
-
-def _hit_probs(n_expert: int, top_k: int, batch: int, dist: RoutingDistribution) -> list[float] | np.ndarray:
-    """``_batch_hit_probs`` in the form its evaluator gives: a list through
-    ``math``, or an array where r_i came from the numpy kernel."""
     r = (top_k / n_expert,) * n_expert if dist.kind == "uniform" else _inclusion_probs(n_expert, top_k, dist)
-    if isinstance(r, tuple):
-        # log1p(-1) raises where numpy gives -inf: an expert every token routes to is hit
-        return [1.0 if ri == 1.0 else -math.expm1(batch * math.log1p(-ri)) for ri in r]
-    import numpy as np
-
-    with np.errstate(divide="ignore"):
-        return -np.expm1(batch * np.log1p(-r))
+    # log1p(-1) raises: an expert every token routes to is hit
+    return [1.0 if ri == 1.0 else -math.expm1(batch * math.log1p(-ri)) for ri in r]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from moemeter.routing import _check_support
+from moemeter.routing import _support
 
 
 def _mc_distinct_counts(
@@ -22,7 +22,9 @@ def _mc_distinct_counts(
     admit an extra expert, which perturbs the estimate orders of magnitude
     below the standard error at any practical pass count.
     """
-    log_p32 = _check_support(p, top_k).astype(np.float32)
+    _support(p, top_k)
+    with np.errstate(divide="ignore"):
+        log_p32 = np.where(p > 0, np.log(p), -np.inf).astype(np.float32)
     n_expert = len(p)
     if top_k == n_expert:
         return np.full(n_passes, n_expert, dtype=np.int64)

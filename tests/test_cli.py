@@ -413,6 +413,9 @@ _CLI_MODULES = {"moemeter", "moemeter.cli", "moemeter.errors", "moemeter.models"
         ("cost", _CLI_MODULES | {"moemeter.costing"}),
         ("recommend", _CLI_MODULES | {"moemeter.cap"}),
         ("plan r1", _CLI_MODULES | {"moemeter.catalog", "moemeter.planner", "moemeter.routing", "numpy"}),
+        # the expected-planning benchmark's v2-lite plan, and qwen's: their trimmed grids run through math
+        ("plan v2-lite", _CLI_MODULES | {"moemeter.catalog", "moemeter.planner", "moemeter.routing"}),
+        ("plan qwen", _CLI_MODULES | {"moemeter.catalog", "moemeter.planner", "moemeter.routing"}),
     ],
 )
 def test_each_command_loads_only_its_modules(tmp_path, command, loaded):
@@ -427,6 +430,11 @@ def test_each_command_loads_only_its_modules(tmp_path, command, loaded):
                  "--fig2"],
         "plan r1": ["plan", "--model", MODELS / "deepseek-r1.json", "--catalog", CATALOG, "--mode", "expected",
                     "--batch", 2, "--dist", "zipf:1.1", "--output-dir", tmp_path],
+        "plan v2-lite": ["plan", "--model", MODELS / "deepseek-v2-lite.json", "--catalog", CATALOG, "--mode",
+                         "expected", "--batch", 8, "--dist", "zipf:1.1", "--sweep-batches", "1,2,4",
+                         "--output-dir", tmp_path],
+        "plan qwen": ["plan", "--model", MODELS / "qwen1_5-moe-a2_7b.json", "--catalog", CATALOG, "--mode",
+                      "expected", "--batch", 4, "--dist", "zipf:1.1", "--output-dir", tmp_path],
         "radar": ["radar", "--records", BUNDLES / "radar_serving_systems.json", "--output-dir", tmp_path],
         "plan --mode trace": ["plan", "--model", MODELS / "toy-4x2.json", "--catalog", CATALOG, "--mode", "trace",
                               "--trace", TRACES / "sample_decode.trace", "--with-ops", "--output-dir", tmp_path],
@@ -948,7 +956,7 @@ COST_INPUTS_TEXT = """{
             {
                 "plan_report.json": "95232c778e4cc1e933627856d6714c1dc20aef086222bc75af294f1757d3473e",
                 "bandwidth_power_map.json": "518dd20baa4fe887f0b5d23fb3167f4f0ff8130a59d7851d7b64ee579a1fb45a",
-                "batch_sweep.csv": "93910a1335c671efefadd5e9c6fe7b2ceaf6fffc2dba90b34af3440973c955f1",
+                "batch_sweep.csv": "2ee941653640b31247c6483e8c2bb0360c04db5814aa63979211327f99e8ec8b",
                 "stdout": "856c14bb0581ef7e7281ebb1569e922d1270be2be7ea9b03159658ca0e1bb81d",
             },
             id="plan-expected-sweep-fig2",
@@ -1051,6 +1059,97 @@ def test_failed_write_removes_the_runs_earlier_outputs(tmp_path, capsys):
     assert error["type"] == "input" and set(error) == {"type", "message"}
     assert not (out / "metrics_report.json").exists()
     assert (out / "metrics_report.csv").is_dir()
+
+
+def test_failed_run_keeps_an_earlier_runs_report(tmp_path, capsys):
+    from moemeter.cli import main
+
+    # a directory in the sweep CSV's place fails the second run before any file is replaced
+    out = tmp_path / "out"
+    argv = ["plan", "--model", MODELS / "mixtral-8x7b.json", "--catalog", CATALOG, "--output-dir", out]
+    assert main([str(a) for a in argv]) == 0
+    before = (out / "plan_report.json").read_bytes()
+    (out / "batch_sweep.csv").mkdir()
+    capsys.readouterr()
+    assert main([str(a) for a in [*argv, "--sweep-batches", "1,2"]]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "input"
+    assert (out / "plan_report.json").read_bytes() == before
+    assert sorted(p.name for p in out.iterdir()) == ["batch_sweep.csv", "plan_report.json"]
+
+
+def _metrics_run(out, device):
+    return [str(a) for a in [*_METRICS_ARGV, "--device", device, "--output-dir", out]]
+
+
+def test_failed_temporary_write_leaves_no_temporaries(tmp_path, monkeypatch, capsys):
+    import errno
+
+    import moemeter.cli as cli
+
+    out = tmp_path / "out"
+    assert cli.main(_metrics_run(out, "H100-SXM")) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    class FullDisk:
+        # the second temporary takes part of its text, then the disk is full
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:10])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    opened = []
+
+    def failing_open(path, mode="r", **kwargs):
+        fh = open(path, mode, **kwargs)
+        if mode == "w":
+            opened.append(path)
+        return FullDisk(fh) if mode == "w" and len(opened) == 2 else fh
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    assert cli.main(_metrics_run(out, "A100-PCIe-80G")) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "input"
+    assert len(opened) == 2 and all(path.parent == out for path in opened)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_failed_rename_leaves_every_report_whole(tmp_path, monkeypatch, capsys):
+    import os
+
+    from moemeter.cli import main
+
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    assert main(_metrics_run(fresh, "A100-PCIe-80G")) == 0
+    assert main(_metrics_run(out, "H100-SXM")) == 0
+    new = {p.name: p.read_bytes() for p in fresh.iterdir()}
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert new.keys() == before.keys() and all(new[name] != before[name] for name in new)
+    renamed = []
+    replace = os.replace
+
+    def failing_replace(src, dst):
+        # the first report takes its name, then renaming fails
+        if renamed:
+            raise OSError(5, "Input/output error")
+        renamed.append(dst)
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    assert main(_metrics_run(out, "A100-PCIe-80G")) == 2
+    monkeypatch.undo()
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "input"
+    # the renamed report holds this run's text whole, the other its earlier bytes; no temporary is left
+    after = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert after.keys() == before.keys() and len(renamed) == 1
+    for name, text in after.items():
+        assert text == (new[name] if out / name == renamed[0] else before[name])
 
 
 def _csv_table(path):
@@ -1450,18 +1549,20 @@ def test_closed_stdout_ends_alike_buffered_or_not(tmp_path, buffered):
 
 
 def test_small_expected_plan_bytes_do_not_follow_numpy_dispatch(tmp_path):
-    import os
-
     # numpy's AVX-512 exp, log and expm1 differ from the other paths by 1 ulp;
-    # a mixtral-size quadrature runs through math, so switching them off moves no byte
-    argv = ["plan", "--model", MODELS / "mixtral-8x7b.json", "--catalog", CATALOG, "--mode", "expected",
-            "--batch", 4, "--dist", "zipf:1.1", "--sweep-batches", "1,2,4,8,16,32,64"]
-    written = []
-    for out, extra in (("native", {}), ("no-avx512", {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"})):
-        result = run_cli(*argv, "--output-dir", tmp_path / out, env_extra=extra)
-        assert result.returncode == 0, result.stderr
-        written.append({path.name: path.read_bytes() for path in (tmp_path / out).iterdir()})
-    assert sorted(written[0]) == ["batch_sweep.csv", "plan_report.json"] and written[0] == written[1]
+    # a mixtral- or v2-lite-size quadrature runs through math, so switching them
+    # off moves no byte. deepseek-r1's grid stays on the numpy kernel, so its
+    # bits still follow the dispatch.
+    no_avx512 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+    for model in ("mixtral-8x7b.json", "deepseek-v2-lite.json"):
+        argv = ["plan", "--model", MODELS / model, "--catalog", CATALOG, "--mode", "expected",
+                "--batch", 4, "--dist", "zipf:1.1", "--sweep-batches", "1,2,4,8,16,32,64"]
+        written = []
+        for out, extra in (("native", {}), ("no-avx512", no_avx512)):
+            result = run_cli(*argv, "--output-dir", tmp_path / model / out, env_extra=extra)
+            assert result.returncode == 0, result.stderr
+            written.append({path.name: path.read_bytes() for path in (tmp_path / model / out).iterdir()})
+        assert sorted(written[0]) == ["batch_sweep.csv", "plan_report.json"] and written[0] == written[1]
 
 
 def test_overflowing_batch_on_the_list_quadrature_exits_2(tmp_path, capsys):

@@ -404,7 +404,7 @@ def test_zipf_sweep_runs_the_quadrature_once(r1_desc, monkeypatch):
         routing._inclusion_probs.cache_clear()
     assert calls == [r1_desc.top_k]
     assert [p.expected_distinct_per_layer for p in points] == uncached
-    with pytest.raises(ValueError, match="read-only"):
+    with pytest.raises(TypeError):  # every caller shares one immutable tuple
         r[0] = 0.0
 
 

@@ -12,12 +12,15 @@ from hypothesis import given, settings, strategies as st
 
 from moemeter.errors import ValidationError
 from moemeter.metrics import activated_fraction
+from moemeter.models import load_model_descriptor
 from moemeter.routing import (
     RoutingDistribution,
     expected_distinct_experts,
     simulate_routing,
+    _LIST_RACE_CELLS,
     _RACE_STEP,
     _batch_hit_probs,
+    _inclusion_probs,
     _parse_dist_spec,
     _race_block,
     _race_grid,
@@ -34,7 +37,7 @@ from moemeter.trace import (
     validate_sheet,
 )
 
-from conftest import make_desc
+from conftest import REPO_ROOT, make_desc
 from mc_reference import _mc_distinct_counts
 
 
@@ -595,6 +598,9 @@ _ORACLE_WEIGHTS = [
     [0.5, 0.25, 0.25, 0.0, 0.0],
     [0.05, 0.3, 0.0, 0.15, 0.2, 0.1, 0.12, 0.08],
     [1 / 6] * 6,
+    # the left tail carries the most mass: one dominant weight, and zipf:3
+    [0.9, 0.04, 0.03, 0.02, 0.01],
+    (1 / np.arange(1, 8) ** 3.0).tolist(),
 ]
 
 
@@ -620,6 +626,49 @@ def test_quadrature_sum_rule_at_model_scale(n_expert, k):
     assert abs(r.sum() - k) <= 1e-12 * k
 
 
+@pytest.mark.parametrize("n_expert, k", [(8, 2), (64, 2), (256, 2), (512, 2), (256, 8), (512, 16)])
+def test_flat_weights_give_k_over_e_on_both_evaluators(n_expert, k):
+    # under zipf:0 every r_i is exactly k/E, whatever the grid; flat weights
+    # and a small k leave the most mass left of the first node
+    p = RoutingDistribution.zipf(0.0).probability_list(n_expert)
+    results = [_topk_inclusion_probs(np.array(p), k).tolist()]
+    if n_expert * k * len(_race_grid([math.log(w) for w in p], k)[0]) <= _LIST_RACE_CELLS:
+        results.append(_race_inclusion_list(p, k))
+    for r in results:
+        for ri in r:
+            assert ri == pytest.approx(k / n_expert, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [RoutingDistribution.zipf(1.1), RoutingDistribution.zipf(1000.0),
+     RoutingDistribution.empirical([0.5, 0.25, 1e-320, 0.0, 0.25 - 1e-320])],
+    ids=["zipf", "overflowing-zipf", "empirical"],
+)
+def test_top1_inclusion_is_the_weights_bit_for_bit(dist):
+    # a single draw picks expert i with probability p_i: no quadrature runs
+    p = dist.probability_list(5)
+    want = [w.hex() for w in p]
+    assert [r.hex() for r in _race_inclusion_list(p, 1)] == want
+    assert [r.hex() for r in _topk_inclusion_probs(np.array(p), 1).tolist()] == want
+    assert [r.hex() for r in _inclusion_probs(5, 1, dist)] == want
+
+
+def _uneven_weights(n_expert):
+    raw = [(7 * i) % 11 for i in range(n_expert)]  # uneven, with a zero every 11 experts
+    return RoutingDistribution.empirical([w / math.fsum(raw) for w in raw])
+
+
+@pytest.mark.parametrize("model", sorted(path.name for path in (REPO_ROOT / "models").glob("*.json")))
+@pytest.mark.parametrize("kind", ["zipf:1.1", "zipf:0.3", "empirical"])
+def test_sum_rule_on_every_shipped_model(models_dir, model, kind):
+    # whichever evaluator _inclusion_probs picks, the r_i sum to k
+    desc = load_model_descriptor(models_dir / model)
+    dist = _uneven_weights(desc.n_expert) if kind == "empirical" else _parse_dist_spec(kind)
+    r = _inclusion_probs(desc.n_expert, desc.top_k, dist)
+    assert abs(math.fsum(r) - desc.top_k) <= 1e-12 * desc.top_k
+
+
 def test_quadrature_spans_subnormal_weights_without_overflow():
     # a grid reaching 1/p_min ~ 1e320 would overflow if p*t were formed directly
     p = np.array([0.5, 0.5 - 1e-320, 1e-320, 0.0])
@@ -632,16 +681,17 @@ def test_quadrature_spans_subnormal_weights_without_overflow():
     assert out.value == pytest.approx(2.0, rel=1e-14)
 
 
-# SHA-256 of r_i's bytes from the full prefix/suffix tables the checkpointed
-# kernel replaced (numpy 2.4 on x86-64). The checkpoints must leave every bit
-# alone, multi-block grids included (r1 zipf:200 has 12 node blocks, 512
-# experts top-16 has 4).
+# SHA-256 of r_i's bytes on the trimmed grid with its closed-form left tail
+# (numpy 2.4 on x86-64), within 1e-15 relative of the values the full tables
+# gave on the e^-40 grid. The checkpoints must leave every bit alone,
+# multi-block grids included (r1 zipf:200 has 12 node blocks, 512 experts
+# top-16 has 2).
 _PINNED_QUADRATURE = [
-    ("zipf", 1.1, 256, 8, "3062e7a0ddd853b413d2caefa71652c0abd1424e982c8ab5d28006649105b326"),
-    ("zipf", 1.1, 64, 6, "9fed3a99c8622f9c8bab6f3ba1ecb63b305c4a644d78d4d37cc91a744a269b84"),
-    ("zipf", 1.1, 8, 2, "f9dda7b499cfdbc17956d0936c70c6f81ff8e53b918f6434292e92b2e1a19681"),
-    ("zipf", 200.0, 256, 8, "244c54fd1187574110abb5120750fc9859f343c5aa58cf4c4ba7962e322117bc"),
-    ("zipf", 1.1, 512, 16, "793f50d80941f93eeefa4f0219fab8a9f8bfb28639274f5971576be7149b56e9"),
+    ("zipf", 1.1, 256, 8, "dcd93a21c5ee51dad4151a11012c4cd655abc04414df7d5700d400f39b55bc5a"),
+    ("zipf", 1.1, 64, 6, "4d5d7c2e11a354f22670acbc6b5ea9276a014b91868e0546f534bb1c93e33a60"),
+    ("zipf", 1.1, 8, 2, "989fb05e913a7c727ae3ac4406647f545d6b99afcda3ca27eee53908d3c5bc28"),
+    ("zipf", 200.0, 256, 8, "1180985a8c1f45cc5167d1e0f921cb1cbfd0bf7f3c27c56972e78dca11648573"),
+    ("zipf", 1.1, 512, 16, "87e0723dff67ec17b1a43eccba9f35ea9824345cb4f5ee1004723efa8564fdb3"),
     ("subnormal", None, 4, 2, "10415a50cf0f70979c2b900605c2da78254216e6837b62b1726910026fcf3090"),
 ]
 
@@ -687,10 +737,14 @@ def test_list_evaluator_matches_numpy_kernel(data):
         assert got == want
         return
     assert isinstance(got, list)
-    # the list evaluator's nodes are the kernel's np.arange grid
+    # both evaluators sum over _race_grid's nodes: evenly spaced, from at least
+    # 12 units of ln t left of the largest weight's scale to the smallest's + 4
     log_p = [math.log(w) for w in dist.probability_list(n_expert) if w > 0]
-    start, n = _race_grid(log_p)
-    assert np.arange(start, -min(log_p) + 4.0, _RACE_STEP).tolist() == [start + j * _RACE_STEP for j in range(n)]
+    if k > 1:
+        nodes, tail = _race_grid(log_p, k)
+        assert nodes == [nodes[0] + j * _RACE_STEP for j in range(len(nodes))]
+        assert nodes[0] <= -max(log_p) - 12 and -1e-9 < -min(log_p) + 4.0 - nodes[-1] <= _RACE_STEP + 1e-9
+        assert len(tail) == len(log_p) and all(t >= 0 for t in tail)
     for g, w in zip(got, want):
         assert g == pytest.approx(w, rel=1e-14, abs=0.0)
     assert abs(math.fsum(got) - k) <= 1e-12 * k
@@ -700,8 +754,8 @@ def test_list_evaluator_matches_numpy_kernel(data):
 # x86-64). Its bits come from math alone, so numpy's SIMD dispatch cannot
 # move them; a refactor must keep them.
 _PINNED_LIST_QUADRATURE = [
-    (8, 2, 1.1, "22dab5750a1a7780a604050f2c8c575f7158acbd5fedce2755ac9ca22434d69b"),  # mixtral-8x7b
-    (4, 2, 0.7, "4411851cce1c4d91b51c3fa00cfe8d492e29bf6d083e523a96248a01b6587a63"),  # toy-4x2
+    (8, 2, 1.1, "f30e970cb775fcf7c54186cf501ec972d882a3313fba15cb3a5c92649f50366f"),  # mixtral-8x7b
+    (4, 2, 0.7, "b5df54632696c37cfd890178ff1e18ad3656e09f6b2ddc9ad76f5ce2a5d459ab"),  # toy-4x2
 ]
 
 
