@@ -6,15 +6,12 @@ that synthesizes activation sheets from them, and the expected number of
 distinct experts a batch activates. Expected activation is exact, not
 sampled: a closed form under uniform routing, the weights themselves at
 top_k = 1, and an exponential-race quadrature otherwise. The quadrature's
-grid (``_race_grid``) starts only as far left of the largest weight's scale
-as a stated bound on the dropped nodes needs, and adds those nodes' sum in
-closed form. Two evaluators sum it with one recurrence: a small grid (at
-most ``_LIST_RACE_CELLS`` experts x top_k x nodes) runs over Python lists
-through ``math``, a larger one through the numpy kernel. Both take the
-weights of ``probability_list`` and give one tuple. numpy is imported inside
-the functions that need it, so uniform expected-mode planning, and zipf or
-empirical planning of a model up to deepseek-v2-lite's size, load this
-module but not numpy.
+grid (``_race_grid``) is cut at both ends by stated bounds: on the left as
+far as the count of fired experts needs, with the dropped nodes summed in
+closed form, and on the right where the rest of the grid cannot move any
+r_i by 2^-55 of itself. One evaluator, ``_race_inclusion``, sums it over
+Python lists through ``math``, so its bits follow libm alone. numpy is
+imported only inside the simulator, and no expected-mode plan loads it.
 
 Simulation determinism: pass ``i`` draws from
 ``numpy.random.default_rng(SeedSequence(seed).spawn(n_passes)[i])``, so
@@ -36,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
-from operator import add, mul, neg, sub
+from operator import add, mul, neg
 from typing import Sequence
 
 from .errors import ValidationError, record
@@ -85,22 +82,9 @@ class RoutingDistribution:
     def empirical(cls, weights: Sequence[float]) -> "RoutingDistribution":
         return cls(kind="empirical", weights=tuple(float(w) for w in weights))
 
-    def probabilities(self, n_expert: int) -> np.ndarray:
-        import numpy as np
-
-        if self.kind == "uniform":
-            return np.full(n_expert, 1.0 / n_expert)
-        if self.kind == "zipf":
-            # a rank**s that overflows to inf gives the correctly rounded weight 0
-            with np.errstate(over="ignore"):
-                w = 1.0 / np.arange(1, n_expert + 1, dtype=float) ** self.zipf_s
-            return w / w.sum()
-        w = np.asarray(self._weights_for(n_expert), dtype=float)
-        return w / w.sum()
-
     def probability_list(self, n_expert: int) -> list[float]:
-        """``probabilities`` without numpy: libm's pow and a correctly
-        rounded sum, so a weight may differ from it in the last bit."""
+        """The normalized weights of ``n_expert`` experts, through libm's
+        pow and a correctly rounded sum."""
         if self.kind == "uniform":
             return [1.0 / n_expert] * n_expert
         if self.kind == "zipf":
@@ -259,7 +243,7 @@ def simulate_routing(
     if tokens < batch:
         raise ValidationError("tokens_per_pass must be >= batch", field="tokens_per_pass")
 
-    p = dist.probabilities(desc.n_expert)
+    p = np.array(dist.probability_list(desc.n_expert))
     _support(p, desc.top_k)
     # 1/p up to the exact factor 2^-64, which keeps it finite for subnormal
     # weights and never reorders race times
@@ -293,201 +277,188 @@ class ExpectedDistinct:
 # Trapezoid step in s = ln t; the integrand is analytic, so the error falls
 # geometrically with the step (about 4e-13 at 0.25, rounding at 0.125).
 _RACE_STEP = 0.125
-# The grid is cut into node blocks so that (experts + 1) x counts x nodes
-# stays below this. The cut sets how each expert's sum over nodes is
-# grouped, so changing it changes the last bits of r_i.
-_RACE_BLOCK_CELLS = 1 << 20
-# Largest relative error in r_i that the grid's left margin may leave: the
-# left tail's terms past the two it sums in closed form (see _race_grid).
-_RACE_TAIL_TOL = 2.0**-53
+# Largest relative error in r_i that each of the grid's three cuts may leave:
+# the left margin, the left tail's series and the right end (see _race_grid).
+_RACE_CUT_TOL = 2.0**-55
+# The grid is cut into node blocks so that the rows one block holds at once,
+# (2 ceil(sqrt(experts)) + 1) x top_k x nodes, stay below this: about 1 MiB
+# of list floats. The cut sets how each expert's sum over nodes is grouped,
+# so changing it changes the last bits of r_i.
+_RACE_BLOCK_CELLS = 1 << 15
 
 
 def _race_grid(log_p: Sequence[float], k: int) -> tuple[list[float], list[float]]:
     """Nodes s_j = ln t_j of the quadrature over the positive weights
-    p_i = e^log_p[i] at top_k = k >= 2, and each expert's closed-form sum
-    over the nodes left of the first.
+    p_i = e^log_p[i] at top_k = k >= 2, of which there are more than k,
+    and each expert's closed-form sum over the nodes left of the first.
+    Each of the three cuts below leaves at most ``_RACE_CUT_TOL`` of any
+    r_i, measured against r_i >= p_i.
 
-    The nodes run from s_0 = -ln p_max - L in steps of h = ``_RACE_STEP``
-    up to -ln p_min + 4, right of which every integrand is below e^-49 of
-    its peak. The nodes left of s_0, s_0 - jh for j >= 1, have
-    x = p_i t = x_0 q^j with x_0 = p_i t_0 <= e^-L and q = e^-h. There the
-    integrand x e^-x P(at most k-1 others fired by t) differs from x - x^2
-    by at most x^3/2 + x t^k/k!, since at least k others have fired with
-    probability at most e_k(p_j t) <= (t sum p_j)^k/k! <= t^k/k!. So those
-    nodes sum to x_0 q/(1 - q) - x_0^2 q^2/(1 - q^2), the tail returned
-    here, which the step h weighs like any node. What the tail leaves out,
-    h times that bound summed over j, is at most this fraction of r_i >= p_i:
+    Left end. The nodes run from s_0 = -ln p_max - L in steps of
+    h = ``_RACE_STEP``. Left of s_0, at s_0 - jh for j >= 1, x = p_i t =
+    x_0 q^j with x_0 = p_i t_0 <= e^-L and q = e^-h. There the integrand
+    x e^-x P(at most k-1 others fired by t) differs from x e^-x by at most
+    x t^k/k!, since at least k others have fired with probability at most
+    e_k(p_j t) <= (t sum p_j)^k/k! <= t^k/k!. Summed over j and weighed by
+    h, that is at most t_0^(k+1)/(k+1)! of r_i, and L >= 0 is the smallest
+    multiple of h that holds it to the tolerance. The tail returned sums
+    x e^-x = sum_n (-1)^(n-1) x^n/(n-1)! over those nodes through
+    sum_j (x_0 q^j)^n = x_0^n/(e^(nh) - 1), to N terms. x <= 1, so the
+    series alternates with falling terms, and what the first N leave out
+    is at most t_0 e^(-NL)/(N+1)! of r_i; N is the smallest that holds it
+    to the tolerance. Small k and flat weights need the widest margin:
+    zipf:0 at (E, k) = (512, 2) takes L = 18.375 with N = 2, deepseek-r1's
+    zipf:1.1 (256, 8) L = 4.5 with N = 6.
 
-        t_0^(k+1)/(k+1)! + e^(-2L) t_0/6,    t_0 = e^-L/p_max.
-
-    L is the smallest multiple of h that holds each term to half of
-    ``_RACE_TAIL_TOL``. Small k and flat weights (a small p_max, so a large
-    t_0) need the widest margin: zipf:0 at (E, k) = (512, 2) takes
-    L = 18.125 (177 nodes). At deepseek-r1's zipf:1.1 (256, 8) the second
-    term sets L = 12.5 (181 nodes, against 401 on a fixed e^-40 margin).
+    Right end. Let p_(k) be the k-th largest weight. An expert among the k
+    largest has e^(-p_i t) <= e^(-p_(k) t); any other has at most k-1
+    others fired only if one of those k has not, with probability at most
+    k e^(-p_(k) t). So the node at t adds at most h x e^-x P <=
+    h t k e^(-p_(k) t) p_i to r_i, and from the first node with
+    p_(k) t >= 1 on, those bounds fall faster than a geometric series: the
+    grid first stops at the node whose series sum, computed in log space
+    so that a subnormal p_(k) cannot overflow t, is within the tolerance.
+    The Chernoff bound P(at most k others of all fired) <= e^(-mu)
+    (e mu/k)^k, mu = sum_l (1 - e^(-p_l t)) > k, caps each node's P too, and
+    nodes are dropped from the right while the bounds of all dropped nodes
+    stay within the tolerance. deepseek-r1's zipf:1.1 grid runs from
+    s = -2.92 to 5.08: 65 nodes.
     """
-    top, ln_half_tol = max(log_p), math.log(_RACE_TAIL_TOL / 2)
-    margin = max((-ln_half_tol - math.lgamma(k + 2)) / (k + 1) - top, (-ln_half_tol - math.log(6.0) - top) / 3)
-    start = -top - _RACE_STEP * math.ceil(margin / _RACE_STEP)
-    n = math.ceil((-min(log_p) + 4.0 - start) / _RACE_STEP)
-    # q / (1 - q) = 1 / (e^h - 1), q^2 / (1 - q^2) = 1 / (e^2h - 1)
-    x0 = [math.exp(lp + start) for lp in log_p]
-    tail = [x / math.expm1(_RACE_STEP) - x * x / math.expm1(2 * _RACE_STEP) for x in x0]
-    return [start + j * _RACE_STEP for j in range(n)], tail
+    h, ln_tol, top = _RACE_STEP, math.log(_RACE_CUT_TOL), max(log_p)
+    margin = h * math.ceil(max(0.0, (-ln_tol - math.lgamma(k + 2)) / (k + 1) - top) / h)
+    start = -top - margin  # ln t_0
+    terms = 1
+    while start - terms * margin - math.lgamma(terms + 2) > ln_tol:
+        terms += 1
+    # Horner coefficients of the tail's series, highest power first
+    coefficients = [(-1) ** n / (math.factorial(n) * math.expm1((n + 1) * h)) for n in reversed(range(terms))]
+    tail = []
+    for lp in log_p:
+        x, acc = math.exp(lp + start), 0.0
+        for c in coefficients:
+            acc = acc * x + c
+        tail.append(acc * x)
+
+    ln_pk = sorted(log_p)[-k]
+
+    def beyond(j):
+        # the geometric series' bound on the nodes from j on, or inf where it
+        # does not hold; in log space, and capped at 1, above any tolerance
+        s = start + j * h
+        u = math.exp(ln_pk + s)
+        ln_ratio = h - u * math.expm1(h)
+        if ln_ratio >= 0:
+            return math.inf
+        return math.exp(min(0.0, math.log(h * k) + s - u - math.log(-math.expm1(ln_ratio))))
+
+    n = max(0, math.ceil((-ln_pk - start) / h))
+    while beyond(n) > _RACE_CUT_TOL:
+        n += 1
+    dropped = beyond(n)
+    while n > 1:
+        s = start + (n - 1) * h
+        mu = math.fsum(-math.expm1(-math.exp(min(lp + s, 700.0))) for lp in log_p)
+        ln_others = min(0.0, math.log(k) - math.exp(ln_pk + s))
+        if mu > k:
+            ln_others = min(ln_others, k - mu + k * math.log(mu / k))
+        bound = math.exp(min(0.0, math.log(h) + s + ln_others))
+        if dropped + bound > _RACE_CUT_TOL:
+            break
+        dropped += bound
+        n -= 1
+    return [start + j * h for j in range(n)], tail
 
 
-def _topk_inclusion_probs(p: np.ndarray, k: int) -> np.ndarray:
+def _race_inclusion(p: Sequence[float], k: int) -> list[float]:
     """r_i = P(expert i is among one token's k sequential weighted draws
     without replacement); fewer than k positive weights are rejected. At
-    k = 1 that is p_i itself, returned as given.
+    k = 1 that is p_i itself, and with exactly k positive weights it is 1
+    for each of them: both are returned as exact.
 
     Exponential race: expert i fires at an Exp(p_i) time and the k earliest
     win, so r_i = integral over ln t of p_i t e^(-p_i t) P(at most k-1 others
     fired by t), summed on ``_race_grid``'s nodes plus its closed-form left
-    tail. That count is Poisson-binomial in 1 - e^(-p_j t); the counts
-    among the experts before i (prefix) and after i (suffix), truncated at k,
-    give it for every i without division. All terms are positive, so tiny
-    r_i keep full precision.
+    tail, with math's exp and expm1 (libm) and ``math.fsum``. That count is
+    Poisson-binomial in 1 - e^(-p_j t). P(exactly c of the experts before i
+    fired), c < k (the prefix), times P(at most k-1-c of those after i
+    fired) (the suffix, carried as cumulative counts) gives it for every i
+    without division. Both follow one recurrence, row'[c] = row[c] e^(-x) +
+    row[c-1] (1 - e^(-x)); all terms are positive, so tiny r_i keep full
+    precision down to the smallest normal double. A row is one Python list
+    of k x nodes, so each step is a few C-level maps however short a node
+    block is.
 
     Memory is O(sqrt(E) k nodes), not O(E k nodes). A forward sweep keeps
     the prefix row only at the start of each segment of g = ceil(sqrt(E))
     experts. A backward sweep, last segment first, rebuilds the segment's
-    prefix rows from its checkpoint and its suffix rows from the one row
-    carried down from the segment after it, then combines them. Every row
-    comes from the same recurrence as full tables would, so r_i is too.
+    prefix rows from its checkpoint and steps the suffix row down through
+    it. The nodes are swept in blocks of at most ``_RACE_BLOCK_CELLS``
+    cells of rows.
 
     A zero-weight expert never fires: its step leaves every row exactly as
     it was and its r_i is exactly 0. So only the positive weights are
     swept, and r is scattered back with zeros elsewhere.
     """
-    import numpy as np
-
-    positive = _support(p, k)
-    if k == 1:  # a single draw picks i with probability p_i
-        return np.array(p, dtype=float)
-    log_p = [math.log(p[i]) for i in positive]
-    nodes, tail = _race_grid(log_p, k)
-    log_p, s = np.array(log_p), np.array(nodes)
-    # the full length sets the node blocks, so each sum is grouped as if every expert were swept
-    n_blocks = -(-len(s) * (len(p) + 1) * k // _RACE_BLOCK_CELLS)
-    m = len(log_p)
-    g = math.isqrt(m - 1) + 1
-    total = np.zeros(m)
-
-    def step(row, fired, idle, out=None):
-        # count row after one more expert: row[c] is P(exactly c fired), c < k
-        out = np.multiply(row, idle, out=out)
-        out[1:] += row[:-1] * fired
-        return out
-
-    for s_block in np.array_split(s, n_blocks):
-
-        def segment(lo):
-            # x = p t from log space, capped where e^-x is already 0 so it stays finite
-            log_x = log_p[lo : lo + g, None] + s_block
-            x = np.exp(np.minimum(log_x, 700.0))
-            return -np.expm1(-x), np.exp(-x), log_x - x
-
-        # prefix[j, c] (suffix[j, c]): P(exactly c of the experts before
-        # (from) lo + j fired), c < k; the suffix has one row more, for lo + n
-        prefix, suffix = np.zeros((g, k, len(s_block))), np.zeros((g + 1, k, len(s_block)))
-        row = np.zeros((k, len(s_block)))
-        row[0] = 1.0  # of no experts, none fired
-        checkpoints, carry = [row], row
-        for lo in range(0, m - g, g):
-            fired, idle, _ = segment(lo)
-            for j in range(g):
-                row = step(row, fired[j], idle[j])
-            checkpoints.append(row)
-        for lo in reversed(range(0, m, g)):
-            fired, idle, log_w = segment(lo)
-            n = len(fired)
-            prefix[0] = checkpoints.pop()
-            for j in range(n - 1):
-                step(prefix[j], fired[j], idle[j], out=prefix[j + 1])
-            suffix[n] = carry
-            for j in reversed(range(n)):
-                step(suffix[j + 1], fired[j], idle[j], out=suffix[j])
-            carry = suffix[0].copy()
-            # P(at most k-1 others) = sum_c prefix[i, c] * P(at most k-1-c of i+1.. fired).
-            # The cumulative sum over c overwrites suffix rows the next segment rewrites.
-            tail_rows = suffix[1 : n + 1]
-            for c in range(1, k):
-                tail_rows[:, c] += tail_rows[:, c - 1]
-            others = np.einsum("ict,ict->it", prefix[:n], tail_rows[:, ::-1])
-            total[lo : lo + n] += (np.exp(log_w) * others).sum(axis=1)
-    r = np.zeros(len(p))
-    r[positive] = np.minimum(_RACE_STEP * (total + tail), 1.0)
-    return r
-
-
-# Largest positive experts x top_k x grid nodes given to the list evaluator;
-# above it numpy's import pays for itself. Measured on a 2-core x86-64 host
-# (Python 3.11, numpy 2.4), zipf:1.1, on the trimmed grid of _race_grid:
-# one evaluator call in a fresh process, numpy's import included, median
-# of 11 alternated runs on one pinned CPU:
-#   (E, k)                    cells    list      numpy
-#   mixtral-8x7b (8, 2)        2.5k    1.1 ms    49 ms   list won 11 of 11
-#   qwen1.5-moe (60, 4)         40k     14 ms    50 ms   list won 11 of 11
-#   deepseek-v2-lite (64, 6)    65k     22 ms    50 ms   list won 11 of 11
-#   (112, 8)                   155k     50 ms    52 ms   list won 11 of 11
-#   (120, 8)                   167k     54 ms    52 ms   list won 0 of 11
-#   (128, 8)                   179k     58 ms    52 ms   list won 0 of 11
-#   deepseek-r1 (256, 8)       371k    123 ms    56 ms   (median of 3)
-# The list evaluator costs about 0.32 us a cell, numpy 48-52 ms of import
-# plus 0.02 us a cell in that run; they cross near 160k cells. On the
-# earlier e^-40 grid numpy's import read 65-95 ms and the crossing 174k,
-# so the constant sits inside the import's spread and stays.
-_LIST_RACE_CELLS = 170_000
-
-
-def _race_inclusion_list(p: Sequence[float], k: int) -> list[float]:
-    """``_topk_inclusion_probs`` over Python lists, each vectorized across
-    the node grid: the same grid and tail, truncated prefix/suffix
-    recurrence and cap min(step * sum, 1), with math's exp, expm1 and log
-    (libm) and ``math.fsum`` over the nodes. r_i agrees with the numpy
-    kernel to about 1e-15 relative, not bit for bit. Prefix rows are kept
-    for every expert, so memory is O(E k nodes): callers keep the grid
-    small."""
     positive = _support(p, k)
     if k == 1:  # a single draw picks i with probability p_i
         return list(p)
+    if len(positive) == k:  # every token draws every positive expert
+        return [1.0 if w > 0 else 0.0 for w in p]
     log_p = [math.log(p[i]) for i in positive]
-    s, tail = _race_grid(log_p, k)
-    n = len(s)
-    fired, idle, weight = [], [], []
-    for lp in log_p:
-        # x = p t from log space, capped where e^-x is already 0 so it stays finite
-        log_x = list(map(lp.__add__, s))
-        x = list(map(math.exp, log_x if log_x[-1] < 700.0 else [min(v, 700.0) for v in log_x]))
-        neg_x = list(map(neg, x))
-        fired.append(list(map(neg, map(math.expm1, neg_x))))
-        idle.append(list(map(math.exp, neg_x)))
-        weight.append(list(map(math.exp, map(sub, log_x, x))))
+    nodes, tail = _race_grid(log_p, k)
+    m = len(log_p)
+    g = math.isqrt(m - 1) + 1
+    n_blocks = -(-len(nodes) * (2 * g + 1) * k // _RACE_BLOCK_CELLS)
+    size = -(-len(nodes) // n_blocks)
+    sums = [[] for _ in log_p]
+    for lo_node in range(0, len(nodes), size):
+        s = nodes[lo_node : lo_node + size]
+        n = len(s)
 
-    def step(row, f, d):
-        # count row after one more expert: row[c] is P(exactly c fired), c < k
-        return [list(map(mul, row[0], d))] + [
-            list(map(add, map(mul, row[c], d), map(mul, row[c - 1], f))) for c in range(1, k)
-        ]
+        def segment(lo):
+            # (fired, idle, weight) over the block's nodes for experts lo.. lo + g - 1
+            out = []
+            for lp in log_p[lo : lo + g]:
+                log_x = list(map(lp.__add__, s))
+                # x = p t from log space, capped where e^-x is already 0 so it stays finite
+                x = list(map(math.exp, log_x if log_x[-1] < 700.0 else [min(v, 700.0) for v in log_x]))
+                neg_x = list(map(neg, x))
+                idle = list(map(math.exp, neg_x))
+                out.append((list(map(neg, map(math.expm1, neg_x))), idle, list(map(mul, x, idle))))
+            return out
 
-    row = [[1.0] * n] + [[0.0] * n for _ in range(k - 1)]  # of no experts, none fired
-    prefix = []
-    for f, d in zip(fired, idle):
-        prefix.append(row)
-        row = step(row, f, d)
+        def exactly(row, fired, idle):
+            # row[c n : (c + 1) n] is P(exactly c fired), c < k; a map stops at its shortest input
+            new = list(map(mul, row, idle))
+            new += map(add, map(mul, row[n:], idle * (k - 1)), map(mul, row, fired * (k - 1)))
+            return new
+
+        def at_most(row, fired, idle):
+            # row[r n : (r + 1) n] is P(at most k-1-r fired), r < k
+            new = list(map(add, map(mul, row, idle * (k - 1)), map(mul, row[n:], fired * (k - 1))))
+            new += map(mul, row[-n:], idle)
+            return new
+
+        row = [1.0] * n + [0.0] * (n * (k - 1))  # of no experts, none fired
+        checkpoints = [row]
+        for lo in range(0, m - g, g):
+            for fired, idle, _ in segment(lo):
+                row = exactly(row, fired, idle)
+            checkpoints.append(row)
+        suffix = [1.0] * (n * k)
+        for lo in reversed(range(0, m, g)):
+            experts = segment(lo)
+            prefix = [checkpoints.pop()]
+            for fired, idle, _ in experts[:-1]:
+                prefix.append(exactly(prefix[-1], fired, idle))
+            for j in reversed(range(len(experts))):
+                fired, idle, weight = experts[j]
+                # sum_c P(exactly c before) P(at most k-1-c after), weighed, over the nodes
+                sums[lo + j].append(math.fsum(map(mul, map(mul, prefix[j], suffix), weight * k)))
+                suffix = at_most(suffix, fired, idle)
     r = [0.0] * len(p)
-    suffix = [[1.0] * n] + [[0.0] * n for _ in range(k - 1)]
-    for j in reversed(range(len(positive))):
-        # P(at most k-1 others) = sum_c prefix[j, c] * P(at most k-1-c of j+1.. fired)
-        tail_rows = [suffix[0]]
-        for c in range(1, k):
-            tail_rows.append(list(map(add, tail_rows[-1], suffix[c])))
-        others = list(map(mul, prefix[j][0], tail_rows[k - 1]))
-        for c in range(1, k):
-            others = list(map(add, others, map(mul, prefix[j][c], tail_rows[k - 1 - c])))
-        r[positive[j]] = min(_RACE_STEP * (math.fsum(map(mul, weight[j], others)) + tail[j]), 1.0)
-        suffix = step(suffix, fired[j], idle[j])
+    for i, part, t in zip(positive, sums, tail):
+        r[i] = min(_RACE_STEP * (math.fsum(part) + t), 1.0)
     return r
 
 
@@ -495,17 +466,8 @@ def _race_inclusion_list(p: Sequence[float], k: int) -> list[float]:
 def _inclusion_probs(n_expert: int, top_k: int, dist: RoutingDistribution) -> tuple[float, ...]:
     """r_i for one routing setting, computed once per process: r_i does not
     depend on the batch, so a sweep pays for one quadrature. The weights
-    come from ``probability_list``. The list evaluator takes top_k = 1,
-    which needs no grid, and every grid of at most ``_LIST_RACE_CELLS``
-    cells; the numpy kernel takes the rest, on an array of the same
-    weights. Every caller shares the tuple."""
-    p = dist.probability_list(n_expert)
-    log_p = [math.log(p[i]) for i in _support(p, top_k)]
-    if top_k == 1 or len(log_p) * top_k * len(_race_grid(log_p, top_k)[0]) <= _LIST_RACE_CELLS:
-        return tuple(_race_inclusion_list(p, top_k))
-    import numpy as np
-
-    return tuple(_topk_inclusion_probs(np.array(p), top_k).tolist())
+    come from ``probability_list``. Every caller shares the tuple."""
+    return tuple(_race_inclusion(dist.probability_list(n_expert), top_k))
 
 
 def expected_distinct_experts(

@@ -403,7 +403,7 @@ _CLI_MODULES = {"moemeter", "moemeter.cli", "moemeter.errors", "moemeter.models"
         ("import moemeter.cli", _CLI_MODULES),
         ("simulate", _CLI_MODULES | {"moemeter.routing", "numpy"}),
         ("metrics", _CLI_MODULES | {"moemeter.catalog", "moemeter.metrics"}),
-        # a mixtral-size quadrature runs through math; deepseek-r1's grid is large enough for numpy
+        # every quadrature runs through math, mixtral's and deepseek-r1's alike
         ("plan", _CLI_MODULES | {"moemeter.catalog", "moemeter.planner", "moemeter.routing"}),
         ("radar", _CLI_MODULES | {"moemeter.cap"}),
         ("plan --mode trace", _CLI_MODULES | {"moemeter.catalog", "moemeter.planner"}),
@@ -412,8 +412,8 @@ _CLI_MODULES = {"moemeter", "moemeter.cli", "moemeter.errors", "moemeter.models"
          {"moemeter", "moemeter.errors", "moemeter.metrics", "moemeter.models", "moemeter.trace"}),
         ("cost", _CLI_MODULES | {"moemeter.costing"}),
         ("recommend", _CLI_MODULES | {"moemeter.cap"}),
-        ("plan r1", _CLI_MODULES | {"moemeter.catalog", "moemeter.planner", "moemeter.routing", "numpy"}),
-        # the expected-planning benchmark's v2-lite plan, and qwen's: their trimmed grids run through math
+        ("plan r1", _CLI_MODULES | {"moemeter.catalog", "moemeter.planner", "moemeter.routing"}),
+        # the expected-planning benchmark's v2-lite plan, and qwen's
         ("plan v2-lite", _CLI_MODULES | {"moemeter.catalog", "moemeter.planner", "moemeter.routing"}),
         ("plan qwen", _CLI_MODULES | {"moemeter.catalog", "moemeter.planner", "moemeter.routing"}),
     ],
@@ -954,9 +954,9 @@ COST_INPUTS_TEXT = """{
              "batch1_analytic", "--batch", "8", "--dist", "zipf:1.1", "--with-ops",
              "--sweep-batches", "1,2,4,8,16,32,64", "--fig2", "--output-dir", "out"],
             {
-                "plan_report.json": "95232c778e4cc1e933627856d6714c1dc20aef086222bc75af294f1757d3473e",
+                "plan_report.json": "0100869f2884b47522170c76fe2bd0f5cd9feaecbd36404a3ab32379047bdbbf",
                 "bandwidth_power_map.json": "518dd20baa4fe887f0b5d23fb3167f4f0ff8130a59d7851d7b64ee579a1fb45a",
-                "batch_sweep.csv": "2ee941653640b31247c6483e8c2bb0360c04db5814aa63979211327f99e8ec8b",
+                "batch_sweep.csv": "e5ccf26b55d26dd38a799ae06b7e8b71fe0a886cf514d0f110f75ae8edd93297",
                 "stdout": "856c14bb0581ef7e7281ebb1569e922d1270be2be7ea9b03159658ca0e1bb81d",
             },
             id="plan-expected-sweep-fig2",
@@ -1550,11 +1550,9 @@ def test_closed_stdout_ends_alike_buffered_or_not(tmp_path, buffered):
 
 def test_small_expected_plan_bytes_do_not_follow_numpy_dispatch(tmp_path):
     # numpy's AVX-512 exp, log and expm1 differ from the other paths by 1 ulp;
-    # a mixtral- or v2-lite-size quadrature runs through math, so switching them
-    # off moves no byte. deepseek-r1's grid stays on the numpy kernel, so its
-    # bits still follow the dispatch.
+    # every quadrature runs through math, so switching them off moves no byte
     no_avx512 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
-    for model in ("mixtral-8x7b.json", "deepseek-v2-lite.json"):
+    for model in ("mixtral-8x7b.json", "deepseek-v2-lite.json", "deepseek-r1.json", "qwen1_5-moe-a2_7b.json"):
         argv = ["plan", "--model", MODELS / model, "--catalog", CATALOG, "--mode", "expected",
                 "--batch", 4, "--dist", "zipf:1.1", "--sweep-batches", "1,2,4,8,16,32,64"]
         written = []

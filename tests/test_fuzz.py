@@ -76,7 +76,7 @@ TOKENS = st.one_of(
         "", "-1", "0", "1", "2", "1.5", "x", "nan", "inf", "-inf", "1e400", "uniform", "zipf:abc", "zipf:-1",
         "empirical:1,0", "empirical:0.5,0.5", "1,2", "2,1", "1,,2", "decode", "prefill", "H100-SXM", "fp16",
         "trace", "expected", "full_activation", "batch1_analytic", "ff", "g", "0:1", "model=toy-4x2",
-        # routings that reach the list quadrature's edges: subnormal and zero weights, a certain
+        # routings that reach the quadrature's edges: subnormal and zero weights, a certain
         # expert, ranks whose power overflows
         "empirical:0.5,0.5,1e-320,0", "empirical:1,0,0,0", "zipf:1000",
     ]),

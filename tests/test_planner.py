@@ -388,14 +388,14 @@ def test_zipf_sweep_runs_the_quadrature_once(r1_desc, monkeypatch):
         routing._inclusion_probs.cache_clear()
         uncached.append(routing.expected_distinct_experts(r1_desc.n_expert, r1_desc.top_k, batch, dist).value)
 
-    quadrature = routing._topk_inclusion_probs
+    quadrature = routing._race_inclusion
     calls = []
 
     def counted(p, k):
         calls.append(k)
         return quadrature(p, k)
 
-    monkeypatch.setattr(routing, "_topk_inclusion_probs", counted)
+    monkeypatch.setattr(routing, "_race_inclusion", counted)
     routing._inclusion_probs.cache_clear()
     try:
         points = batch_sweep(r1_desc, dist, batches, SLO, INT8)
@@ -461,7 +461,7 @@ def test_expected_mode_supports_heterogeneous_experts():
     )
     for dist in dists:
         for batch in (1, 2, 3):
-            routed = _brute_force_routed_params(sizes, dist.probabilities(5).tolist(), 2, batch)
+            routed = _brute_force_routed_params(sizes, dist.probability_list(5), 2, batch)
             for include_embed in (True, False):
                 always_read = 3 * desc.params_attn_layer + 50_000 + 2 * (desc.params_router + 7_000)
                 embed = desc.params_embed if include_embed else 0
