@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+from itertools import chain
 from operator import add, mul, neg
 from typing import Sequence
 
@@ -383,10 +384,9 @@ def _race_inclusion(p: Sequence[float], k: int) -> list[float]:
     fired), c < k (the prefix), times P(at most k-1-c of those after i
     fired) (the suffix, carried as cumulative counts) gives it for every i
     without division. Both follow one recurrence, row'[c] = row[c] e^(-x) +
-    row[c-1] (1 - e^(-x)); all terms are positive, so tiny r_i keep full
-    precision down to the smallest normal double. A row is one Python list
-    of k x nodes, so each step is a few C-level maps however short a node
-    block is.
+    row[c-1] (1 - e^(-x)), each count's row being one list over the nodes;
+    all terms are positive, so tiny r_i keep full precision down to the
+    smallest normal double.
 
     Memory is O(sqrt(E) k nodes), not O(E k nodes). A forward sweep keeps
     the prefix row only at the start of each segment of g = ceil(sqrt(E))
@@ -416,45 +416,46 @@ def _race_inclusion(p: Sequence[float], k: int) -> list[float]:
         n = len(s)
 
         def segment(lo):
-            # (fired, idle, weight) over the block's nodes for experts lo.. lo + g - 1
+            # (fired, idle, x) over the block's nodes for experts lo.. lo + g - 1
             out = []
             for lp in log_p[lo : lo + g]:
                 log_x = list(map(lp.__add__, s))
                 # x = p t from log space, capped where e^-x is already 0 so it stays finite
                 x = list(map(math.exp, log_x if log_x[-1] < 700.0 else [min(v, 700.0) for v in log_x]))
                 neg_x = list(map(neg, x))
-                idle = list(map(math.exp, neg_x))
-                out.append((list(map(neg, map(math.expm1, neg_x))), idle, list(map(mul, x, idle))))
+                out.append((list(map(neg, map(math.expm1, neg_x))), list(map(math.exp, neg_x)), x))
             return out
 
         def exactly(row, fired, idle):
-            # row[c n : (c + 1) n] is P(exactly c fired), c < k; a map stops at its shortest input
-            new = list(map(mul, row, idle))
-            new += map(add, map(mul, row[n:], idle * (k - 1)), map(mul, row, fired * (k - 1)))
-            return new
+            # row[c] is P(exactly c fired), c < k
+            return [list(map(mul, row[0], idle))] + [
+                list(map(add, map(mul, row[c], idle), map(mul, row[c - 1], fired))) for c in range(1, k)
+            ]
 
         def at_most(row, fired, idle):
-            # row[r n : (r + 1) n] is P(at most k-1-r fired), r < k
-            new = list(map(add, map(mul, row, idle * (k - 1)), map(mul, row[n:], fired * (k - 1))))
-            new += map(mul, row[-n:], idle)
-            return new
+            # row[r] is P(at most k-1-r fired), r < k
+            return [list(map(add, map(mul, row[r], idle), map(mul, row[r + 1], fired))) for r in range(k - 1)] + [
+                list(map(mul, row[-1], idle))
+            ]
 
-        row = [1.0] * n + [0.0] * (n * (k - 1))  # of no experts, none fired
+        row = [[1.0] * n] + [[0.0] * n for _ in range(k - 1)]  # of no experts, none fired
         checkpoints = [row]
         for lo in range(0, m - g, g):
             for fired, idle, _ in segment(lo):
                 row = exactly(row, fired, idle)
             checkpoints.append(row)
-        suffix = [1.0] * (n * k)
+        suffix = [[1.0] * n for _ in range(k)]
         for lo in reversed(range(0, m, g)):
             experts = segment(lo)
             prefix = [checkpoints.pop()]
             for fired, idle, _ in experts[:-1]:
                 prefix.append(exactly(prefix[-1], fired, idle))
             for j in reversed(range(len(experts))):
-                fired, idle, weight = experts[j]
+                fired, idle, x = experts[j]
+                weight = list(map(mul, x, idle))
                 # sum_c P(exactly c before) P(at most k-1-c after), weighed, over the nodes
-                sums[lo + j].append(math.fsum(map(mul, map(mul, prefix[j], suffix), weight * k)))
+                terms = (map(mul, map(mul, a, b), weight) for a, b in zip(prefix[j], suffix))
+                sums[lo + j].append(math.fsum(chain.from_iterable(terms)))
                 suffix = at_most(suffix, fired, idle)
     r = [0.0] * len(p)
     for i, part, t in zip(positive, sums, tail):
