@@ -150,7 +150,7 @@ def cmd_plan(args: argparse.Namespace) -> dict:
         # trace mode validates the sheet it plans from; an unused one is checked here
         sheet = trace.load_activation_sheet(args.trace, None if "trace" in modes else desc)
     dist = trace._parse_dist_spec(args.dist) if args.dist else None
-    sweep = args.sweep_batches.split(",") if args.sweep_batches else []
+    sweep = args.sweep_batches.split(",") if args.sweep_batches is not None else []
     batches = [trace._parse_number(b, int, "sweep_batches") for b in sweep]
 
     # one set of plan settings for the modes, the map and the sweep alike
@@ -318,7 +318,7 @@ def _metrics_arguments(p):
     _add_catalog(p)
     p.add_argument("--device", required=True, help="catalog device name")
     p.add_argument("--bytes-per-param", type=float, required=True, choices=models.ALLOWED_BYTES_PER_PARAM)
-    p.add_argument("--flops-precision", default="fp16", help="key into the device's peak FLOPS map")
+    p.add_argument("--flops-precision", default=models.OPS_PRECISION, help="key into the device's peak FLOPS map")
     p.add_argument("--seq-len", type=int, default=1, help="context length for attention FLOPs")
     p.add_argument(
         "--kv-seq-len",

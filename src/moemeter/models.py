@@ -52,6 +52,10 @@ ACTIVATION_MODES = ("batch1_analytic", "full_activation", "trace", "expected")
 DEFAULT_EFFICIENCY_MBU = 0.3558
 DEFAULT_SLO_TPOT_S = 0.1
 
+# The peak-FLOPS precision the feasibility OPS check reads from each device,
+# and the default of ``metrics --flops-precision``.
+OPS_PRECISION = "fp16"
+
 
 @record
 class Precision:

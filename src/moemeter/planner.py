@@ -54,6 +54,7 @@ from .models import (
     ACTIVATION_MODES,
     DEFAULT_EFFICIENCY_MBU,
     GB,
+    OPS_PRECISION,
     ModelDescriptor,
     Precision,
     _params_read,
@@ -67,9 +68,6 @@ from .trace import ActivationSheet, validate_sheet
 
 if TYPE_CHECKING:
     from .routing import RoutingDistribution
-
-# The peak-FLOPS precision the feasibility OPS check reads from each device.
-OPS_PRECISION = "fp16"
 
 
 @record
@@ -131,10 +129,13 @@ def plan_requirement(
     bytes and tokens of the step, per TPOT target, then divided by the
     achievable efficiency: ``efficiency_mbu`` for bandwidth, and for OPS
     ``efficiency_mfu``, else ``efficiency_mbu``. Each efficiency given must
-    be in (0, 1], whether or not OPS are asked for."""
+    be in (0, 1], and ``seq_len`` at least 1, whether or not OPS are asked
+    for."""
     for name, efficiency in (("efficiency_mbu", efficiency_mbu), ("efficiency_mfu", efficiency_mfu)):
         if efficiency is not None and not 0 < efficiency <= 1:
             raise ValidationError(f"{name} must be in (0, 1], got {efficiency!r}", field=name)
+    if not 1 <= seq_len < math.inf:
+        raise ValidationError("seq_len must be finite and >= 1", field="seq_len")
     if activation_mode not in ACTIVATION_MODES:
         raise ValidationError(
             f"activation_mode must be one of {ACTIVATION_MODES}", field="activation_mode"

@@ -10,8 +10,10 @@ grid (``_race_grid``) is cut at both ends by stated bounds: on the left as
 far as the count of fired experts needs, with the dropped nodes summed in
 closed form, and on the right where the rest of the grid cannot move any
 r_i by 2^-55 of itself. One evaluator, ``_race_inclusion``, sums it over
-Python lists through ``math``, so its bits follow libm alone. numpy is
-imported only inside the simulator, and no expected-mode plan loads it.
+Python lists through ``math``, so its bits follow libm alone; one step,
+``_race_step``, counts the fired experts from two starting rows: exact
+counts before expert i, cumulative ones after it. numpy is imported only
+inside the simulator, and no expected-mode plan loads it.
 
 Simulation determinism: pass ``i`` draws from
 ``numpy.random.default_rng(SeedSequence(seed).spawn(n_passes)[i])``, so
@@ -35,7 +37,7 @@ import functools
 import math
 from itertools import chain
 from operator import add, mul, neg
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import ValidationError, record
 from .models import ModelDescriptor
@@ -91,18 +93,13 @@ class RoutingDistribution:
         if self.kind == "zipf":
             w = [_zipf_weight(rank, self.zipf_s) for rank in range(1, n_expert + 1)]
         else:
-            w = self._weights_for(n_expert)
+            w = self.weights
+            if len(w) != n_expert:
+                raise ValidationError(
+                    f"empirical weight vector has length {len(w)}, expected {n_expert}", field="weights"
+                )
         total = math.fsum(w)
         return [x / total for x in w]
-
-    def _weights_for(self, n_expert: int) -> tuple[float, ...]:
-        assert self.weights is not None
-        if len(self.weights) != n_expert:
-            raise ValidationError(
-                f"empirical weight vector has length {len(self.weights)}, expected {n_expert}",
-                field="weights",
-            )
-        return self.weights
 
 
 def _zipf_weight(rank: int, s: float) -> float:
@@ -283,8 +280,11 @@ _RACE_STEP = 0.125
 _RACE_CUT_TOL = 2.0**-55
 # The grid is cut into node blocks so that the rows one block holds at once,
 # (2 ceil(sqrt(experts)) + 1) x top_k x nodes, stay below this: about 1 MiB
-# of list floats. The cut sets how each expert's sum over nodes is grouped,
-# so changing it changes the last bits of r_i.
+# of list floats. It counts those rows only, not a backward segment's
+# 3 ceil(sqrt(experts)) columns (fired, idle, x) or the rows a step builds:
+# under tracemalloc zipf:200 at (64, 2) and (256, 2) peaks at 2.47 MiB, r1
+# zipf:1.1 (256, 8) at 0.78 MiB. The cut sets how each expert's sum over
+# nodes is grouped, so changing it changes the last bits of r_i.
 _RACE_BLOCK_CELLS = 1 << 15
 
 
@@ -370,6 +370,25 @@ def _race_grid(log_p: Sequence[float], k: int) -> tuple[list[float], list[float]
     return [start + j * h for j in range(n)], tail
 
 
+def _race_step(row: list[list[float]], fired: list[float], idle: list[float]) -> list[list[float]]:
+    """One expert's step of a row of exact or cumulative counts over the
+    nodes: row'[c] = row[c] e^(-x) + row[c-1] (1 - e^(-x)), row[-1] = 0."""
+    return [list(map(mul, row[0], idle))] + [
+        list(map(add, map(mul, row[c], idle), map(mul, row[c - 1], fired))) for c in range(1, len(row))
+    ]
+
+
+def _race_columns(log_p: Sequence[float], s: list[float]) -> Iterator[tuple[list[float], list[float], list[float]]]:
+    """(fired, idle, x) over the nodes s for each weight e^lp of ``log_p``:
+    1 - e^(-x), e^(-x) and x = p t."""
+    for lp in log_p:
+        log_x = list(map(lp.__add__, s))
+        # x = p t from log space, capped where e^-x is already 0 so it stays finite
+        x = list(map(math.exp, log_x if log_x[-1] < 700.0 else [min(v, 700.0) for v in log_x]))
+        neg_x = list(map(neg, x))
+        yield list(map(neg, map(math.expm1, neg_x))), list(map(math.exp, neg_x)), x
+
+
 def _race_inclusion(p: Sequence[float], k: int) -> list[float]:
     """r_i = P(expert i is among one token's k sequential weighted draws
     without replacement); fewer than k positive weights are rejected. At
@@ -381,10 +400,11 @@ def _race_inclusion(p: Sequence[float], k: int) -> list[float]:
     fired by t), summed on ``_race_grid``'s nodes plus its closed-form left
     tail, with math's exp and expm1 (libm) and ``math.fsum``. That count is
     Poisson-binomial in 1 - e^(-p_j t). P(exactly c of the experts before i
-    fired), c < k (the prefix), times P(at most k-1-c of those after i
-    fired) (the suffix, carried as cumulative counts) gives it for every i
-    without division. Both follow one recurrence, row'[c] = row[c] e^(-x) +
-    row[c-1] (1 - e^(-x)), each count's row being one list over the nodes;
+    fired) (the prefix) times P(at most k-1-c of those after i fired) (the
+    suffix), summed over c < k, gives it for every i without division. One
+    step, ``_race_step``, moves both rows by an expert; the prefix starts
+    from exact counts of no experts, (1, 0, ..., 0), and the suffix from
+    cumulative ones, all 1. Each count's row is one list over the nodes, and
     all terms are positive, so tiny r_i keep full precision down to the
     smallest normal double.
 
@@ -414,49 +434,25 @@ def _race_inclusion(p: Sequence[float], k: int) -> list[float]:
     for lo_node in range(0, len(nodes), size):
         s = nodes[lo_node : lo_node + size]
         n = len(s)
-
-        def segment(lo):
-            # (fired, idle, x) over the block's nodes for experts lo.. lo + g - 1
-            out = []
-            for lp in log_p[lo : lo + g]:
-                log_x = list(map(lp.__add__, s))
-                # x = p t from log space, capped where e^-x is already 0 so it stays finite
-                x = list(map(math.exp, log_x if log_x[-1] < 700.0 else [min(v, 700.0) for v in log_x]))
-                neg_x = list(map(neg, x))
-                out.append((list(map(neg, map(math.expm1, neg_x))), list(map(math.exp, neg_x)), x))
-            return out
-
-        def exactly(row, fired, idle):
-            # row[c] is P(exactly c fired), c < k
-            return [list(map(mul, row[0], idle))] + [
-                list(map(add, map(mul, row[c], idle), map(mul, row[c - 1], fired))) for c in range(1, k)
-            ]
-
-        def at_most(row, fired, idle):
-            # row[r] is P(at most k-1-r fired), r < k
-            return [list(map(add, map(mul, row[r], idle), map(mul, row[r + 1], fired))) for r in range(k - 1)] + [
-                list(map(mul, row[-1], idle))
-            ]
-
         row = [[1.0] * n] + [[0.0] * n for _ in range(k - 1)]  # of no experts, none fired
         checkpoints = [row]
         for lo in range(0, m - g, g):
-            for fired, idle, _ in segment(lo):
-                row = exactly(row, fired, idle)
+            for fired, idle, _ in _race_columns(log_p[lo : lo + g], s):
+                row = _race_step(row, fired, idle)
             checkpoints.append(row)
-        suffix = [[1.0] * n for _ in range(k)]
+        suffix = [[1.0] * n for _ in range(k)]  # of no experts, at most c fired
         for lo in reversed(range(0, m, g)):
-            experts = segment(lo)
+            experts = list(_race_columns(log_p[lo : lo + g], s))
             prefix = [checkpoints.pop()]
             for fired, idle, _ in experts[:-1]:
-                prefix.append(exactly(prefix[-1], fired, idle))
+                prefix.append(_race_step(prefix[-1], fired, idle))
             for j in reversed(range(len(experts))):
                 fired, idle, x = experts[j]
                 weight = list(map(mul, x, idle))
                 # sum_c P(exactly c before) P(at most k-1-c after), weighed, over the nodes
-                terms = (map(mul, map(mul, a, b), weight) for a, b in zip(prefix[j], suffix))
+                terms = (map(mul, map(mul, a, b), weight) for a, b in zip(prefix[j], reversed(suffix)))
                 sums[lo + j].append(math.fsum(chain.from_iterable(terms)))
-                suffix = at_most(suffix, fired, idle)
+                suffix = _race_step(suffix, fired, idle)
     r = [0.0] * len(p)
     for i, part, t in zip(positive, sums, tail):
         r[i] = min(_RACE_STEP * (math.fsum(part) + t), 1.0)

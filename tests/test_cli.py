@@ -278,6 +278,8 @@ def test_recommend_match(tmp_path):
         ("plan", ["--mode", "expected", "--batch", 2, "--dist", "zipf:abc"]),
         ("plan", ["--mode", "expected", "--batch", 2, "--dist", "zipf:inf"]),
         ("plan", ["--sweep-batches", "1,x", "--dist", "uniform"]),
+        # an empty sweep is a malformed one, not a missing one
+        ("plan", ["--sweep-batches", "", "--dist", "uniform"]),
         ("simulate", ["--batch", 2, "--dist", "zipf:abc", "--passes", 1, "--seed", 1]),
         # invalid sweeps are rejected before plan_report.json is written
         ("plan", ["--sweep-batches", "4,2", "--dist", "uniform"]),
@@ -296,6 +298,9 @@ def test_recommend_match(tmp_path):
         ("plan", ["--efficiency-mbu", "0"]),
         ("plan", ["--with-ops", "--efficiency-mfu", "2"]),
         ("plan", ["--efficiency-mfu", "2"]),
+        # a context length below 1, OPS asked for or not
+        ("plan", ["--with-ops", "--seq-len", "0"]),
+        ("plan", ["--seq-len", "0"]),
     ],
 )
 def test_malformed_routing_arguments_exit_2(tmp_path, command, extra):
@@ -314,6 +319,10 @@ def test_malformed_routing_arguments_exit_2(tmp_path, command, extra):
         assert err["error"]["field"] == "efficiency_mbu"
     elif "--efficiency-mfu" in extra:
         assert err["error"]["field"] == "efficiency_mfu"
+    elif "--seq-len" in extra:
+        assert err["error"]["field"] == "seq_len"
+    elif "" in extra:
+        assert err["error"]["field"] == "sweep_batches"
     assert not list(tmp_path.iterdir())
 
 

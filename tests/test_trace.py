@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import operator
 import sys
 import warnings
 
@@ -24,6 +25,7 @@ from moemeter.routing import (
     _race_block,
     _race_grid,
     _race_inclusion,
+    _race_step,
     _route_pass,
 )
 from moemeter.trace import (
@@ -646,6 +648,33 @@ def test_grid_cuts_move_no_r_i(monkeypatch, n_expert, k, s):
     monkeypatch.setattr(routing, "_RACE_CUT_TOL", 2.0**-100)
     for got, wide in zip(cut, _race_inclusion(p, k)):
         assert got == pytest.approx(wide, rel=1e-15, abs=0.0)
+
+
+# a count's probability: zero, or normal enough that no product below underflows
+_COUNT = st.one_of(st.just(0.0), st.floats(1e-100, 1.0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_one_step_moves_exact_and_cumulative_counts(data):
+    # cumulative counts are a linear map of exact ones, so in exact
+    # arithmetic stepping a row's cumulative sums gives the cumulative sums
+    # of its step. Each side of count c is at most c + 2 roundings of
+    # non-negative terms away from that value, so they differ by at most
+    # 2 (k + 1) ulps.
+    k = data.draw(st.integers(1, 8))
+    n = data.draw(st.integers(1, 4))
+    exact = [data.draw(st.lists(_COUNT, min_size=n, max_size=n)) for _ in range(k)]
+    x = data.draw(st.lists(st.floats(2.0**-40, 40.0), min_size=n, max_size=n))
+    fired, idle = [-math.expm1(-v) for v in x], [math.exp(-v) for v in x]
+
+    def cumulative(row):
+        return list(itertools.accumulate(row, lambda a, b: list(map(operator.add, a, b))))
+
+    got = _race_step(cumulative(exact), fired, idle)
+    want = cumulative(_race_step(exact, fired, idle))
+    for a, b in zip(itertools.chain.from_iterable(got), itertools.chain.from_iterable(want)):
+        assert abs(a - b) <= 2 * (k + 1) * math.ulp(b), (a, b)
 
 
 @pytest.mark.parametrize("n_expert, k", [(8, 2), (64, 2), (256, 2), (512, 2), (256, 8), (512, 16)])
