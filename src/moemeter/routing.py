@@ -10,10 +10,12 @@ grid (``_race_grid``) is cut at both ends by stated bounds: on the left as
 far as the count of fired experts needs, with the dropped nodes summed in
 closed form, and on the right where the rest of the grid cannot move any
 r_i by 2^-55 of itself. One evaluator, ``_race_inclusion``, sums it over
-Python lists through ``math``, so its bits follow libm alone; one step,
-``_race_step``, counts the fired experts from two starting rows: exact
-counts before expert i, cumulative ones after it. numpy is imported only
-inside the simulator, and no expected-mode plan loads it.
+Python lists through ``math``, so its bits follow libm alone. On a node
+block, an expert whose odds e^x - 1 of having fired stay within 1/2 is
+light: it is taken back out of the counts of every fired expert, to about
+4k ulps. Each heavy one multiplies exact counts before it by cumulative
+ones after it, in O(sqrt(H) k nodes) memory for H heavy experts. numpy is
+imported only inside the simulator, and no expected-mode plan loads it.
 
 Simulation determinism: pass ``i`` draws from
 ``numpy.random.default_rng(SeedSequence(seed).spawn(n_passes)[i])``, so
@@ -35,8 +37,8 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import chain
-from operator import add, mul, neg
+from itertools import accumulate, chain
+from operator import mul, neg
 from typing import Iterator, Sequence
 
 from .errors import ValidationError, record
@@ -286,6 +288,9 @@ _RACE_CUT_TOL = 2.0**-55
 # zipf:1.1 (256, 8) at 0.78 MiB. The cut sets how each expert's sum over
 # nodes is grouped, so changing it changes the last bits of r_i.
 _RACE_BLOCK_CELLS = 1 << 15
+# A light expert's odds e^x - 1 stay at most this on its block's nodes, which
+# holds _race_light's rounding to about 4k ulps (see _race_inclusion).
+_RACE_LIGHT_ODDS = 0.5
 
 
 def _race_grid(log_p: Sequence[float], k: int) -> tuple[list[float], list[float]]:
@@ -373,9 +378,19 @@ def _race_grid(log_p: Sequence[float], k: int) -> tuple[list[float], list[float]
 def _race_step(row: list[list[float]], fired: list[float], idle: list[float]) -> list[list[float]]:
     """One expert's step of a row of exact or cumulative counts over the
     nodes: row'[c] = row[c] e^(-x) + row[c-1] (1 - e^(-x)), row[-1] = 0."""
-    return [list(map(mul, row[0], idle))] + [
-        list(map(add, map(mul, row[c], idle), map(mul, row[c - 1], fired))) for c in range(1, len(row))
+    return [[a * b for a, b in zip(row[0], idle)]] + [
+        [a * b + c * d for a, b, c, d in zip(now, idle, before, fired)] for before, now in zip(row, row[1:])
     ]
+
+
+def _race_light(full: list[list[float]], odds: list[float]) -> list[float]:
+    """e^(-x) P(at most k-1 others fired) over the nodes, from ``full``, the
+    cumulative counts of every expert, and the expert's odds w = e^x - 1:
+    full[c] = e^(-x) others[c] + w e^(-x) others[c-1], run by Horner."""
+    acc = full[0]
+    for row in full[1:]:
+        acc = [c - w * a for c, w, a in zip(row, odds, acc)]
+    return acc
 
 
 def _race_columns(log_p: Sequence[float], s: list[float]) -> Iterator[tuple[list[float], list[float], list[float]]]:
@@ -399,21 +414,28 @@ def _race_inclusion(p: Sequence[float], k: int) -> list[float]:
     win, so r_i = integral over ln t of p_i t e^(-p_i t) P(at most k-1 others
     fired by t), summed on ``_race_grid``'s nodes plus its closed-form left
     tail, with math's exp and expm1 (libm) and ``math.fsum``. That count is
-    Poisson-binomial in 1 - e^(-p_j t). P(exactly c of the experts before i
-    fired) (the prefix) times P(at most k-1-c of those after i fired) (the
-    suffix), summed over c < k, gives it for every i without division. One
-    step, ``_race_step``, moves both rows by an expert; the prefix starts
-    from exact counts of no experts, (1, 0, ..., 0), and the suffix from
-    cumulative ones, all 1. Each count's row is one list over the nodes, and
-    all terms are positive, so tiny r_i keep full precision down to the
-    smallest normal double.
+    Poisson-binomial in 1 - e^(-p_j t); ``_race_step`` moves a row of exact
+    or cumulative counts by an expert. The nodes are swept in blocks of at
+    most ``_RACE_BLOCK_CELLS`` cells of rows.
 
-    Memory is O(sqrt(E) k nodes), not O(E k nodes). A forward sweep keeps
-    the prefix row only at the start of each segment of g = ceil(sqrt(E))
-    experts. A backward sweep, last segment first, rebuilds the segment's
-    prefix rows from its checkpoint and steps the suffix row down through
-    it. The nodes are swept in blocks of at most ``_RACE_BLOCK_CELLS``
-    cells of rows.
+    On a block, an expert is light when x = p_i t <= ln(1 + w_max) on every
+    node, w_max = ``_RACE_LIGHT_ODDS``, and heavy otherwise; the light ones
+    are stepped first into exact counts, from (1, 0, ..., 0). A heavy one
+    sums over c < k P(exactly c experts before it fired), a prefix that
+    holds every light one, times P(at most k-1-c heavy ones after it
+    fired), a suffix from all 1. These terms are positive, so tiny r_i keep
+    full precision down to the smallest normal double. ``_race_light`` takes
+    a light one back out of the cumulative counts C of every expert: with
+    odds w = e^x - 1 <= w_max, the terms w^j C[k-1-j] of its alternating sum
+    fall, the sum lies in [(1 - w) C[k-1], C[k-1]], and rounding stays
+    within about 4k ulps of it.
+
+    Memory is O(sqrt(H) k nodes) for H heavy experts, not O(E k nodes). A
+    forward sweep keeps the prefix row at the start of each segment of
+    ceil(sqrt(H)) heavy experts. A backward sweep, last segment first,
+    rebuilds a segment's prefix rows from its checkpoint (one step further
+    in the last segment, for C) and steps the suffix row down through it
+    to the first heavy expert.
 
     A zero-weight expert never fires: its step leaves every row exactly as
     it was and its r_i is exactly 0. So only the positive weights are
@@ -426,33 +448,48 @@ def _race_inclusion(p: Sequence[float], k: int) -> list[float]:
         return [1.0 if w > 0 else 0.0 for w in p]
     log_p = [math.log(p[i]) for i in positive]
     nodes, tail = _race_grid(log_p, k)
-    m = len(log_p)
-    g = math.isqrt(m - 1) + 1
+    g = math.isqrt(len(log_p) - 1) + 1  # the block rule's segments, as if every expert were heavy
     n_blocks = -(-len(nodes) * (2 * g + 1) * k // _RACE_BLOCK_CELLS)
     size = -(-len(nodes) // n_blocks)
+    ln_light = math.log(math.log1p(_RACE_LIGHT_ODDS))
     sums = [[] for _ in log_p]
     for lo_node in range(0, len(nodes), size):
         s = nodes[lo_node : lo_node + size]
         n = len(s)
+        light = [i for i, lp in enumerate(log_p) if lp + s[-1] <= ln_light]
+        heavy = [i for i, lp in enumerate(log_p) if lp + s[-1] > ln_light]
         row = [[1.0] * n] + [[0.0] * n for _ in range(k - 1)]  # of no experts, none fired
+        for fired, idle, _ in _race_columns([log_p[i] for i in light], s):
+            row = _race_step(row, fired, idle)
+        full = row  # exact counts of every expert, unless a heavy one follows
+        g = math.isqrt(len(heavy) - 1) + 1 if heavy else 1
         checkpoints = [row]
-        for lo in range(0, m - g, g):
-            for fired, idle, _ in _race_columns(log_p[lo : lo + g], s):
+        for lo in range(0, len(heavy) - g, g):
+            for fired, idle, _ in _race_columns([log_p[i] for i in heavy[lo : lo + g]], s):
                 row = _race_step(row, fired, idle)
             checkpoints.append(row)
         suffix = [[1.0] * n for _ in range(k)]  # of no experts, at most c fired
-        for lo in reversed(range(0, m, g)):
-            experts = list(_race_columns(log_p[lo : lo + g], s))
+        for lo in reversed(range(0, len(heavy), g)):
+            experts = list(_race_columns([log_p[i] for i in heavy[lo : lo + g]], s))
             prefix = [checkpoints.pop()]
             for fired, idle, _ in experts[:-1]:
                 prefix.append(_race_step(prefix[-1], fired, idle))
+            if light and lo + g >= len(heavy):
+                fired, idle, _ = experts[-1]
+                full = _race_step(prefix[-1], fired, idle)
             for j in reversed(range(len(experts))):
                 fired, idle, x = experts[j]
                 weight = list(map(mul, x, idle))
                 # sum_c P(exactly c before) P(at most k-1-c after), weighed, over the nodes
                 terms = (map(mul, map(mul, a, b), weight) for a, b in zip(prefix[j], reversed(suffix)))
-                sums[lo + j].append(math.fsum(chain.from_iterable(terms)))
-                suffix = _race_step(suffix, fired, idle)
+                sums[heavy[lo + j]].append(math.fsum(chain.from_iterable(terms)))
+                if lo + j:  # no heavy expert precedes the first one
+                    suffix = _race_step(suffix, fired, idle)
+        if light:
+            full = list(accumulate(full, lambda a, b: [u + v for u, v in zip(a, b)]))  # at most c fired
+            for i in light:
+                x = [math.exp(log_p[i] + v) for v in s]
+                sums[i].append(math.fsum(map(mul, x, _race_light(full, list(map(math.expm1, x))))))
     r = [0.0] * len(p)
     for i, part, t in zip(positive, sums, tail):
         r[i] = min(_RACE_STEP * (math.fsum(part) + t), 1.0)

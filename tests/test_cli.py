@@ -965,7 +965,7 @@ COST_INPUTS_TEXT = """{
             {
                 "plan_report.json": "0100869f2884b47522170c76fe2bd0f5cd9feaecbd36404a3ab32379047bdbbf",
                 "bandwidth_power_map.json": "518dd20baa4fe887f0b5d23fb3167f4f0ff8130a59d7851d7b64ee579a1fb45a",
-                "batch_sweep.csv": "e5ccf26b55d26dd38a799ae06b7e8b71fe0a886cf514d0f110f75ae8edd93297",
+                "batch_sweep.csv": "ded27aa637760ac33accc35bc015fceb5f6443c27e446f937147bd048d2d945f",
                 "stdout": "856c14bb0581ef7e7281ebb1569e922d1270be2be7ea9b03159658ca0e1bb81d",
             },
             id="plan-expected-sweep-fig2",

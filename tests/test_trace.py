@@ -25,6 +25,7 @@ from moemeter.routing import (
     _race_block,
     _race_grid,
     _race_inclusion,
+    _race_light,
     _race_step,
     _route_pass,
 )
@@ -603,6 +604,10 @@ def _brute_force_inclusion(p, k):
     return [math.fsum(t) for t in terms]
 
 
+# one dominant weight and tiny ones: at k = 2 and 3 the four tiny experts are
+# light, their odds e^x - 1 of having fired at most 1/2 on every node
+_LIGHT_WEIGHTS = [0.9, 0.05, 0.04, 1e-4, 5e-5, 2e-5, 1e-5]
+
 _ORACLE_WEIGHTS = [
     (1 / np.arange(1, 9) ** 1.1).tolist(),  # mixtral-8x7b geometry at zipf:1.1
     [0.4, 0.3, 0.2, 0.1, 1e-100, 0.0, 0.0],
@@ -612,6 +617,7 @@ _ORACLE_WEIGHTS = [
     # the left tail carries the most mass: one dominant weight, and zipf:3
     [0.9, 0.04, 0.03, 0.02, 0.01],
     (1 / np.arange(1, 8) ** 3.0).tolist(),
+    _LIGHT_WEIGHTS,
 ]
 
 
@@ -629,6 +635,31 @@ def test_quadrature_matches_brute_force_oracle(weights, k):
         out = expected_distinct_experts(len(weights), k, batch, dist)
         assert out.method == "quadrature"
         assert out.value == pytest.approx(truth, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_oracle_weights_split_into_light_and_heavy(monkeypatch, k):
+    # the oracle above holds both paths to brute force only if both run
+    import moemeter.routing as routing
+
+    light = []
+    monkeypatch.setattr(routing, "_race_light", lambda full, odds: light.append(1) or _race_light(full, odds))
+    p = RoutingDistribution.empirical(np.asarray(_LIGHT_WEIGHTS) / sum(_LIGHT_WEIGHTS)).probability_list(7)
+    _race_inclusion(p, k)
+    assert 0 < len(light) < len(p)
+
+
+@pytest.mark.parametrize("n_expert, k, most", [(256, 8, 400), (64, 6, 176)])
+def test_quadrature_step_count(monkeypatch, n_expert, k, most):
+    # deepseek-r1's zipf:1.1 grid has 202 light experts of 256, each stepped
+    # once where every expert took three steps (736 in all); deepseek-v2-lite
+    # has none, and took 176
+    import moemeter.routing as routing
+
+    steps = []
+    monkeypatch.setattr(routing, "_race_step", lambda *row: steps.append(1) or _race_step(*row))
+    _race_inclusion(RoutingDistribution.zipf(1.1).probability_list(n_expert), k)
+    assert len(steps) <= most
 
 
 @pytest.mark.parametrize("n_expert, k", [(256, 8), (64, 6)])
@@ -675,6 +706,33 @@ def test_one_step_moves_exact_and_cumulative_counts(data):
     want = cumulative(_race_step(exact, fired, idle))
     for a, b in zip(itertools.chain.from_iterable(got), itertools.chain.from_iterable(want)):
         assert abs(a - b) <= 2 * (k + 1) * math.ulp(b), (a, b)
+
+
+def _columns(x):
+    return [-math.expm1(-v) for v in x], [math.exp(-v) for v in x]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_light_expert_comes_out_of_the_full_counts(data):
+    # an expert of odds w = e^x - 1 <= 1/2, between a prefix of exact counts
+    # and a suffix of cumulative ones built with _race_step: the Horner sum
+    # on the cumulative counts of all of them gives e^(-x) P(at most k-1
+    # others fired), the prefix x suffix sum, within its budget of 4k ulps
+    k = data.draw(st.integers(2, 8))
+    n = data.draw(st.integers(1, 4))
+    prefix = [data.draw(st.lists(_COUNT, min_size=n, max_size=n)) for _ in range(k)]
+    x = data.draw(st.lists(st.floats(2.0**-40, math.log1p(0.5)), min_size=n, max_size=n))
+    after = data.draw(st.lists(st.lists(st.floats(2.0**-40, 40.0), min_size=n, max_size=n), max_size=3))
+    fired, idle = _columns(x)
+    suffix, full = [[1.0] * n for _ in range(k)], _race_step(prefix, fired, idle)
+    for column in after:
+        suffix, full = _race_step(suffix, *_columns(column)), _race_step(full, *_columns(column))
+    full = list(itertools.accumulate(full, lambda a, b: list(map(operator.add, a, b))))
+    got = _race_light(full, [math.expm1(v) for v in x])
+    for j, g in enumerate(got):
+        want = idle[j] * math.fsum(prefix[c][j] * suffix[k - 1 - c][j] for c in range(k))
+        assert abs(g - want) <= 4 * k * math.ulp(want), (g, want)
 
 
 @pytest.mark.parametrize("n_expert, k", [(8, 2), (64, 2), (256, 2), (512, 2), (256, 8), (512, 16)])
@@ -738,11 +796,11 @@ def test_quadrature_spans_subnormal_weights_without_overflow():
 # them. The checkpoints must leave every bit alone, multi-block grids
 # included (r1 zipf:200 has 11 node blocks, 512 experts top-16 has 2).
 _PINNED_QUADRATURE = [
-    ("zipf", 1.1, 256, 8, "8aaa0fe2ee07e853b4b6b882dfcea217bf14256df8167faa5f25f26c4c1c44aa"),
+    ("zipf", 1.1, 256, 8, "ef9486a3e636136b3a7648a1ac11c4225b3a622901c5eb0447e97262b3e3c240"),
     ("zipf", 1.1, 64, 6, "640b12722941a6d75a63fdc8b88b18231cfee622230eb0c013bbd6286281aef2"),
     ("zipf", 1.1, 8, 2, "fb55da445ab509cf8694b89d75b0d28c0529ae25be5fcc35b3776dea60510d72"),
     ("zipf", 200.0, 256, 8, "b369bc24843d343be80fa29a41d4a863590895b4d5ee91bc593cefe8c3ec8c12"),
-    ("zipf", 1.1, 512, 16, "b32fc23bee062ea9b417b560a808c1b71421c911fd9a5c5098c409d22cb4a5ca"),
+    ("zipf", 1.1, 512, 16, "c5a0fea285e03aaf2443905ade4d82ae9169f0ff5ea4f8273dc80ccf5b45db8a"),
     ("subnormal", None, 4, 2, "10415a50cf0f70979c2b900605c2da78254216e6837b62b1726910026fcf3090"),
 ]
 
