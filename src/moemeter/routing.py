@@ -12,8 +12,8 @@ closed form, and on the right where the rest of the grid cannot move any
 r_i by 2^-55 of itself. One evaluator, ``_race_inclusion``, sums it over
 Python lists through ``math``, so its bits follow libm alone. On a node
 block, an expert whose odds e^x - 1 of having fired stay within 1/2 is
-light: it is taken back out of the counts of every fired expert, to about
-4k ulps. Each heavy one multiplies exact counts before it by cumulative
+light: it is taken back out of the cumulative counts of every expert, to
+about 4k ulps. Each heavy one multiplies exact counts before it by cumulative
 ones after it, in O(sqrt(H) k nodes) memory for H heavy experts. numpy is
 imported only inside the simulator, and no expected-mode plan loads it.
 
@@ -280,13 +280,14 @@ _RACE_STEP = 0.125
 # Largest relative error in r_i that each of the grid's three cuts may leave:
 # the left margin, the left tail's series and the right end (see _race_grid).
 _RACE_CUT_TOL = 2.0**-55
-# The grid is cut into node blocks so that the rows one block holds at once,
-# (2 ceil(sqrt(experts)) + 1) x top_k x nodes, stay below this: about 1 MiB
-# of list floats. It counts those rows only, not a backward segment's
-# 3 ceil(sqrt(experts)) columns (fired, idle, x) or the rows a step builds:
-# under tracemalloc zipf:200 at (64, 2) and (256, 2) peaks at 2.47 MiB, r1
-# zipf:1.1 (256, 8) at 0.78 MiB. The cut sets how each expert's sum over
-# nodes is grouped, so changing it changes the last bits of r_i.
+# The grid is cut into node blocks so that the rows one block could hold at
+# once, (2 ceil(sqrt(experts)) + 1) x top_k x nodes, stay below this: about
+# 1 MiB of list floats. Light experts hold no rows, so a block holds fewer.
+# It counts those rows only, not a backward segment's 3 ceil(sqrt(experts))
+# columns (fired, idle, x) or the rows a step builds: under tracemalloc
+# zipf:200 at (64, 2) and (256, 2) peaks at 0.76 MiB, r1 zipf:1.1 (256, 8)
+# at 0.42 MiB. The cut sets how each expert's sum over nodes is grouped, so
+# changing it changes the last bits of r_i.
 _RACE_BLOCK_CELLS = 1 << 15
 # A light expert's odds e^x - 1 stay at most this on its block's nodes, which
 # holds _race_light's rounding to about 4k ulps (see _race_inclusion).
